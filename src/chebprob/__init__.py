@@ -69,21 +69,16 @@ from .probnum import (
     trig_value,
 )
 from .series import TruncatedSeries
-from .stochastic import (
-    MomentEntry,
-    MomentReport,
-    RandomStream,
-    mc_euler_poly,
-    mc_gen_euler,
-    mc_klebanov,
-    moment_integral_check,
-    sample_mu,
-    sample_sech,
-    sech_cdf,
-    sech_density,
-)
 
 __version__ = "0.1.0"
+
+# Reached through __getattr__ below, so that numpy and scipy load only when
+# a stochastic name is first used.
+_STOCHASTIC = (
+    "RandomStream", "MomentEntry", "MomentReport", "sample_sech", "sample_mu",
+    "sech_cdf", "sech_density", "mc_euler_poly", "mc_gen_euler",
+    "mc_klebanov", "moment_integral_check",
+)
 
 __all__ = [
     "__version__",
@@ -109,7 +104,13 @@ __all__ = [
     "expectation_form_check", "asymptotic_ratio", "q_sequence",
     "catalan_prefix_check", "catalan_gf_check",
     # stochastic
-    "RandomStream", "MomentEntry", "MomentReport", "sample_sech", "sample_mu",
-    "sech_cdf", "sech_density", "mc_euler_poly", "mc_gen_euler",
-    "mc_klebanov", "moment_integral_check",
+    *_STOCHASTIC,
 ]
+
+
+def __getattr__(name: str):
+    if name in _STOCHASTIC:
+        from . import stochastic
+
+        return getattr(stochastic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

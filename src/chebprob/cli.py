@@ -26,7 +26,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import identities, probnum, stochastic
+from . import identities, probnum
 from .exactnum import format_rational
 
 SCHEMA_VERSION = 1
@@ -169,7 +169,9 @@ def cmd_identity(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _montecarlo_report(args: argparse.Namespace) -> tuple[stochastic.MomentReport, dict]:
+def _montecarlo_report(args: argparse.Namespace) -> tuple:
+    from . import stochastic
+
     stream = stochastic.RandomStream(args.seed)
     if args.kind == "rep":
         x = parse_rational(args.x)
@@ -186,6 +188,9 @@ def _montecarlo_report(args: argparse.Namespace) -> tuple[stochastic.MomentRepor
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
+    # numpy and scipy load here, so the exact subcommands never pay for them.
+    from . import stochastic
+
     if args.kind == "integral":
         if args.k < 0:
             raise UsageError(f"--k must be >= 0, got {args.k}")
@@ -293,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--k", type=int, default=0, help="moment order for 'integral'")
     p_mc.add_argument("--samples", type=int, default=10**5)
     p_mc.add_argument("--seed", type=int, default=None)
-    p_mc.add_argument("--band", type=float, default=stochastic.DEFAULT_BAND,
+    p_mc.add_argument("--band", type=float, default=identities.DEFAULT_BAND,
                       help="acceptance band in standard errors")
     p_mc.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-10)
     p_mc.add_argument("--format", choices=["json", "pretty"], default="pretty")

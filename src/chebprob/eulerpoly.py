@@ -126,13 +126,19 @@ def _zero_row_one_upto(max_n: int) -> list[Fraction]:
 
 def _zero_rows_upto(p: int, max_n: int) -> list[Fraction]:
     # Caller holds _CACHE_LOCK.  Raise the order one convolution at a time,
-    # extending every intermediate row to max_n.
+    # extending to max_n every row above the highest order under p whose row
+    # reaches it already (a row is never longer than the one below it).
+    if len(_ZERO_ROWS.get(p, ())) > max_n:
+        return _ZERO_ROWS[p]
     base = _zero_row_one_upto(max_n)
     row0 = _ZERO_ROWS[0]
     row0.extend([Fraction(0)] * (max_n + 1 - len(row0)))
     if p <= 1:
         return _ZERO_ROWS[p]
-    for q in range(2, p + 1):
+    start = p
+    while start > 2 and len(_ZERO_ROWS.get(start - 1, ())) <= max_n:
+        start -= 1
+    for q in range(start, p + 1):
         prev = _ZERO_ROWS[q - 1]
         row = _ZERO_ROWS.setdefault(q, [])
         for n in range(len(row), max_n + 1):

@@ -27,13 +27,12 @@ from fractions import Fraction
 
 from .exactnum import (
     Rational,
-    binomial,
     catalan_sequence,
     convolution_power,
     format_rational,
 )
-from .eulerpoly import euler_poly, eval_poly, gen_euler_zero
-from .probnum import probnum_series
+from .eulerpoly import euler_poly, eval_poly, gen_euler_recursive
+from .probnum import _law, probnum_series
 from .series import TruncatedSeries
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "CatalanPrefixReport",
     "CatalanGFReport",
     "reconstruct_euler",
-    "reconstruction_csv_rows",
     "expectation_form_check",
     "asymptotic_ratio",
     "q_sequence",
@@ -52,6 +50,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_K = 2000
+# Band, in standard errors, of the Monte Carlo checks; here, not in the numpy
+# module ``stochastic``, so that the command line reads it without numpy.
+DEFAULT_BAND = 4.0
 
 
 class ConvergenceError(RuntimeError):
@@ -98,38 +99,12 @@ class ReconstructionResult:
         }
 
 
-def reconstruction_csv_rows(results) -> list[list[str]]:
-    """CSV summary (header + one row per result) for a sweep of
-    reconstructions."""
-    rows = [
-        ["n", "N", "x", "terms_used", "partial_value", "target",
-         "abs_error", "tail_estimate"]
-    ]
-    for r in results:
-        rows.append(
-            [
-                str(r.n), str(r.N), format_rational(r.x), str(r.terms_used),
-                format_rational(r.partial_value), format_rational(r.target),
-                repr(r.abs_error), repr(r.tail_estimate),
-            ]
-        )
-    return rows
-
-
-def _weight_series(N: int, upto: int):
-    return probnum_series(N, max(upto, N)).values
-
-
-def _gen_euler_value(n: int, k: int, arg: Fraction) -> Fraction:
-    # E_n^{(k)}(arg) from the memoized value-at-zero row; avoids building a
-    # polynomial object per term.
-    row = gen_euler_zero(k, n)
-    acc = Fraction(0)
-    power = Fraction(1)
-    for j in range(n + 1):
-        acc += binomial(n, j) * power * row[n - j]
-        power *= arg
-    return acc
+def _weighted_terms(n: int, N: int, shift: Fraction, max_k: int):
+    """Yield (k, p_k E_n^{(k)}(k/2 + shift)) for k = N, N+2, ..., max_k;
+    off-parity weights vanish."""
+    for k in range(N, max_k + 1, 2):
+        weight = _law(N, k)[k]
+        yield k, weight * eval_poly(gen_euler_recursive(n, k), Fraction(k, 2) + shift)
 
 
 def reconstruct_euler(
@@ -159,20 +134,13 @@ def reconstruct_euler(
     shift = N * (x - Fraction(1, 2))
     decay = math.cos(math.pi / (2 * N))
 
-    table_len = min(max_k, max(64, 4 * N * N))
-    weights = _weight_series(N, table_len)
     partial = Fraction(0)
     terms_used = 0
     first_small: int | None = None
     last_term = Fraction(0)
 
-    k = N
-    while k <= max_k:
-        if k >= len(weights):
-            table_len = min(max_k, 2 * (len(weights) - 1))
-            weights = _weight_series(N, table_len)
-        arg = Fraction(k, 2) + shift
-        term = weights[k] * _gen_euler_value(n, k, arg) / scale
+    for k, weighted in _weighted_terms(n, N, shift, max_k):
+        term = weighted / scale
         partial += term
         terms_used += 1
         last_term = term
@@ -192,7 +160,6 @@ def reconstruct_euler(
                 tail_estimate=tail,
                 first_small_term_k=first_small,
             )
-        k += 2
     raise ConvergenceError(
         f"series for E_{n}(x) with N={N} not within {tol} after k={max_k}",
         achieved_error=float(abs(partial - target)),
@@ -213,19 +180,12 @@ def expectation_form_check(
         raise ValueError(f"expectation_form_check requires N >= 1, got N={N}")
     target = Fraction(N) ** n * eval_poly(euler_poly(n), Fraction(1, 2))
     tol_exact = Fraction(tol)
-    table_len = min(max_k, max(64, 4 * N * N))
-    weights = _weight_series(N, table_len)
     partial = Fraction(0)
-    k = N
-    while k <= max_k:
-        if k >= len(weights):
-            table_len = min(max_k, 2 * (len(weights) - 1))
-            weights = _weight_series(N, table_len)
-        partial += weights[k] * _gen_euler_value(n, k, Fraction(k, 2))
+    for _, weighted in _weighted_terms(n, N, Fraction(0), max_k):
+        partial += weighted
         difference = abs(partial - target)
         if difference <= tol_exact:
             return difference
-        k += 2
     raise ConvergenceError(
         f"expectation identity for n={n}, N={N} not within {tol} after k={max_k}",
         achieved_error=float(abs(partial - target)),

@@ -16,18 +16,25 @@ independent routes and cross-validates:
 
 Exact routes must agree identically; the trig route agrees to float
 accuracy.  ``cross_validate`` enforces both.
+
+The series values live in one append-only memo per N, lock-guarded and
+held for the life of the process; the identity and sampling layers read it.
+Long division by the reversed polynomial c_0 + c_1 z + ... + c_N z^N gives
+p_ell = -(c_1 p_{ell-1} + ... + c_N p_{ell-N}) / c_0, so each new term costs
+O(N) exact operations (only the nonzero taps are kept) and a longer table
+never redoes the terms already held.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal, Sequence
 
 from .chebyshev import reversed_T
 from .exactnum import ballot_number, format_rational
-from .series import TruncatedSeries
 
 __all__ = [
     "Method",
@@ -48,6 +55,10 @@ __all__ = [
 ]
 
 Method = Literal["series", "trig", "catalan"]
+
+_LAW_LOCK = threading.Lock()
+# N -> (nonzero taps (i, c_i), i >= 1, of the reversed T_N; c_0; p_0, p_1, ...)
+_LAW: dict[int, tuple[tuple, Fraction, list[Fraction]]] = {}
 
 
 class CrossValidationError(Exception):
@@ -146,21 +157,30 @@ class ProbTable:
         return rows
 
 
-def _series_values(N: int, max_ell: int) -> list[Fraction]:
-    q = reversed_T(N)
-    order = max_ell - N
-    recip = TruncatedSeries.of(q.coefficients, order).reciprocal()
-    values = [Fraction(0)] * N + list(recip.coefficients)
-    return values[: max_ell + 1]
+def _law(N: int, max_ell: int) -> list[Fraction]:
+    """The memo of mu_N, extended through ``max_ell``.
+
+    The list is append-only: callers index or slice it below ``max_ell``
+    without the lock, and never mutate it.
+    """
+    with _LAW_LOCK:
+        entry = _LAW.get(N)
+        if entry is None:
+            c = reversed_T(N).coefficients
+            taps = tuple((i, ci) for i, ci in enumerate(c) if i and ci)
+            entry = _LAW[N] = (taps, c[0], [Fraction(0)] * N + [1 / c[0]])
+        taps, c0, values = entry
+        for ell in range(len(values), max_ell + 1):
+            values.append(-sum(ci * values[ell - i] for i, ci in taps) / c0)
+        return values
 
 
 def probnum_series(N: int, max_ell: int) -> ProbTable:
     """Exact table of p_0..p_max_ell via the reciprocal series of the
     reversed polynomial (method tag "series")."""
     _check_table_args(N, max_ell)
-    values = _series_values(N, max_ell)
-    tail = _tail_from_partial(values)
-    return ProbTable(N, max_ell, tuple(values), "series", tail)
+    values = tuple(_law(N, max_ell)[: max_ell + 1])
+    return ProbTable(N, max_ell, values, "series", _tail_from_partial(values))
 
 
 def trig_value(N: int, ell: int) -> float:
@@ -320,7 +340,7 @@ def tail_mass(N: int, max_ell: int) -> float:
     """Upper bound on the mass beyond max_ell: one minus the exact partial
     sum, rounded up to the next float."""
     _check_table_args(N, max_ell)
-    return _tail_from_partial(_series_values(N, max_ell))
+    return _tail_from_partial(_law(N, max_ell)[: max_ell + 1])
 
 
 def geometric_tail_bound(N: int, max_ell: int) -> float:

@@ -30,6 +30,7 @@ from scipy import integrate, stats
 
 from .eulerpoly import euler_numbers, euler_poly, eval_poly, gen_euler_recursive
 from .exactnum import Rational
+from .identities import DEFAULT_BAND
 from .probnum import probnum_series
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "moment_integral_check",
 ]
 
-DEFAULT_BAND = 4.0
 _MU_TABLE_GAP = Fraction(1, 10**15)
 
 _MU_LOCK = threading.Lock()
@@ -169,10 +169,13 @@ class MomentEntry:
 
     @property
     def standardized(self) -> float:
+        # A constant sample (the real part for n = 1) has a rounding-size or
+        # zero SE, so the gap is judged against a rounding floor when that is
+        # larger.  A pairwise-summed mean is off by about log2(count) ulps, the
+        # values and the reference by a few more: 64 ulps cover count < 2^48.
         gap = abs(self.estimate - self.reference)
-        if self.std_error == 0.0:
-            return 0.0 if gap == 0.0 else math.inf
-        return gap / self.std_error
+        floor = 64 * math.ulp(max(abs(self.estimate), abs(self.reference)))
+        return gap / max(self.std_error, floor)
 
     def json_dict(self) -> dict:
         return {

@@ -1,8 +1,13 @@
 """CLI contract: flags, formats, exit codes, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import chebprob
 
 from chebprob.cli import main, parse_rational, UsageError
 
@@ -174,6 +179,14 @@ class TestMonteCarlo:
         assert document["passed"] is True
         assert document["extras"]["ks_pvalue"] > 0.01
 
+    def test_rep_constant_real_part(self, capsys):
+        code, out, _ = run(
+            capsys, "montecarlo", "rep", "--n", "1", "--x", "1/3",
+            "--samples", "100000", "--seed", "7",
+        )
+        assert code == 0
+        assert "-> ok" in out
+
     def test_sample_floor_enforced(self, capsys):
         code, _, err = run(
             capsys, "montecarlo", "rep", "--n", "1", "--x", "0",
@@ -219,3 +232,20 @@ class TestDeterminism:
         _, out_a, _ = run(capsys, *argv)
         _, out_b, _ = run(capsys, *argv)
         assert out_a == out_b
+
+
+class TestImportCost:
+    def test_exact_path_loads_no_numpy(self):
+        # numpy and scipy belong to the montecarlo path only.
+        src = os.path.dirname(os.path.dirname(chebprob.__file__))
+        code = (
+            "import sys, chebprob, chebprob.cli\n"
+            "heavy = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+            "assert not heavy, heavy\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr

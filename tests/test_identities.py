@@ -16,7 +16,6 @@ from chebprob.identities import (
     expectation_form_check,
     q_sequence,
     reconstruct_euler,
-    reconstruction_csv_rows,
 )
 from chebprob.probnum import probnum_series
 
@@ -106,15 +105,6 @@ class TestReconstruction:
                 default=0,
             )
             assert last_rise < len(magnitudes) - 20, (N, n, x, last_rise)
-
-    def test_sweep_csv(self):
-        results = [
-            reconstruct_euler(n, 2, Fraction(1, 4), 1e-9) for n in (0, 1, 2)
-        ]
-        rows = reconstruction_csv_rows(results)
-        assert rows[0][0] == "n"
-        assert len(rows) == 4
-        assert rows[2][4] == rows[2][5] or float(rows[2][6]) <= 1e-9
 
 
 class TestExpectationForm:

@@ -5,13 +5,18 @@ Exact oracles: the closed N=2 law 2^(-ell/2), the closed N=3 law
 closed form for N=4 built from the quadratic surds 2(2 +/- sqrt 2).
 """
 
+import functools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebprob import probnum
+from chebprob.chebyshev import reversed_T
 from chebprob.probnum import (
     CrossValidationError,
     alternating_phase_sum,
@@ -25,6 +30,7 @@ from chebprob.probnum import (
     tail_mass,
     trig_value,
 )
+from chebprob.series import TruncatedSeries
 
 
 def closed_form_n4(ell: int) -> float:
@@ -86,6 +92,60 @@ class TestSeries:
             running += v
             assert previous <= running <= 1
             previous = running
+
+
+MEMO_MAX_ELL = 600
+
+
+@functools.lru_cache(maxsize=None)
+def catalan_prefix(N: int) -> tuple:
+    # catalan_table fills each index on its own, so catalan_table(N, L) is
+    # this prefix through L; one table per N keeps the property test fast.
+    return catalan_table(N, MEMO_MAX_ELL).values
+
+
+requests = st.lists(
+    st.integers(1, 20).flatmap(
+        lambda N: st.tuples(st.just(N), st.integers(N, MEMO_MAX_ELL))
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestSeriesMemo:
+    @settings(max_examples=25, deadline=None)
+    @given(requests)
+    def test_any_request_order_gives_the_unmemoized_values(self, order):
+        # Start from an empty memo, so that it grows in the drawn order.
+        with probnum._LAW_LOCK:
+            probnum._LAW.clear()
+        for N, L in order:
+            values = probnum_series(N, L).values
+            division = TruncatedSeries.of(reversed_T(N).coefficients, L - N).reciprocal()
+            assert values == (Fraction(0),) * N + division.coefficients, (N, L)
+            assert values == catalan_prefix(N)[: L + 1], (N, L)
+            assert all(type(v) is Fraction for v in values), (N, L)
+
+    def test_concurrent_requests_agree(self):
+        oracle = {
+            N: (Fraction(0),) * N
+            + TruncatedSeries.of(reversed_T(N).coefficients, 600 - N).reciprocal().coefficients
+            for N in (3, 5, 7, 9)
+        }
+        with probnum._LAW_LOCK:
+            probnum._LAW.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(probnum_series, N, L)
+                           for L in range(600, 20, -10) for N in (3, 5, 7, 9)]
+                tables = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for table in tables:
+            assert table.values == oracle[table.N][: table.max_ell + 1]
 
 
 class TestTrig:

@@ -15,6 +15,7 @@ from scipy import stats
 from chebprob.eulerpoly import euler_numbers
 from chebprob.probnum import probnum_series
 from chebprob.stochastic import (
+    MomentEntry,
     RandomStream,
     mc_euler_poly,
     mc_gen_euler,
@@ -184,6 +185,20 @@ class TestMomentReports:
         numbers = euler_numbers(6).euler_numbers
         for entry, k in zip(report.entries[1:], (2, 4, 6)):
             assert entry.reference == float(Fraction(abs(numbers[k]), 2**k))
+
+    def test_constant_real_part_inside_band(self):
+        # The real part is the constant x - p/2; its mean and its reference
+        # differ by rounding only, which a rounding-size SE must not inflate.
+        rep = mc_euler_poly(RandomStream(7), 1, Fraction(1, 3), 10**5)
+        assert rep.ok()
+        for p in (1, 3, 5):
+            assert mc_gen_euler(RandomStream(7), 1, p, Fraction(1, 3), 10**5).ok()
+
+    def test_constant_entry_off_by_more_than_rounding_fails(self):
+        exact = mc_euler_poly(RandomStream(7), 1, Fraction(1, 3), 10**5).entries[0]
+        wrong = MomentEntry("real", exact.estimate + 1e-9, exact.std_error, exact.reference)
+        assert wrong.standardized > 4
+        assert MomentEntry("real", -1 / 6 + 1e-9, 0.0, -1 / 6).standardized > 4
 
     def test_report_json(self):
         report = mc_gen_euler(RandomStream(5), 1, 2, 0, 10**4)
