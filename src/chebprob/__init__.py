@@ -56,7 +56,6 @@ from .probnum import (
     CrossValidationError,
     CrossValidationReport,
     ProbTable,
-    RootAngle,
     alternating_phase_sum,
     catalan_table,
     cross_validate,
@@ -91,7 +90,7 @@ __all__ = [
     "DensePolynomial", "chebyshev_T", "chebyshev_U", "reversed_T",
     "eval_float", "binet_T",
     # probnum
-    "ProbTable", "RootAngle", "CrossValidationError", "CrossValidationReport",
+    "ProbTable", "CrossValidationError", "CrossValidationReport",
     "probnum_series", "probnum_trig", "probnum_catalan", "catalan_table",
     "trig_value", "alternating_phase_sum", "cross_validate", "tail_mass",
     "geometric_tail_bound", "root_angles",

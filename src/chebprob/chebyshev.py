@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Rational
+from .exactnum import Rational, eval_exact
 
 __all__ = [
     "DensePolynomial",
@@ -57,11 +57,7 @@ class DensePolynomial:
 
     def eval_exact(self, x: Rational) -> Fraction:
         """Exact Horner evaluation at a rational point."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        return eval_exact(self.coefficients, x)
 
 
 @functools.lru_cache(maxsize=None)

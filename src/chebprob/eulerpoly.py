@@ -21,7 +21,9 @@ required to agree coefficient-for-coefficient:
 Series coefficients are stored in ordinary form c_n = a_n / n!, which keeps
 the order-raising convolutions binomial and exact.  The value-at-zero rows
 are memoized per order behind a lock; the identity sweeps downstream touch
-hundreds of orders and reuse them heavily.
+hundreds of orders and reuse them heavily.  The values at zero are dyadic
+(2^n E_n^{(p)}(0) is an integer), so the rows are held as those integers and
+the convolutions run in ``int``; a Fraction is made only on the way out.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Rational, binomial, format_rational
+from .exactnum import Rational, binomial, dyadic, eval_exact, format_rational
 from .series import TruncatedSeries
 
 __all__ = [
@@ -48,8 +50,9 @@ __all__ = [
 
 _CACHE_LOCK = threading.Lock()
 _EULER_NUMBERS: list[int] = [1]
-# Value-at-zero rows by order: row p holds E_0^{(p)}(0), E_1^{(p)}(0), ...
-_ZERO_ROWS: dict[int, list[Fraction]] = {0: [Fraction(1)], 1: [Fraction(1)]}
+# Value-at-zero rows by order, as integers: row p holds 2^n E_n^{(p)}(0) for
+# n = 0, 1, ...
+_ZERO_ROWS: dict[int, list[int]] = {0: [1], 1: [1]}
 
 
 @dataclass(frozen=True)
@@ -114,25 +117,27 @@ def _euler_numbers_upto(max_n: int) -> list[int]:
     return _EULER_NUMBERS[: max_n + 1]
 
 
-def _zero_row_one_upto(max_n: int) -> list[Fraction]:
+def _zero_row_one_upto(max_n: int) -> list[int]:
     # Caller holds _CACHE_LOCK.  From (e^z + 1) sum E_n(0) z^n/n! = 2:
-    # E_n(0) = -(1/2) sum_{k<n} binom(n, k) E_k(0) for n >= 1.
+    # E_n(0) = -(1/2) sum_{k<n} binom(n, k) E_k(0) for n >= 1; times 2^n,
+    # with b_k = 2^k E_k(0): b_n = -sum_{k<n} binom(n, k) 2^(n-k-1) b_k.
     row = _ZERO_ROWS[1]
     for n in range(len(row), max_n + 1):
-        acc = sum(binomial(n, k) * row[k] for k in range(n))
-        row.append(-acc / 2)
+        row.append(-sum(binomial(n, k) * row[k] << (n - k - 1) for k in range(n)))
     return row
 
 
-def _zero_rows_upto(p: int, max_n: int) -> list[Fraction]:
+def _zero_rows_upto(p: int, max_n: int) -> list[int]:
     # Caller holds _CACHE_LOCK.  Raise the order one convolution at a time,
     # extending to max_n every row above the highest order under p whose row
     # reaches it already (a row is never longer than the one below it).
+    # The powers of two split as 2^n = 2^k 2^(n-k), so the convolution of the
+    # scaled rows is the scaled row of the next order.
     if len(_ZERO_ROWS.get(p, ())) > max_n:
         return _ZERO_ROWS[p]
     base = _zero_row_one_upto(max_n)
     row0 = _ZERO_ROWS[0]
-    row0.extend([Fraction(0)] * (max_n + 1 - len(row0)))
+    row0.extend([0] * (max_n + 1 - len(row0)))
     if p <= 1:
         return _ZERO_ROWS[p]
     start = p
@@ -154,8 +159,8 @@ def euler_numbers(max_n: int) -> EulerTable:
         raise ValueError(f"euler_numbers requires max_n >= 0, got {max_n}")
     with _CACHE_LOCK:
         numbers = tuple(_euler_numbers_upto(max_n))
-        at_zero = tuple(_zero_row_one_upto(max_n)[: max_n + 1])
-    return EulerTable(max_n, numbers, at_zero)
+        row = _zero_row_one_upto(max_n)
+    return EulerTable(max_n, numbers, _dyadic_row(row, max_n))
 
 
 def euler_at_zero(max_n: int) -> tuple[Fraction, ...]:
@@ -163,7 +168,8 @@ def euler_at_zero(max_n: int) -> tuple[Fraction, ...]:
     if max_n < 0:
         raise ValueError(f"euler_at_zero requires max_n >= 0, got {max_n}")
     with _CACHE_LOCK:
-        return tuple(_zero_row_one_upto(max_n)[: max_n + 1])
+        row = _zero_row_one_upto(max_n)
+    return _dyadic_row(row, max_n)
 
 
 def gen_euler_zero(p: int, max_n: int) -> tuple[Fraction, ...]:
@@ -172,8 +178,21 @@ def gen_euler_zero(p: int, max_n: int) -> tuple[Fraction, ...]:
         raise ValueError(f"gen_euler_zero requires p >= 0, got p={p}")
     if max_n < 0:
         raise ValueError(f"gen_euler_zero requires max_n >= 0, got {max_n}")
+    return _dyadic_row(_zero_row(p, max_n), max_n)
+
+
+def _zero_row(p: int, max_n: int) -> list[int]:
+    """The memo row of order p, holding 2^n E_n^{(p)}(0), through max_n.
+
+    The list is append-only: callers index it below ``max_n`` without the
+    lock, and never mutate it.
+    """
     with _CACHE_LOCK:
-        return tuple(_zero_rows_upto(p, max_n)[: max_n + 1])
+        return _zero_rows_upto(p, max_n)
+
+
+def _dyadic_row(row: list[int], max_n: int) -> tuple[Fraction, ...]:
+    return tuple(dyadic(b, n) for n, b in enumerate(row[: max_n + 1]))
 
 
 def euler_poly(n: int) -> PolyInX:
@@ -229,8 +248,4 @@ def gen_euler_series(n: int, p: int) -> PolyInX:
 
 def eval_poly(poly: PolyInX, x: Rational) -> Fraction:
     """Exact Horner evaluation."""
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(poly.coefficients):
-        acc = acc * x + c
-    return acc
+    return eval_exact(poly.coefficients, x)

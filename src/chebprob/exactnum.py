@@ -1,5 +1,5 @@
 """Exact combinatorial primitives: binomials, Catalan and ballot numbers,
-and sequence convolution.
+sequence convolution, dyadic rationals and exact Horner evaluation.
 
 All arithmetic here is exact.  Plain ``int`` is the arbitrary-precision
 integer and :class:`fractions.Fraction` the exact rational (always stored
@@ -24,6 +24,9 @@ __all__ = [
     "ballot_number",
     "convolve",
     "convolution_power",
+    "dyadic",
+    "horner",
+    "eval_exact",
     "format_rational",
 ]
 
@@ -116,6 +119,51 @@ def convolution_power(
             base = convolve(base, base, cap)
     assert result is not None
     return result[:cap]
+
+
+_ZERO = Fraction(0)
+
+
+def dyadic(numerator: int, exponent: int) -> Fraction:
+    """numerator / 2^exponent (exponent >= 0) as a normalized Fraction.
+
+    The common factor is the power of two read off the trailing zero bits of
+    the numerator, so the coprime pair is known and the instance is built
+    from it the way ``Fraction`` builds its own results, without the gcd its
+    constructor takes.
+    """
+    if numerator == 0:
+        return _ZERO
+    shift = min((numerator & -numerator).bit_length() - 1, exponent)
+    out = object.__new__(Fraction)
+    out._numerator = numerator >> shift
+    out._denominator = 1 << (exponent - shift)
+    return out
+
+
+def horner(coefficients: Sequence[int], u: int, q: int) -> int:
+    """Homogeneous Horner: sum_j c_j u^j q^(d-j) with d = len - 1, that is
+    q^d times the polynomial (index = power) at u/q, in integers only."""
+    acc = 0
+    q_power = 1
+    for c in reversed(coefficients):
+        acc = acc * u + c * q_power
+        q_power *= q
+    return acc
+
+
+def eval_exact(coefficients: Sequence[Rational], x: Rational) -> Fraction:
+    """Exact value of the polynomial (index = power) at a rational point.
+
+    The coefficients are put over one common denominator and summed by
+    :func:`horner`, so the result is normalized once instead of at every
+    step.
+    """
+    x = Fraction(x)
+    den = math.lcm(*(c.denominator for c in coefficients))
+    scaled = [c.numerator * (den // c.denominator) for c in coefficients]
+    value = horner(scaled, x.numerator, x.denominator)
+    return Fraction(value, den * x.denominator ** (len(coefficients) - 1))
 
 
 def format_rational(x: Rational) -> str:

@@ -25,14 +25,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .eulerpoly import _zero_row, euler_poly, eval_poly
 from .exactnum import (
     Rational,
+    binomial,
     catalan_sequence,
     convolution_power,
     format_rational,
+    horner,
 )
-from .eulerpoly import euler_poly, eval_poly, gen_euler_recursive
-from .probnum import _law, probnum_series
+from .probnum import _check_table_args, _law
 from .series import TruncatedSeries
 
 __all__ = [
@@ -99,12 +101,30 @@ class ReconstructionResult:
         }
 
 
-def _weighted_terms(n: int, N: int, shift: Fraction, max_k: int):
-    """Yield (k, p_k E_n^{(k)}(k/2 + shift)) for k = N, N+2, ..., max_k;
-    off-parity weights vanish."""
+def _weighted_sums(n: int, N: int, x: Fraction, max_k: int):
+    """Yield (k, total, term, den) for k = N, N+2, ..., max_k (off-parity
+    weights vanish), all integers: total / den is the partial sum over j <= k
+    of p_j E_n^{(j)}(j/2 + N(x - 1/2)) and term / den its last term.
+
+    With x = u/q, the argument is Y_j / 2q for Y_j = jq + N(2u - q).  The law
+    gives a_j = 2^j p_j and the zero rows b_m = 2^m E_m^{(j)}(0), both
+    integers, so E_n^{(j)}(Y_j / 2q) = H_j / (2^n q^n) with H_j the
+    homogeneous Horner sum of the coefficients binom(n, i) b_{n-i} at
+    (Y_j, q).  The common denominator is den = 2^(n+k) q^n, which grows by
+    a factor 4 per step; no gcd is taken.
+    """
+    u, q = x.numerator, x.denominator
+    binomials = [binomial(n, i) for i in range(n + 1)]
+    offset = N * (2 * u - q)
+    total = 0
+    den = q**n << (n + N)
     for k in range(N, max_k + 1, 2):
-        weight = _law(N, k)[k]
-        yield k, weight * eval_poly(gen_euler_recursive(n, k), Fraction(k, 2) + shift)
+        row = _zero_row(k, n)
+        coefficients = [binomials[i] * row[n - i] for i in range(n + 1)]
+        term = _law(N, k)[k] * horner(coefficients, k * q + offset, q)
+        total = (total << 2) + term
+        yield k, total, term, den
+        den <<= 2
 
 
 def reconstruct_euler(
@@ -130,25 +150,26 @@ def reconstruct_euler(
     x = Fraction(x)
     target = eval_poly(euler_poly(n), x)
     tol_exact = Fraction(tol)
-    scale = Fraction(N) ** n
-    shift = N * (x - Fraction(1, 2))
     decay = math.cos(math.pi / (2 * N))
 
-    partial = Fraction(0)
+    # The partial sum is total / (scale den).  With target = g / h and
+    # tol = e / f, |partial - target| <= tol and |term| < tol / 10 are tested
+    # multiplied through by scale den h f > 0.
+    scale = N**n
+    g, h = target.numerator * scale, target.denominator
+    e, f = tol_exact.numerator, tol_exact.denominator
     terms_used = 0
     first_small: int | None = None
-    last_term = Fraction(0)
+    total, den = 0, 1
 
-    for k, weighted in _weighted_terms(n, N, shift, max_k):
-        term = weighted / scale
-        partial += term
+    for k, total, term, den in _weighted_sums(n, N, x, max_k):
         terms_used += 1
-        last_term = term
-        if first_small is None and abs(term) < tol_exact / 10:
+        if first_small is None and 10 * f * abs(term) < e * scale * den:
             first_small = k
-        error = abs(partial - target)
-        if error <= tol_exact:
-            tail = float(abs(last_term)) * decay**2 / (1.0 - decay**2) if decay else 0.0
+        if abs(total * h - g * den) * f <= e * scale * den * h:
+            partial = Fraction(total, scale * den)
+            last_term = float(Fraction(abs(term), scale * den))
+            tail = last_term * decay**2 / (1.0 - decay**2) if decay else 0.0
             return ReconstructionResult(
                 n=n,
                 N=N,
@@ -156,13 +177,13 @@ def reconstruct_euler(
                 terms_used=terms_used,
                 partial_value=partial,
                 target=target,
-                abs_error=float(error),
+                abs_error=float(abs(partial - target)),
                 tail_estimate=tail,
                 first_small_term_k=first_small,
             )
     raise ConvergenceError(
         f"series for E_{n}(x) with N={N} not within {tol} after k={max_k}",
-        achieved_error=float(abs(partial - target)),
+        achieved_error=float(abs(Fraction(total, scale * den) - target)),
     )
 
 
@@ -178,17 +199,21 @@ def expectation_form_check(
         raise ValueError(f"expectation_form_check requires n >= 0, got n={n}")
     if N < 1:
         raise ValueError(f"expectation_form_check requires N >= 1, got N={N}")
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     target = Fraction(N) ** n * eval_poly(euler_poly(n), Fraction(1, 2))
     tol_exact = Fraction(tol)
-    partial = Fraction(0)
-    for _, weighted in _weighted_terms(n, N, Fraction(0), max_k):
-        partial += weighted
-        difference = abs(partial - target)
-        if difference <= tol_exact:
-            return difference
+    # As in reconstruct_euler: the tests are multiplied through by den h f.
+    g, h = target.numerator, target.denominator
+    e, f = tol_exact.numerator, tol_exact.denominator
+    total, den = 0, 1
+    for _, total, _, den in _weighted_sums(n, N, Fraction(1, 2), max_k):
+        gap = abs(total * h - g * den)
+        if gap * f <= e * den * h:
+            return Fraction(gap, den * h)
     raise ConvergenceError(
         f"expectation identity for n={n}, N={N} not within {tol} after k={max_k}",
-        achieved_error=float(abs(partial - target)),
+        achieved_error=float(abs(Fraction(total, den) - target)),
     )
 
 
@@ -218,10 +243,9 @@ class QSequence:
 def q_sequence(N: int, max_ell: int) -> QSequence:
     if N < 1:
         raise ValueError(f"q_sequence requires N >= 1, got N={N}")
-    table = probnum_series(N, max_ell)
-    values = tuple(
-        Fraction(2) ** (ell - 1) * v for ell, v in enumerate(table.values)
-    )
+    _check_table_args(N, max_ell)
+    # q_ell = a_ell / 2 with a_ell = 2^ell p_ell the integers of the law memo.
+    values = tuple(Fraction(a, 2) for a in _law(N, max_ell)[: max_ell + 1])
     return QSequence(N, values)
 
 

@@ -20,26 +20,33 @@ accuracy.  ``cross_validate`` enforces both.
 The series values live in one append-only memo per N, lock-guarded and
 held for the life of the process; the identity and sampling layers read it.
 Long division by the reversed polynomial c_0 + c_1 z + ... + c_N z^N gives
-p_ell = -(c_1 p_{ell-1} + ... + c_N p_{ell-N}) / c_0, so each new term costs
-O(N) exact operations (only the nonzero taps are kept) and a longer table
-never redoes the terms already held.
+p_ell = -(c_1 p_{ell-1} + ... + c_N p_{ell-N}) / c_0.  The values are dyadic
+(the denominator of p_ell divides 2^ell), so the memo holds the integers
+a_ell = 2^ell p_ell, which obey
+
+    a_ell = -(2 c_1 a_{ell-1} + 4 c_2 a_{ell-2} + ... + 2^N c_N a_{ell-N}) / c_0
+
+with c_0 = 2^(N-1), a division that is checked to be exact.  Each new term
+costs O(N) integer operations (only the nonzero taps are kept) and no gcd,
+a longer table never redoes the terms already held, and a Fraction is made
+only where a public function returns one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal
 
 from .chebyshev import reversed_T
-from .exactnum import ballot_number, format_rational
+from .exactnum import ballot_number, dyadic, format_rational
 
 __all__ = [
     "Method",
     "ProbTable",
-    "RootAngle",
     "CrossValidationError",
     "CrossValidationReport",
     "root_angles",
@@ -57,8 +64,9 @@ __all__ = [
 Method = Literal["series", "trig", "catalan"]
 
 _LAW_LOCK = threading.Lock()
-# N -> (nonzero taps (i, c_i), i >= 1, of the reversed T_N; c_0; p_0, p_1, ...)
-_LAW: dict[int, tuple[tuple, Fraction, list[Fraction]]] = {}
+# N -> (nonzero taps (i, 2^i c_i), i >= 1, of the reversed T_N; c_0; a_0, a_1,
+# ...) with a_ell = 2^ell p_ell
+_LAW: dict[int, tuple[tuple, int, list[int]]] = {}
 
 
 class CrossValidationError(Exception):
@@ -71,19 +79,20 @@ class CrossValidationError(Exception):
         super().__init__(f"N={N}, ell={ell}, {methods}: {detail}")
 
 
-@dataclass(frozen=True)
-class RootAngle:
-    """k-th root angle t_k = (2k-1) pi / (2N); cos(t_k) is a root of T_N."""
-
-    k: int
-    theta: float
-
-
-def root_angles(N: int) -> tuple[RootAngle, ...]:
+def root_angles(N: int) -> tuple[float, ...]:
+    """The root angles t_k = (2k-1) pi / (2N) for k = 1..N; the cos(t_k) are
+    the roots of T_N."""
     if N < 1:
         raise ValueError(f"root_angles requires N >= 1, got N={N}")
+    return tuple((2 * k - 1) * math.pi / (2 * N) for k in range(1, N + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _root_terms(N: int) -> tuple[tuple[float, float, float], ...]:
+    # (sign (-1)^(k+1), sin t_k, cos t_k) per root angle, for trig_value.
     return tuple(
-        RootAngle(k, (2 * k - 1) * math.pi / (2 * N)) for k in range(1, N + 1)
+        (-1.0 if i % 2 else 1.0, math.sin(t), math.cos(t))
+        for i, t in enumerate(root_angles(N))
     )
 
 
@@ -157,30 +166,48 @@ class ProbTable:
         return rows
 
 
-def _law(N: int, max_ell: int) -> list[Fraction]:
-    """The memo of mu_N, extended through ``max_ell``.
+def _law(N: int, max_ell: int) -> list[int]:
+    """The memo of mu_N as the integers a_ell = 2^ell p_ell, extended through
+    ``max_ell``.
 
     The list is append-only: callers index or slice it below ``max_ell``
-    without the lock, and never mutate it.
+    without the lock, and never mutate it.  Raises ArithmeticError if the
+    division by c_0 leaves a remainder, which would mean p_ell is not dyadic.
     """
     with _LAW_LOCK:
         entry = _LAW.get(N)
         if entry is None:
-            c = reversed_T(N).coefficients
-            taps = tuple((i, ci) for i, ci in enumerate(c) if i and ci)
-            entry = _LAW[N] = (taps, c[0], [Fraction(0)] * N + [1 / c[0]])
+            c = [int(ci) for ci in reversed_T(N).coefficients]
+            taps = tuple((i, ci << i) for i, ci in enumerate(c) if i and ci)
+            # a_N = 2^N / c_0 = 2.
+            entry = _LAW[N] = (taps, c[0], [0] * N + [2])
         taps, c0, values = entry
         for ell in range(len(values), max_ell + 1):
-            values.append(-sum(ci * values[ell - i] for i, ci in taps) / c0)
+            a, remainder = divmod(-sum(t * values[ell - i] for i, t in taps), c0)
+            if remainder:
+                raise ArithmeticError(
+                    f"N={N}: 2^ell p_ell is not an integer at ell={ell}"
+                )
+            values.append(a)
         return values
+
+
+def _gap(N: int, max_ell: int) -> Fraction:
+    """The exact mass beyond max_ell, 1 - sum_{ell <= max_ell} p_ell, as one
+    integer sum over 2^max_ell."""
+    total = 0
+    for a in _law(N, max_ell)[: max_ell + 1]:
+        total = (total << 1) + a
+    return dyadic((1 << max_ell) - total, max_ell)
 
 
 def probnum_series(N: int, max_ell: int) -> ProbTable:
     """Exact table of p_0..p_max_ell via the reciprocal series of the
     reversed polynomial (method tag "series")."""
     _check_table_args(N, max_ell)
-    values = tuple(_law(N, max_ell)[: max_ell + 1])
-    return ProbTable(N, max_ell, values, "series", _tail_from_partial(values))
+    law = _law(N, max_ell)
+    values = tuple(dyadic(law[ell], ell) for ell in range(max_ell + 1))
+    return ProbTable(N, max_ell, values, "series", _round_up(_gap(N, max_ell)))
 
 
 def trig_value(N: int, ell: int) -> float:
@@ -192,11 +219,7 @@ def trig_value(N: int, ell: int) -> float:
         raise ValueError(f"trig_value requires ell >= 0, got ell={ell}")
     if ell == 0:
         return 0.0
-    terms = []
-    for angle in root_angles(N):
-        sign = 1.0 if angle.k % 2 == 1 else -1.0
-        terms.append(sign * math.sin(angle.theta) * math.cos(angle.theta) ** (ell - 1))
-    return math.fsum(terms) / N
+    return math.fsum(sign * s * c ** (ell - 1) for sign, s, c in _root_terms(N)) / N
 
 
 def probnum_trig(N: int, max_ell: int) -> ProbTable:
@@ -260,7 +283,7 @@ def catalan_table(N: int, max_ell: int) -> ProbTable:
     values = [Fraction(0)] * (max_ell + 1)
     for ell in range(N, max_ell + 1, 2):
         values[ell] = probnum_catalan(N, ell)
-    tail = _tail_from_partial(values)
+    tail = _round_up(1 - sum(values))
     return ProbTable(N, max_ell, tuple(values), "catalan", tail)
 
 
@@ -340,7 +363,7 @@ def tail_mass(N: int, max_ell: int) -> float:
     """Upper bound on the mass beyond max_ell: one minus the exact partial
     sum, rounded up to the next float."""
     _check_table_args(N, max_ell)
-    return _tail_from_partial(_law(N, max_ell)[: max_ell + 1])
+    return _round_up(_gap(N, max_ell))
 
 
 def geometric_tail_bound(N: int, max_ell: int) -> float:
@@ -362,8 +385,7 @@ def _check_table_args(N: int, max_ell: int) -> None:
         raise ValueError(f"max_ell must be >= N, got max_ell={max_ell} < N={N}")
 
 
-def _tail_from_partial(values: Sequence[Fraction]) -> float:
-    gap = 1 - sum(values)
+def _round_up(gap: Fraction) -> float:
     approx = float(gap)
     if Fraction(approx) < gap:
         approx = math.nextafter(approx, math.inf)

@@ -31,7 +31,7 @@ from scipy import integrate, stats
 from .eulerpoly import euler_numbers, euler_poly, eval_poly, gen_euler_recursive
 from .exactnum import Rational
 from .identities import DEFAULT_BAND
-from .probnum import probnum_series
+from .probnum import _gap, probnum_series
 
 __all__ = [
     "RandomStream",
@@ -113,17 +113,15 @@ def sample_sech(stream: RandomStream, count: int) -> np.ndarray:
 
 def _mu_table(N: int) -> tuple[np.ndarray, np.ndarray]:
     """(support values, cumulative probabilities) for mu_N, cached; the
-    table is extended until the exact untabled mass drops below 1e-15."""
+    table length doubles until the exact untabled mass drops below 1e-15."""
     with _MU_LOCK:
         cached = _MU_TABLES.get(N)
         if cached is not None:
             return cached
         max_ell = max(4 * N * N, 64)
-        while True:
-            table = probnum_series(N, max_ell)
-            if 1 - sum(table.values) < _MU_TABLE_GAP:
-                break
+        while _gap(N, max_ell) >= _MU_TABLE_GAP:
             max_ell *= 2
+        table = probnum_series(N, max_ell)
         support = np.arange(N, table.max_ell + 1, 2, dtype=np.int64)
         cumulative = np.cumsum([float(table.values[v]) for v in support])
         _MU_TABLES[N] = (support, cumulative)

@@ -179,6 +179,12 @@ class TestGeneralized:
             assert gen_euler_recursive(n, 0).coefficients == expected
             assert gen_euler_series(n, 0).coefficients == expected
 
+    def test_values_at_zero_are_dyadic(self):
+        # 2^m E_m^{(p)}(0) is an integer: the zero rows are held as those.
+        for p in range(41):
+            for m, value in enumerate(gen_euler_zero(p, 12)):
+                assert 2**m % value.denominator == 0, (p, m, value)
+
     def test_zero_rows_are_cached_consistently(self):
         fresh = gen_euler_zero(7, 9)
         again = gen_euler_zero(7, 5)

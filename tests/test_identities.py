@@ -5,11 +5,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebprob.chebyshev import chebyshev_T, eval_float
 from chebprob.eulerpoly import euler_poly, eval_poly, gen_euler_recursive
 from chebprob.identities import (
+    DEFAULT_MAX_K,
     ConvergenceError,
+    ReconstructionResult,
     asymptotic_ratio,
     catalan_gf_check,
     catalan_prefix_check,
@@ -107,6 +111,88 @@ class TestReconstruction:
             assert last_rise < len(magnitudes) - 20, (N, n, x, last_rise)
 
 
+def reference_terms(n, N, shift, max_k):
+    """(k, p_k E_n^{(k)}(k/2 + shift)) for k = N, N+2, ..., max_k, in plain
+    Fractions: the weighted-sum loop as it was before it ran in integers."""
+    weights = probnum_series(N, max(N, max_k)).values
+    for k in range(N, max_k + 1, 2):
+        arg = Fraction(k, 2) + shift
+        value = Fraction(0)
+        for c in reversed(gen_euler_recursive(n, k).coefficients):
+            value = value * arg + c
+        yield k, weights[k] * value
+
+
+def reference_reconstruct(n, N, x, tol, max_k):
+    target = eval_poly(euler_poly(n), x)
+    tol_exact = Fraction(tol)
+    scale = Fraction(N) ** n
+    decay = math.cos(math.pi / (2 * N))
+    partial = Fraction(0)
+    terms_used = 0
+    first_small = None
+    for k, weighted in reference_terms(n, N, N * (x - Fraction(1, 2)), max_k):
+        term = weighted / scale
+        partial += term
+        terms_used += 1
+        if first_small is None and abs(term) < tol_exact / 10:
+            first_small = k
+        error = abs(partial - target)
+        if error <= tol_exact:
+            tail = float(abs(term)) * decay**2 / (1.0 - decay**2) if decay else 0.0
+            return ReconstructionResult(
+                n, N, x, terms_used, partial, target, float(error), tail, first_small
+            )
+    raise ConvergenceError(
+        f"series for E_{n}(x) with N={N} not within {tol} after k={max_k}",
+        achieved_error=float(abs(partial - target)),
+    )
+
+
+def reference_expectation(n, N, tol, max_k):
+    target = Fraction(N) ** n * eval_poly(euler_poly(n), Fraction(1, 2))
+    partial = Fraction(0)
+    for _, weighted in reference_terms(n, N, Fraction(0), max_k):
+        partial += weighted
+        difference = abs(partial - target)
+        if difference <= Fraction(tol):
+            return difference
+    raise ConvergenceError(
+        f"expectation identity for n={n}, N={N} not within {tol} after k={max_k}",
+        achieved_error=float(abs(partial - target)),
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ConvergenceError as exc:
+        return "ConvergenceError", str(exc), exc.achieved_error
+
+
+points = st.integers(1, 9).flatmap(
+    lambda b: st.builds(Fraction, st.integers(-2 * b, 2 * b), st.just(b))
+)
+
+
+class TestIntegerLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 8),
+        N=st.integers(1, 6),
+        x=points,
+        tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+        max_k=st.one_of(st.just(DEFAULT_MAX_K), st.integers(0, 30)),
+    )
+    def test_equals_the_fraction_loop(self, n, N, x, tol, max_k):
+        # Field for field, terms_used and first_small_term_k included; at a
+        # small budget, the same ConvergenceError and achieved_error.
+        got = outcome(reconstruct_euler, n, N, x, tol, max_k)
+        assert got == outcome(reference_reconstruct, n, N, x, tol, max_k)
+        got = outcome(expectation_form_check, n, N, tol, max_k)
+        assert got == outcome(reference_expectation, n, N, tol, max_k)
+
+
 class TestExpectationForm:
     def test_constant(self):
         # Both sides equal 1; the truncated sum stops once the remaining
@@ -123,6 +209,11 @@ class TestExpectationForm:
     def test_budget(self):
         with pytest.raises(ConvergenceError):
             expectation_form_check(6, 5, tol=1e-12, max_k=20)
+
+    def test_nonpositive_tol_rejected(self):
+        for tol in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                expectation_form_check(3, 3, tol)
 
 
 class TestAsymptoticRatio:

@@ -148,13 +148,30 @@ class TestSeriesMemo:
             assert table.values == oracle[table.N][: table.max_ell + 1]
 
 
+    def test_inexact_division_raises_arithmetic_error(self):
+        # A law whose 2^ell p_ell is not an integer must stop the recurrence
+        # with an ArithmeticError, never a ValueError (the CLI's usage error).
+        # Plant a memo entry with one tap 2 (c_1 = 1) and c_0 = 4: a_3 = -2/4.
+        with probnum._LAW_LOCK:
+            probnum._LAW.clear()
+            probnum._LAW[2] = (((1, 2),), 4, [0, 0, 1])
+        try:
+            with pytest.raises(ArithmeticError, match="ell=3") as info:
+                probnum_series(2, 3)
+            assert not isinstance(info.value, ValueError)
+        finally:
+            with probnum._LAW_LOCK:
+                probnum._LAW.clear()
+        assert probnum_series(2, 3).values[2] == Fraction(1, 2)
+
+
 class TestTrig:
     def test_hand_value_n2(self):
         # (1/2)(sin(pi/4) cos(pi/4) - sin(3 pi/4) cos(3 pi/4)) = 1/2.
         angles = root_angles(2)
         by_hand = 0.5 * (
-            math.sin(angles[0].theta) * math.cos(angles[0].theta)
-            - math.sin(angles[1].theta) * math.cos(angles[1].theta)
+            math.sin(angles[0]) * math.cos(angles[0])
+            - math.sin(angles[1]) * math.cos(angles[1])
         )
         assert by_hand == pytest.approx(0.5, abs=1e-15)
         assert trig_value(2, 2) == pytest.approx(0.5, abs=1e-14)
@@ -186,10 +203,8 @@ class TestRootAngles:
     def test_strictly_increasing_in_open_interval(self):
         for N in (1, 2, 5, 12):
             angles = root_angles(N)
-            assert all(0.0 < a.theta < math.pi for a in angles)
-            assert all(
-                angles[i].theta < angles[i + 1].theta for i in range(N - 1)
-            )
+            assert all(0.0 < a < math.pi for a in angles)
+            assert all(angles[i] < angles[i + 1] for i in range(N - 1))
 
 
 class TestCatalanRoute:
@@ -228,11 +243,9 @@ class TestCatalanRoute:
 class TestPhaseSum:
     def direct_sum(self, N, z):
         total = 0j
-        for angle in root_angles(N):
-            sign = 1.0 if angle.k % 2 == 1 else -1.0
-            total += sign * complex(
-                math.cos(angle.theta * z), math.sin(angle.theta * z)
-            )
+        for k, theta in enumerate(root_angles(N), start=1):
+            sign = 1.0 if k % 2 == 1 else -1.0
+            total += sign * complex(math.cos(theta * z), math.sin(theta * z))
         return total
 
     def test_trivial_single_term(self):

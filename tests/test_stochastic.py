@@ -121,6 +121,29 @@ class TestMuSampling:
         with pytest.raises(ValueError):
             sample_mu(RandomStream(1), 1, 10)
 
+    def test_tables_equal_the_fraction_doubling_loop(self):
+        # The sampling tables fix every pinned-seed draw, so they must match,
+        # byte for byte, those of the loop that re-sums the Fraction table at
+        # every doubling until the untabled mass is below 1e-15.
+        import chebprob.stochastic as stochastic_module
+
+        with stochastic_module._MU_LOCK:
+            stochastic_module._MU_TABLES.clear()
+        for N in range(2, 11):
+            max_ell = max(4 * N * N, 64)
+            while True:
+                table = probnum_series(N, max_ell)
+                if 1 - sum(table.values) < Fraction(1, 10**15):
+                    break
+                max_ell *= 2
+            support = np.arange(N, max_ell + 1, 2, dtype=np.int64)
+            cumulative = np.cumsum([float(table.values[v]) for v in support])
+            got_support, got_cumulative = stochastic_module._mu_table(N)
+            assert got_support.dtype == support.dtype, N
+            assert got_support.tobytes() == support.tobytes(), N
+            assert got_cumulative.dtype == cumulative.dtype, N
+            assert got_cumulative.tobytes() == cumulative.tobytes(), N
+
     def test_untabled_mass_is_reported(self, monkeypatch):
         # Force a truncated table: draws beyond it must land on the first
         # untabled support point and be announced, never silently clamped.
