@@ -66,9 +66,15 @@ def ballot_number(n: int, k: int) -> int:
     """Ballot number binom(n, k) - binom(n, k-1) (Catalan-triangle entry).
 
     Uses the total binomial convention, so the value is defined for any
-    integer k and may be negative outside the triangle.
+    integer k and may be negative outside the triangle.  Inside it the
+    difference is binom(n, k) (n - 2k + 1) / (n - k + 1), an exact division,
+    so one binomial is computed instead of two.
     """
-    return binomial(n, k) - binomial(n, k - 1)
+    if n < 0:
+        raise ValueError(f"ballot_number requires n >= 0, got n={n}")
+    if 0 <= k <= n:
+        return math.comb(n, k) * (n - 2 * k + 1) // (n - k + 1)
+    return -1 if k == n + 1 else 0
 
 
 def convolve(

@@ -51,6 +51,8 @@ __all__ = [
     "catalan_gf_check",
 ]
 
+# The least term budget: the default budget is the first k from here on at
+# which k^n cos(pi/2N)^k drops to the tolerance (see _default_max_k).
 DEFAULT_MAX_K = 2000
 # Band, in standard errors, of the Monte Carlo checks; here, not in the numpy
 # module ``stochastic``, so that the command line reads it without numpy.
@@ -101,6 +103,33 @@ class ReconstructionResult:
         }
 
 
+def _default_max_k(n: int, N: int, tol: float) -> int:
+    """Default term budget of the weighted series: the least k >= 2000 with
+    k^n cos(pi/2N)^k <= tol.
+
+    The weights decay like cos(pi/2N)^k and E_n^{(k)} at the series' points
+    grows like k^n, so the budget follows n, N and tol instead of being one
+    fixed k, which a true identity at large N or small tol outruns.
+    """
+    log_decay = math.log(math.cos(math.pi / (2 * N)))
+    log_tol = math.log(tol)
+
+    def reached(k: int) -> bool:
+        return n * math.log(k) + k * log_decay <= log_tol
+
+    if reached(DEFAULT_MAX_K):
+        return DEFAULT_MAX_K
+    # n log k + k log_decay falls from k = n / -log_decay on; search there.
+    low = max(DEFAULT_MAX_K, math.ceil(n / -log_decay))
+    high = 2 * low
+    while not reached(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if reached(mid) else (mid, high)
+    return high
+
+
 def _weighted_sums(n: int, N: int, x: Fraction, max_k: int):
     """Yield (k, total, term, den) for k = N, N+2, ..., max_k (off-parity
     weights vanish), all integers: total / den is the partial sum over j <= k
@@ -132,14 +161,15 @@ def reconstruct_euler(
     N: int,
     x: Rational,
     tol: float,
-    max_k: int = DEFAULT_MAX_K,
+    max_k: int | None = None,
 ) -> ReconstructionResult:
     """Sum the weighted generalized-polynomial series for E_n(x) until the
     exact difference from the exact target drops to ``tol``.
 
     Terms run over k = N, N+2, ... (off-parity weights vanish); everything is
     accumulated as rationals, floats appear only in the report.  Raises
-    :class:`ConvergenceError` when the budget ``max_k`` is exhausted first.
+    :class:`ConvergenceError` when the budget ``max_k`` is exhausted first;
+    by default it is the least k >= 2000 with k^n cos(pi/2N)^k <= tol.
     """
     if n < 0:
         raise ValueError(f"reconstruct_euler requires n >= 0, got n={n}")
@@ -150,6 +180,8 @@ def reconstruct_euler(
     x = Fraction(x)
     target = eval_poly(euler_poly(n), x)
     tol_exact = Fraction(tol)
+    if max_k is None:
+        max_k = _default_max_k(n, N, tol)
     decay = math.cos(math.pi / (2 * N))
 
     # The partial sum is total / (scale den).  With target = g / h and
@@ -182,7 +214,8 @@ def reconstruct_euler(
                 first_small_term_k=first_small,
             )
     raise ConvergenceError(
-        f"series for E_{n}(x) with N={N} not within {tol} after k={max_k}",
+        f"series for E_{n}(x) with N={N} not within {tol} by k={max_k}, "
+        "the end of the term budget",
         achieved_error=float(abs(Fraction(total, scale * den) - target)),
     )
 
@@ -191,10 +224,11 @@ def expectation_form_check(
     n: int,
     N: int,
     tol: float = 1e-12,
-    max_k: int = DEFAULT_MAX_K,
+    max_k: int | None = None,
 ) -> Fraction:
     """Truncate sum_k p_k E_n^{(k)}(k/2) against N^n E_n(1/2) and return the
-    exact absolute difference once it is within ``tol``."""
+    exact absolute difference once it is within ``tol``, summing at most to
+    ``max_k`` (by default, as in :func:`reconstruct_euler`)."""
     if n < 0:
         raise ValueError(f"expectation_form_check requires n >= 0, got n={n}")
     if N < 1:
@@ -203,6 +237,8 @@ def expectation_form_check(
         raise ValueError(f"tol must be positive, got {tol}")
     target = Fraction(N) ** n * eval_poly(euler_poly(n), Fraction(1, 2))
     tol_exact = Fraction(tol)
+    if max_k is None:
+        max_k = _default_max_k(n, N, tol)
     # As in reconstruct_euler: the tests are multiplied through by den h f.
     g, h = target.numerator, target.denominator
     e, f = tol_exact.numerator, tol_exact.denominator
@@ -212,7 +248,8 @@ def expectation_form_check(
         if gap * f <= e * den * h:
             return Fraction(gap, den * h)
     raise ConvergenceError(
-        f"expectation identity for n={n}, N={N} not within {tol} after k={max_k}",
+        f"expectation identity for n={n}, N={N} not within {tol} by k={max_k}, "
+        "the end of the term budget",
         achieved_error=float(abs(Fraction(total, den) - target)),
     )
 

@@ -264,7 +264,7 @@ def probnum_catalan(N: int, ell: int) -> Fraction:
             sign = -1 if (k - s) % 2 else 1
             acc += sign * ballot_number(ell - 1, s * N)
         boundary_sign = -1 if k % 2 else 1
-        return Fraction(acc, 2**ell) + Fraction(boundary_sign * 2, 2**ell)
+        return dyadic(acc + 2 * boundary_sign, ell)
     # Integer floor division rounds toward -inf, matching the floor bounds.
     t_lo = (2 - ell - N) // (2 * N)
     t_hi = (ell - N) // (2 * N)
@@ -272,7 +272,7 @@ def probnum_catalan(N: int, ell: int) -> Fraction:
     for t in range(t_lo, t_hi + 1):
         sign = -1 if t % 2 else 1
         acc += sign * ballot_number(ell - 1, (ell - (2 * t + 1) * N) // 2)
-    return Fraction(acc, 2**ell)
+    return dyadic(acc, ell)
 
 
 def catalan_table(N: int, max_ell: int) -> ProbTable:

@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 _MU_TABLE_GAP = Fraction(1, 10**15)
+# Draws per chunk of mc_klebanov's random sums: about 0.5 MiB of doubles,
+# small enough to stay in cache, large enough that the per-chunk Python
+# overhead is negligible.
+_CHUNK = 2**16
 
 _MU_LOCK = threading.Lock()
 _MU_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -108,7 +112,17 @@ def sample_sech(stream: RandomStream, count: int) -> np.ndarray:
         if not zeros.any():
             break
         u[zeros] = rng.random(int(zeros.sum()))
-    return np.log(np.tan(0.5 * np.pi * u)) / np.pi
+    return _sech_inplace(u)
+
+
+def _sech_inplace(u: np.ndarray) -> np.ndarray:
+    """Map uniforms in (0, 1) to sech draws, ln(tan(pi u / 2)) / pi, in the
+    array itself; the values are those of the expression written out."""
+    np.multiply(u, 0.5 * np.pi, out=u)
+    np.tan(u, out=u)
+    np.log(u, out=u)
+    np.divide(u, np.pi, out=u)
+    return u
 
 
 def _mu_table(N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,10 +236,21 @@ def _entry(label: str, data: np.ndarray, reference: float) -> MomentEntry:
 
 def _complex_power(base: np.ndarray, n: int) -> np.ndarray:
     # Repeated multiplication: exact for small integer powers, no branch cuts.
+    # In place, as out * base: numpy's complex product of (a, b) and (b, a)
+    # can differ in the last bit, so the operand order is kept.
     out = np.ones_like(base)
     for _ in range(n):
-        out = out * base
+        out *= base
     return out
+
+
+def _complex_base(real: float, imag: np.ndarray) -> np.ndarray:
+    """real + i imag as one complex array, without the temporaries of
+    ``real + 1j * imag`` (whose values it equals)."""
+    base = np.empty(len(imag), dtype=complex)
+    base.real = real
+    base.imag = imag
+    return base
 
 
 def mc_euler_poly(
@@ -243,7 +268,7 @@ def mc_euler_poly(
         raise ValueError(f"mc_euler_poly requires count >= 10^4, got {count}")
     x = Fraction(x)
     draws = sample_sech(stream, count)
-    base = (float(x) - 0.5) + 1j * draws
+    base = _complex_base(float(x) - 0.5, draws)
     powers = _complex_power(base, n)
     reference = float(eval_poly(euler_poly(n), x))
     return MomentReport(
@@ -270,7 +295,7 @@ def mc_gen_euler(
     total = np.zeros(count)
     for child in stream.split(p):
         total += sample_sech(child, count)
-    base = (float(x) - 0.5 * p) + 1j * total
+    base = _complex_base(float(x) - 0.5 * p, total)
     powers = _complex_power(base, n)
     reference = float(eval_poly(gen_euler_recursive(n, p), x))
     return MomentReport(
@@ -280,6 +305,39 @@ def mc_gen_euler(
             _entry("imag", powers.imag, 0.0),
         ),
     )
+
+
+def _random_sums(stream: RandomStream, mu: np.ndarray) -> np.ndarray:
+    """Sums of consecutive sech draws of ``stream``, mu[i] of them for sum i:
+    the values of ``np.add.reduceat(sample_sech(stream, mu.sum()), starts)``
+    with ``starts`` the offsets of the segments.
+
+    The draws pass through one reused buffer in chunks of about ``_CHUNK``
+    that end on segment boundaries, so memory stays O(len(mu) + _CHUNK +
+    max(mu)) while every sum adds the same draws in the same order.  Chunks
+    read the one generator in sequence, and a counter-based generator gives
+    the same numbers in short draws as in one long one.  An exact 0.0
+    uniform (about 2^-53 per draw) is redrawn by sample_sech after the whole
+    block, so a chunk that holds one hands the call to the whole-array path.
+    """
+    ends = np.cumsum(mu)
+    starts = ends - mu
+    count = len(mu)
+    sums = np.empty(count)
+    buffer = np.empty(_CHUNK + int(mu.max()))
+    rng = stream.generator()
+    k = 0
+    while k < count:
+        start = int(starts[k])
+        # The first segment ending at or past start + _CHUNK closes the chunk.
+        j = min(int(np.searchsorted(ends, start + _CHUNK)) + 1, count)
+        u = buffer[: int(ends[j - 1]) - start]
+        rng.random(out=u)
+        if not u.all():
+            return np.add.reduceat(sample_sech(stream, int(ends[-1])), starts)
+        np.add.reduceat(_sech_inplace(u), starts[k:j] - start, out=sums[k:j])
+        k = j
+    return sums
 
 
 def mc_klebanov(stream: RandomStream, N: int, count: int) -> MomentReport:
@@ -295,11 +353,8 @@ def mc_klebanov(stream: RandomStream, N: int, count: int) -> MomentReport:
     if count < 10**5:
         raise ValueError(f"mc_klebanov requires count >= 10^5, got {count}")
     mu_stream, sech_stream, reference_stream = stream.split(3)
-    mu = sample_mu(mu_stream, N, count)
-    total_draws = int(mu.sum())
-    increments = sample_sech(sech_stream, total_draws)
-    offsets = np.concatenate(([0], np.cumsum(mu)[:-1]))
-    sums = np.add.reduceat(increments, offsets) / N
+    sums = _random_sums(sech_stream, sample_mu(mu_stream, N, count))
+    sums /= N
 
     numbers = euler_numbers(6).euler_numbers
     squared = sums * sums

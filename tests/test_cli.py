@@ -128,6 +128,17 @@ class TestIdentity:
         assert code == 1
         assert "achieved error" in err
 
+    def test_default_budget_follows_the_inputs(self, capsys):
+        # The fixed 2000-term budget reported this true identity as a failure;
+        # an explicit --max-terms still caps the sum.
+        argv = ("identity", "--n", "8", "--N", "10", "--x", "3/7", "--tol", "1e-12")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "terms used        : 1654" in out
+        code, _, err = run(capsys, *argv, "--max-terms", "100")
+        assert code == 1
+        assert "by k=100, the end of the term budget" in err
+
     def test_decimal_rejected(self, capsys):
         code, _, err = run(
             capsys, "identity", "--n", "1", "--N", "2", "--x", "0.25",

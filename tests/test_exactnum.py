@@ -86,6 +86,13 @@ class TestBallot:
         assert ballot_number(1, 2) == -1
         assert ballot_number(5, 2) == 10 - 5 == 5
 
+    def test_one_binomial_equals_the_difference(self):
+        for n in range(61):
+            for k in range(-3, n + 4):
+                assert ballot_number(n, k) == binomial(n, k) - binomial(n, k - 1), (n, k)
+        with pytest.raises(ValueError):
+            ballot_number(-1, 0)
+
     def test_nonnegative_in_triangle(self):
         # Catalan-triangle region 0 <= 2k <= n + 1, exhaustively to n = 30.
         for n in range(31):

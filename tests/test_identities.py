@@ -16,6 +16,7 @@ from chebprob.identities import (
     ReconstructionResult,
     asymptotic_ratio,
     catalan_gf_check,
+    _default_max_k,
     catalan_prefix_check,
     expectation_form_check,
     q_sequence,
@@ -53,6 +54,26 @@ class TestReconstruction:
         with pytest.raises(ConvergenceError) as info:
             reconstruct_euler(4, 5, Fraction(1, 3), 1e-9, max_k=25)
         assert info.value.achieved_error > 0
+
+    def test_default_budget_follows_n_N_and_tol(self):
+        # At the fixed 2000-term budget this true identity was reported as a
+        # failure; it converges at k = 3316, inside the derived budget.
+        result = reconstruct_euler(8, 10, Fraction(3, 7), 1e-12)
+        assert 10 + 2 * (result.terms_used - 1) == 3316
+        assert result.abs_error <= 1e-12
+        assert _default_max_k(8, 10, 1e-12) >= 3316
+        with pytest.raises(ConvergenceError, match="by k=3000, the end of the term budget"):
+            reconstruct_euler(8, 10, Fraction(3, 7), 1e-12, max_k=3000)
+
+    def test_default_budget_is_the_least_k_past_2000(self):
+        for n in (0, 1, 8, 40):
+            for N in (1, 2, 10, 30):
+                for tol in (1e-3, 1e-9, 1e-15):
+                    c = math.cos(math.pi / (2 * N))
+                    k = _default_max_k(n, N, tol)
+                    assert k >= DEFAULT_MAX_K and k**n * c**k <= tol, (n, N, tol)
+                    if k > DEFAULT_MAX_K:
+                        assert (k - 1) ** n * c ** (k - 1) > tol, (n, N, tol)
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
@@ -144,7 +165,8 @@ def reference_reconstruct(n, N, x, tol, max_k):
                 n, N, x, terms_used, partial, target, float(error), tail, first_small
             )
     raise ConvergenceError(
-        f"series for E_{n}(x) with N={N} not within {tol} after k={max_k}",
+        f"series for E_{n}(x) with N={N} not within {tol} by k={max_k}, "
+        "the end of the term budget",
         achieved_error=float(abs(partial - target)),
     )
 
@@ -158,7 +180,8 @@ def reference_expectation(n, N, tol, max_k):
         if difference <= Fraction(tol):
             return difference
     raise ConvergenceError(
-        f"expectation identity for n={n}, N={N} not within {tol} after k={max_k}",
+        f"expectation identity for n={n}, N={N} not within {tol} by k={max_k}, "
+        "the end of the term budget",
         achieved_error=float(abs(partial - target)),
     )
 

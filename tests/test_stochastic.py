@@ -5,17 +5,24 @@ deterministic.  Statistical assertions use a 4-standard-error band; with
 these seeds all of them hold with margin.
 """
 
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from chebprob.eulerpoly import euler_numbers
+import chebprob.stochastic as stochastic_module
+from chebprob.eulerpoly import euler_numbers, euler_poly, eval_poly, gen_euler_recursive
 from chebprob.probnum import probnum_series
 from chebprob.stochastic import (
+    _CHUNK,
     MomentEntry,
+    MomentReport,
     RandomStream,
     mc_euler_poly,
     mc_gen_euler,
@@ -230,6 +237,148 @@ class TestMomentReports:
         assert {"label", "estimate", "std_error", "reference", "standardized"} <= set(
             doc["entries"][0]
         )
+
+
+def reference_sech(stream, count):
+    """sample_sech as the whole-array expression: draw, redraw exact zeros
+    after the block, then transform with temporaries."""
+    rng = stream.generator()
+    u = rng.random(count)
+    while True:
+        zeros = u == 0.0
+        if not zeros.any():
+            break
+        u[zeros] = rng.random(int(zeros.sum()))
+    return np.log(np.tan(0.5 * np.pi * u)) / np.pi
+
+
+def reference_sums(stream, mu):
+    """mc_klebanov's random sums drawn as one array and reduced at once."""
+    increments = reference_sech(stream, int(mu.sum()))
+    return np.add.reduceat(increments, np.concatenate(([0], np.cumsum(mu)[:-1])))
+
+
+def reference_report(draws, real_part, n, reference):
+    """A rep/gen report from the expressions with complex temporaries."""
+    base = real_part + 1j * draws
+    powers = np.ones_like(base)
+    for _ in range(n):
+        powers = powers * base
+    return MomentReport(
+        sample_size=len(draws),
+        entries=(
+            stochastic_module._entry("real", powers.real, reference),
+            stochastic_module._entry("imag", powers.imag, 0.0),
+        ),
+    )
+
+
+def same_json(a, b):
+    return json.dumps(a.json_dict()) == json.dumps(b.json_dict())
+
+
+class PlantedZeroStream:
+    """A stream whose uniforms are those of ``stream`` except exact zeros at
+    the given positions of the sequence."""
+
+    def __init__(self, stream, positions):
+        self.stream, self.positions = stream, positions
+
+    def generator(self):
+        return PlantedZeroGenerator(self.stream.generator(), self.positions)
+
+
+class PlantedZeroGenerator:
+    def __init__(self, rng, positions):
+        self.rng, self.positions, self.drawn = rng, positions, 0
+
+    def random(self, size=None, out=None):
+        values = self.rng.random(size, out=out)
+        for position in self.positions:
+            if self.drawn <= position < self.drawn + values.size:
+                values[position - self.drawn] = 0.0
+        self.drawn += values.size
+        return values
+
+
+# Segment lengths: short runs, single segments near and past _CHUNK, and
+# pairs whose sum is exactly _CHUNK, so that chunks end on every kind of
+# boundary.
+segment_blocks = st.one_of(
+    st.lists(st.integers(1, 40), min_size=1, max_size=300),
+    st.integers(-2, 3000).map(lambda d: [_CHUNK + d]),
+    st.integers(1, _CHUNK - 1).map(lambda a: [a, _CHUNK - a]),
+)
+
+
+class TestRandomSums:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        blocks=st.lists(segment_blocks, min_size=1, max_size=5),
+        seed=st.integers(0, 2**32),
+    )
+    def test_chunk_loop_equals_the_whole_array(self, blocks, seed):
+        mu = np.array([m for block in blocks for m in block], dtype=np.int64)
+        stream = RandomStream(seed, 3)
+        got = stochastic_module._random_sums(stream, mu)
+        assert got.tobytes() == reference_sums(stream, mu).tobytes()
+
+    @pytest.mark.parametrize("position", [0, 5, 150_000, 199_999])
+    def test_planted_zero_takes_the_whole_array_path(self, monkeypatch, position):
+        # A zero uniform must be redrawn after the whole block, as sample_sech
+        # does, never mapped to ln(tan(0)) = -inf.
+        calls = []
+
+        def spy(stream, count):
+            calls.append(count)
+            return sample_sech(stream, count)
+
+        monkeypatch.setattr(stochastic_module, "sample_sech", spy)
+        mu = np.full(50_000, 4, dtype=np.int64)
+        stream = PlantedZeroStream(RandomStream(17), [position])
+        got = stochastic_module._random_sums(stream, mu)
+        assert calls == [200_000]
+        assert np.isfinite(got).all()
+        assert got.tobytes() == reference_sums(stream, mu).tobytes()
+
+    def test_klebanov_memory_is_bounded(self):
+        # Whole-array sampling held about samples * N^2 draws, 118 MiB here.
+        tracemalloc.start()
+        try:
+            mc_klebanov(RandomStream(5), 7, 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_sample_sech_equals_the_expression(self):
+        for count in (1, 7, 1000, 65537):
+            stream = RandomStream(5, count)
+            assert sample_sech(stream, count).tobytes() == reference_sech(stream, count).tobytes()
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_euler_poly_equals_the_expressions(self, n):
+        for x in (Fraction(0), Fraction(1, 3), Fraction(-2, 7)):
+            stream = RandomStream(70 + n)
+            expected = reference_report(
+                reference_sech(stream, 10**4), float(x) - 0.5, n,
+                float(eval_poly(euler_poly(n), x)),
+            )
+            assert same_json(mc_euler_poly(stream, n, x, 10**4), expected)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
+    def test_gen_euler_equals_the_expressions(self, p):
+        x = Fraction(1, 3)
+        for n in range(7):
+            stream = RandomStream(90, n)
+            total = np.zeros(10**4)
+            for child in stream.split(p):
+                total += reference_sech(child, 10**4)
+            expected = reference_report(
+                total, float(x) - 0.5 * p, n,
+                float(eval_poly(gen_euler_recursive(n, p), x)),
+            )
+            assert same_json(mc_gen_euler(stream, n, p, x, 10**4), expected)
 
 
 class TestMomentIntegral:
