@@ -13,16 +13,13 @@ where not.
 
 from .chebyshev import (
     DensePolynomial,
-    binet_T,
     chebyshev_T,
     chebyshev_U,
-    eval_float,
     reversed_T,
 )
 from .eulerpoly import (
     EulerTable,
     PolyInX,
-    euler_at_zero,
     euler_numbers,
     euler_poly,
     eval_poly,
@@ -33,7 +30,6 @@ from .eulerpoly import (
 from .exactnum import (
     ballot_number,
     binomial,
-    catalan_number,
     catalan_sequence,
     convolution_power,
     convolve,
@@ -56,7 +52,6 @@ from .probnum import (
     CrossValidationError,
     CrossValidationReport,
     ProbTable,
-    alternating_phase_sum,
     catalan_table,
     cross_validate,
     geometric_tail_bound,
@@ -82,20 +77,19 @@ _STOCHASTIC = (
 __all__ = [
     "__version__",
     # exactnum
-    "binomial", "catalan_number", "catalan_sequence", "ballot_number",
+    "binomial", "catalan_sequence", "ballot_number",
     "convolve", "convolution_power", "format_rational",
     # series
     "TruncatedSeries",
     # chebyshev
     "DensePolynomial", "chebyshev_T", "chebyshev_U", "reversed_T",
-    "eval_float", "binet_T",
     # probnum
     "ProbTable", "CrossValidationError", "CrossValidationReport",
     "probnum_series", "probnum_trig", "probnum_catalan", "catalan_table",
-    "trig_value", "alternating_phase_sum", "cross_validate", "tail_mass",
+    "trig_value", "cross_validate", "tail_mass",
     "geometric_tail_bound", "root_angles",
     # eulerpoly
-    "EulerTable", "PolyInX", "euler_numbers", "euler_at_zero", "euler_poly",
+    "EulerTable", "PolyInX", "euler_numbers", "euler_poly",
     "gen_euler_zero", "gen_euler_recursive", "gen_euler_series", "eval_poly",
     # identities
     "ConvergenceError", "ReconstructionResult", "QSequence",

@@ -12,7 +12,6 @@ so its reciprocal power series exists.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,9 +22,6 @@ __all__ = [
     "chebyshev_T",
     "chebyshev_U",
     "reversed_T",
-    "derivative",
-    "eval_float",
-    "binet_T",
 ]
 
 
@@ -47,13 +43,6 @@ class DensePolynomial:
         if not coeffs:
             coeffs = [Fraction(0)]
         return cls(tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def is_zero(self) -> bool:
-        return len(self.coefficients) == 1 and self.coefficients[0] == 0
 
     def eval_exact(self, x: Rational) -> Fraction:
         """Exact Horner evaluation at a rational point."""
@@ -95,53 +84,3 @@ def reversed_T(N: int) -> DensePolynomial:
     if N < 1:
         raise ValueError(f"reversed_T requires N >= 1, got N={N}")
     return DensePolynomial.of(tuple(reversed(chebyshev_T(N).coefficients)))
-
-
-def derivative(p: DensePolynomial) -> DensePolynomial:
-    if p.degree == 0:
-        return DensePolynomial.of([0])
-    return DensePolynomial.of(
-        [i * c for i, c in enumerate(p.coefficients)][1:]
-    )
-
-
-def eval_float(p: DensePolynomial, x: float) -> float:
-    """Horner evaluation in double precision.
-
-    Raises OverflowError when a coefficient or the running value leaves the
-    double range; use :func:`binet_T` for large-N first-kind evaluation.
-    """
-    acc = 0.0
-    try:
-        for c in reversed(p.coefficients):
-            acc = acc * x + float(c)
-    except OverflowError as exc:
-        raise OverflowError(
-            f"coefficient too large for float evaluation at x={x!r}"
-        ) from exc
-    if not math.isfinite(acc):
-        raise OverflowError(f"polynomial value overflows at x={x!r}")
-    return acc
-
-
-def binet_T(N: int, x: float) -> float:
-    """T_N(x) through the closed form
-    ((x - sqrt(x^2-1))^N + (x + sqrt(x^2-1))^N) / 2 for |x| >= 1, falling
-    back to cos(N arccos x) inside (-1, 1).
-
-    Both branches avoid the catastrophic cancellation of coefficient-based
-    evaluation near |x| = 1.
-    """
-    if N < 1:
-        raise ValueError(f"binet_T requires N >= 1, got N={N}")
-    ax = abs(x)
-    if ax < 1.0:
-        value = math.cos(N * math.acos(x))
-        return value
-    s = math.sqrt(ax * ax - 1.0)
-    big = ax + s
-    small = 1.0 / big  # equals ax - s without cancellation
-    value = (big**N + small**N) / 2.0
-    if x < 0.0 and N % 2 == 1:
-        value = -value
-    return value

@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -54,6 +55,15 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"invalid rational {text!r}: {exc}") from exc
     raise UsageError(f"invalid rational {text!r}: expected 'a' or 'a/b'")
+
+
+def positive_float(text: str) -> float:
+    """argparse type of the tolerance and band flags: a finite float > 0
+    (a NaN would make every comparison against it vacuous)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
 
 
 def _csv_text(rows: list[list[str]]) -> str:
@@ -136,8 +146,8 @@ def cmd_identity(args: argparse.Namespace) -> int:
         raise UsageError(f"--N must be >= 1, got {args.N}")
     if args.n < 0:
         raise UsageError(f"--n must be >= 0, got {args.n}")
-    if args.tol <= 0:
-        raise UsageError(f"--tol must be positive, got {args.tol}")
+    if args.max_terms is not None and args.max_terms < args.N:
+        raise UsageError(f"--max-terms must be >= N, got {args.max_terms} < {args.N}")
     x = parse_rational(args.x)
     try:
         result = identities.reconstruct_euler(
@@ -271,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="series",
         help="computation method; 'all' cross-validates the three",
     )
-    p_tab.add_argument("--tol", type=float, default=1e-10,
+    p_tab.add_argument("--tol", type=positive_float, default=1e-10,
                        help="series-vs-trig tolerance for --method all")
     p_tab.add_argument("--format", choices=["csv", "json", "pretty"], default="pretty")
     p_tab.add_argument("--out", default=None, help="write output to a file")
@@ -281,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--n", type=int, required=True)
     p_id.add_argument("--N", type=int, required=True)
     p_id.add_argument("--x", required=True, help="rational, e.g. 1/4 or -2/3 or 5")
-    p_id.add_argument("--tol", type=float, default=1e-9)
+    p_id.add_argument("--tol", type=positive_float, default=1e-9)
     p_id.add_argument("--max-terms", dest="max_terms", type=int, default=None,
                       help="index budget for the series (default: the least "
                            "k >= 2000 with k^n cos(pi/2N)^k <= tol)")
@@ -298,9 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--k", type=int, default=0, help="moment order for 'integral'")
     p_mc.add_argument("--samples", type=int, default=10**5)
     p_mc.add_argument("--seed", type=int, default=None)
-    p_mc.add_argument("--band", type=float, default=identities.DEFAULT_BAND,
+    p_mc.add_argument("--band", type=positive_float, default=identities.DEFAULT_BAND,
                       help="acceptance band in standard errors")
-    p_mc.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-10)
+    p_mc.add_argument("--quad-tol", dest="quad_tol", type=positive_float,
+                      default=1e-10)
     p_mc.add_argument("--format", choices=["json", "pretty"], default="pretty")
     p_mc.add_argument("--out", default=None)
     p_mc.set_defaults(handler=cmd_montecarlo)

@@ -33,14 +33,13 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Rational, binomial, dyadic, eval_exact, format_rational
+from .exactnum import Rational, binomial, dyadic, eval_exact
 from .series import TruncatedSeries
 
 __all__ = [
     "EulerTable",
     "PolyInX",
     "euler_numbers",
-    "euler_at_zero",
     "euler_poly",
     "gen_euler_zero",
     "gen_euler_recursive",
@@ -63,26 +62,6 @@ class EulerTable:
     euler_numbers: tuple[int, ...]
     euler_at_zero: tuple[Fraction, ...]
 
-    def json_dict(self) -> dict:
-        return {
-            "max_n": self.max_n,
-            "euler_numbers": [str(e) for e in self.euler_numbers],
-            "euler_at_zero": [format_rational(v) for v in self.euler_at_zero],
-        }
-
-    def csv_rows(self) -> list[list[str]]:
-        rows = [["n", "euler_number", "euler_at_zero", "euler_at_zero_float"]]
-        for n in range(self.max_n + 1):
-            rows.append(
-                [
-                    str(n),
-                    str(self.euler_numbers[n]),
-                    format_rational(self.euler_at_zero[n]),
-                    repr(float(self.euler_at_zero[n])),
-                ]
-            )
-        return rows
-
 
 @dataclass(frozen=True)
 class PolyInX:
@@ -95,14 +74,6 @@ class PolyInX:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    def json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "order": self.order,
-            "coefficients": [format_rational(c) for c in self.coefficients],
-            "coefficients_float": [float(c) for c in self.coefficients],
-        }
 
 
 def _euler_numbers_upto(max_n: int) -> list[int]:
@@ -161,15 +132,6 @@ def euler_numbers(max_n: int) -> EulerTable:
         numbers = tuple(_euler_numbers_upto(max_n))
         row = _zero_row_one_upto(max_n)
     return EulerTable(max_n, numbers, _dyadic_row(row, max_n))
-
-
-def euler_at_zero(max_n: int) -> tuple[Fraction, ...]:
-    """E_0(0)..E_max_n(0), exact."""
-    if max_n < 0:
-        raise ValueError(f"euler_at_zero requires max_n >= 0, got {max_n}")
-    with _CACHE_LOCK:
-        row = _zero_row_one_upto(max_n)
-    return _dyadic_row(row, max_n)
 
 
 def gen_euler_zero(p: int, max_n: int) -> tuple[Fraction, ...]:

@@ -19,7 +19,6 @@ Rational = Union[int, Fraction]
 __all__ = [
     "Rational",
     "binomial",
-    "catalan_number",
     "catalan_sequence",
     "ballot_number",
     "convolve",
@@ -42,13 +41,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def catalan_number(n: int) -> int:
-    """n-th Catalan number C_n = binom(2n, n) / (n + 1), exactly."""
-    if n < 0:
-        raise ValueError(f"catalan_number requires n >= 0, got n={n}")
-    return math.comb(2 * n, n) // (n + 1)
 
 
 def catalan_sequence(count: int) -> list[int]:

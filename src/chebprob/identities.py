@@ -304,18 +304,6 @@ class CatalanPrefixReport:
     def ok(self) -> bool:
         return self.prefix_equal and self.leading_difference != 0
 
-    def json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "q_prefix": [format_rational(v) for v in self.q_prefix],
-            "convolution_prefix": list(self.convolution_prefix),
-            "prefix_equal": self.prefix_equal,
-            "mismatch_ell": self.mismatch_ell,
-            "q_at_mismatch": format_rational(self.q_at_mismatch),
-            "convolution_at_mismatch": self.convolution_at_mismatch,
-            "leading_difference": format_rational(self.leading_difference),
-        }
-
 
 def catalan_prefix_check(N: int) -> CatalanPrefixReport:
     """Verify q_{N+2k} = (Catalan^{*N})_k exactly for k < N and that the

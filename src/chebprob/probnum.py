@@ -55,7 +55,6 @@ __all__ = [
     "probnum_catalan",
     "catalan_table",
     "trig_value",
-    "alternating_phase_sum",
     "cross_validate",
     "tail_mass",
     "geometric_tail_bound",
@@ -285,26 +284,6 @@ def catalan_table(N: int, max_ell: int) -> ProbTable:
         values[ell] = probnum_catalan(N, ell)
     tail = _round_up(1 - sum(values))
     return ProbTable(N, max_ell, tuple(values), "catalan", tail)
-
-
-def alternating_phase_sum(N: int, z: float) -> complex:
-    """sum_{k=1}^{N} (-1)^{k+1} exp(i t_k z) over the root angles t_k.
-
-    Closed form of the geometric progression:
-    (1 - (-1)^N e^{i pi z}) / (2 cos(pi z / 2N)) away from the singular
-    points z = (2t+1) N, where the limit value (-1)^t N i applies.
-    """
-    if N < 1:
-        raise ValueError(f"alternating_phase_sum requires N >= 1, got N={N}")
-    ratio = z / N
-    t = round((ratio - 1.0) / 2.0)
-    if abs(z - (2 * t + 1) * N) < 1e-12:
-        sign = -1.0 if t % 2 else 1.0
-        return complex(0.0, sign * N)
-    numerator = 1.0 - (-1.0 if N % 2 else 1.0) * complex(
-        math.cos(math.pi * z), math.sin(math.pi * z)
-    )
-    return numerator / (2.0 * math.cos(math.pi * z / (2 * N)))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 A :class:`TruncatedSeries` is a prefix of a formal power series: coefficients
 of z^0 .. z^order, all :class:`~fractions.Fraction`.  Arithmetic truncates to
 the common order, which is exactly the regime in which prefix arithmetic is
-valid.  Values are immutable.
+valid; products are the truncated convolutions of :mod:`.exactnum`, made
+``Fraction`` again on the way out.  Values are immutable.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactnum import Rational
+from .exactnum import Rational, convolution_power, convolve
 
 __all__ = ["TruncatedSeries"]
 
@@ -60,25 +61,10 @@ class TruncatedSeries:
             tuple(a - b for a, b in zip(self.coefficients, other.coefficients))
         )
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-a for a in self.coefficients))
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_order(other)
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coefficients[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(tuple(out))
-
-    def scale(self, c: Rational) -> "TruncatedSeries":
-        c = Fraction(c)
-        return TruncatedSeries(tuple(c * a for a in self.coefficients))
+        product = convolve(self.coefficients, other.coefficients, self.order + 1)
+        return TruncatedSeries.of(product, self.order)
 
     def shift(self, k: int = 1) -> "TruncatedSeries":
         """Multiply by z^k, truncating at the same order."""
@@ -105,19 +91,13 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(out))
 
     def pow(self, exponent: int) -> "TruncatedSeries":
-        """Nonnegative integer power by binary exponentiation."""
+        """Nonnegative integer power, by :func:`convolution_power`."""
         if exponent < 0:
             raise ValueError(f"pow requires exponent >= 0, got {exponent}")
-        result = TruncatedSeries.one(self.order)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if exponent == 0:
+            return TruncatedSeries.one(self.order)
+        powered = convolution_power(self.coefficients, exponent, self.order + 1)
+        return TruncatedSeries.of(powered, self.order)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)

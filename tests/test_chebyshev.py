@@ -1,8 +1,10 @@
 """Chebyshev coefficient machinery.
 
-Float-side oracle: the defining identity T_N(cos t) = cos(N t).  Exact-side
-oracles: hand-checked small coefficient vectors, the derivative identity
-against the second kind, and evaluation at 1.
+Float-side oracle: the defining identity T_N(cos t) = cos(N t), with the
+polynomial evaluated exactly at the double cos t and rounded once.
+Exact-side oracles: hand-checked small coefficient vectors, the derivative
+identity against the second kind (the derivative taken here, coefficient by
+coefficient), and evaluation at 1.
 """
 
 import math
@@ -10,15 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from chebprob.chebyshev import (
-    DensePolynomial,
-    binet_T,
-    chebyshev_T,
-    chebyshev_U,
-    derivative,
-    eval_float,
-    reversed_T,
-)
+from chebprob.chebyshev import DensePolynomial, chebyshev_T, chebyshev_U, reversed_T
 
 
 def coeffs(p: DensePolynomial) -> tuple:
@@ -51,20 +45,15 @@ class TestFirstKind:
     def test_defining_identity_floats(self):
         for N in range(11):
             for theta in (0.1, 0.3, 1.0, 2.2, 3.0):
-                got = eval_float(chebyshev_T(N), math.cos(theta))
+                got = float(chebyshev_T(N).eval_exact(math.cos(theta)))
                 assert got == pytest.approx(math.cos(N * theta), abs=1e-11)
 
     def test_roots_via_closed_form(self):
+        # The closed-form roots cos((2k-1) pi / 2N), through the coefficients.
         for N in range(1, 51):
             for k in range(1, N + 1):
                 theta = (2 * k - 1) * math.pi / (2 * N)
-                assert abs(binet_T(N, math.cos(theta))) < 1e-10
-
-    def test_roots_via_coefficients_small_n(self):
-        for N in range(1, 11):
-            for k in range(1, N + 1):
-                theta = (2 * k - 1) * math.pi / (2 * N)
-                assert abs(eval_float(chebyshev_T(N), math.cos(theta))) < 1e-10
+                assert abs(float(chebyshev_T(N).eval_exact(math.cos(theta)))) < 1e-10
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -80,7 +69,7 @@ class TestSecondKind:
     def test_derivative_identity(self):
         # d/dz T_N = N * U_{N-1}, coefficient for coefficient.
         for N in range(1, 51):
-            lhs = derivative(chebyshev_T(N)).coefficients
+            lhs = tuple(i * c for i, c in enumerate(chebyshev_T(N).coefficients))[1:]
             rhs = tuple(N * c for c in chebyshev_U(N - 1).coefficients)
             assert lhs == rhs
 
@@ -88,7 +77,7 @@ class TestSecondKind:
         for N in range(9):
             for theta in (0.2, 0.9, 2.5):
                 expected = math.sin((N + 1) * theta) / math.sin(theta)
-                got = eval_float(chebyshev_U(N), math.cos(theta))
+                got = float(chebyshev_U(N).eval_exact(math.cos(theta)))
                 assert got == pytest.approx(expected, abs=1e-11)
 
 
@@ -116,54 +105,15 @@ class TestReversed:
 
 class TestEvaluation:
     def test_horner_small(self):
-        assert eval_float(chebyshev_T(2), 2.0) == 7.0
+        assert chebyshev_T(2).eval_exact(2) == 7
 
     def test_trig_point(self):
         theta = 0.3
-        got = eval_float(chebyshev_T(3), math.cos(theta))
+        got = float(chebyshev_T(3).eval_exact(math.cos(theta)))
         assert got == pytest.approx(math.cos(3 * theta), abs=1e-12)
 
     def test_zero_polynomial(self):
-        assert eval_float(DensePolynomial.of([0]), 5.0) == 0.0
-
-    def test_overflow_reported(self):
-        with pytest.raises(OverflowError):
-            eval_float(chebyshev_T(400), 10.0)
+        assert DensePolynomial.of([0]).eval_exact(5) == 0
 
     def test_eval_exact(self):
         assert chebyshev_T(2).eval_exact(Fraction(1, 2)) == Fraction(-1, 2)
-
-
-class TestBinet:
-    def test_hand_value(self):
-        # ((2 - sqrt 3)^2 + (2 + sqrt 3)^2) / 2 = 7.
-        assert binet_T(2, 2.0) == pytest.approx(7.0, rel=1e-14)
-
-    def test_value_at_one(self):
-        for N in range(1, 40):
-            assert binet_T(N, 1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_cosine_branch(self):
-        # cos(3 * arccos(1/2)) = cos(pi) = -1.
-        assert binet_T(3, 0.5) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_matches_coefficient_evaluation_outside_unit_interval(self):
-        for N in (1, 2, 3, 5, 8, 13, 21, 30):
-            for x in (-3.7, -1.5, -1.0, 1.0, 1.2, 2.0, 9.5):
-                reference = eval_float(chebyshev_T(N), x)
-                scale = max(1.0, abs(reference))
-                assert abs(binet_T(N, x) - reference) / scale < 1e-10
-
-    def test_matches_coefficient_evaluation_inside_unit_interval(self):
-        # Coefficient-based Horner is itself ill-conditioned inside (-1, 1)
-        # at large N, so the comparison stays in the well-conditioned range.
-        for N in (1, 2, 3, 5, 8, 10):
-            for x in (-0.9, -0.4, 0.0, 0.6, 0.95):
-                reference = eval_float(chebyshev_T(N), x)
-                assert abs(binet_T(N, x) - reference) < 1e-10
-
-    def test_negative_argument_parity(self):
-        for N in (2, 3, 4, 5):
-            assert binet_T(N, -2.0) == pytest.approx(
-                (-1) ** N * binet_T(N, 2.0), rel=1e-12
-            )

@@ -139,12 +139,43 @@ class TestIdentity:
         assert code == 1
         assert "by k=100, the end of the term budget" in err
 
+    def test_budget_below_N_is_a_usage_error(self, capsys):
+        # A budget below N admits no term k >= N; a budget of N admits one.
+        argv = ("identity", "--n", "2", "--N", "3", "--x", "1/3", "--max-terms")
+        for budget in ("-5", "2"):
+            code, _, err = run(capsys, *argv, budget)
+            assert code == 2
+            assert "--max-terms must be >= N" in err
+        code, _, err = run(capsys, *argv, "3")
+        assert code == 1
+        assert "by k=3, the end of the term budget" in err
+
     def test_decimal_rejected(self, capsys):
         code, _, err = run(
             capsys, "identity", "--n", "1", "--N", "2", "--x", "0.25",
         )
         assert code == 2
         assert "invalid rational" in err
+
+
+class TestFloatFlags:
+    # A NaN tolerance or band made every comparison against it vacuous, so
+    # the check it guards passed untested; inf crashed in Fraction(tol).
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
+    @pytest.mark.parametrize("argv, flag", [
+        (("probnums", "--N", "3", "--max-ell", "20", "--method", "all"), "--tol"),
+        (("identity", "--n", "2", "--N", "3", "--x", "1/3"), "--tol"),
+        (("montecarlo", "rep", "--n", "1", "--x", "0"), "--band"),
+        (("montecarlo", "integral", "--k", "4"), "--quad-tol"),
+    ])
+    def test_non_finite_or_non_positive_is_a_usage_error(
+        self, capsys, argv, flag, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"{flag}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be positive and finite" in err
 
 
 class TestMonteCarlo:

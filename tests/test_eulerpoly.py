@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebprob.eulerpoly import (
-    euler_at_zero,
     euler_numbers,
     euler_poly,
     eval_poly,
@@ -82,7 +81,7 @@ class TestEulerNumbers:
 
 class TestEulerAtZero:
     def test_first_values(self):
-        values = euler_at_zero(4)
+        values = euler_numbers(4).euler_at_zero
         assert values[0] == 1
         assert values[1] == Fraction(-1, 2)
         assert values[2] == 0
@@ -95,7 +94,7 @@ class TestEulerAtZero:
         ]
         recip = series_reciprocal(half_shifted, order)
         oracle = [recip[n] * math.factorial(n) for n in range(order + 1)]
-        assert list(euler_at_zero(order)) == oracle
+        assert list(euler_numbers(order).euler_at_zero) == oracle
 
 
 class TestEulerPoly:
@@ -108,7 +107,7 @@ class TestEulerPoly:
     def test_degree_two_with_oracle(self):
         # Expand the generating function to order 2 by hand: the coefficient
         # of z^2/2! in (2/(1+e^z)) e^{xz} is x^2 + 2 x E_1(0) + E_2(0).
-        zero = euler_at_zero(2)
+        zero = euler_numbers(2).euler_at_zero
         oracle = (zero[2], 2 * zero[1], Fraction(1))
         assert euler_poly(2).coefficients == oracle
         assert euler_poly(2).coefficients == (Fraction(0), Fraction(-1), Fraction(1))
@@ -218,20 +217,3 @@ class TestEvalPoly:
     def test_rational_point(self):
         # E_2(x) = x^2 - x at 3/7: 9/49 - 3/7 = -12/49.
         assert eval_poly(euler_poly(2), Fraction(3, 7)) == Fraction(-12, 49)
-
-
-class TestSerialization:
-    def test_table_json(self):
-        doc = euler_numbers(4).json_dict()
-        assert doc["euler_numbers"] == ["1", "0", "-1", "0", "5"]
-        assert doc["euler_at_zero"][1] == "-1/2"
-
-    def test_table_csv(self):
-        rows = euler_numbers(2).csv_rows()
-        assert rows[0][0] == "n"
-        assert rows[2][1] == "0"
-
-    def test_poly_json(self):
-        doc = gen_euler_recursive(2, 2).json_dict()
-        assert doc["coefficients"] == ["1/2", "-2", "1"]
-        assert doc["order"] == 2

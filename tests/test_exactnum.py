@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from chebprob.exactnum import (
     ballot_number,
     binomial,
-    catalan_number,
     catalan_sequence,
     convolution_power,
     convolve,
@@ -63,20 +62,22 @@ class TestBinomial:
 
 class TestCatalan:
     def test_first_value(self):
-        assert catalan_number(0) == 1
+        assert catalan_sequence(1) == [1]
 
     def test_against_direct_formula(self):
         # Oracle: C_n = binom(2n, n) / (n + 1) via the Pascal binomial.
         big = pascal_triangle(60)
+        values = catalan_sequence(30)
         for n in range(30):
             quotient, remainder = divmod(big[2 * n][n], n + 1)
             assert remainder == 0
-            assert catalan_number(n) == quotient
-        assert catalan_number(4) == 14
-        assert catalan_number(10) == 16796
+            assert values[n] == quotient
+        assert values[4] == 14
+        assert values[10] == 16796
 
     def test_sequence_matches_singletons(self):
-        assert catalan_sequence(12) == [catalan_number(n) for n in range(12)]
+        # Each entry is independent of how long a sequence is asked for.
+        assert catalan_sequence(12) == [catalan_sequence(n + 1)[n] for n in range(12)]
 
 
 class TestBallot:
@@ -112,7 +113,7 @@ class TestConvolve:
         # prefix of length len(input) is meaningful for truncated inputs.
         c = catalan_sequence(8)
         square = convolve(c, c, length=8)
-        assert square == [catalan_number(k + 1) for k in range(8)]
+        assert square == catalan_sequence(9)[1:]
         assert convolve([1, 1, 2, 5], [1, 1, 2, 5], length=4) == [1, 2, 5, 14]
 
     def test_empty_rejected(self):

@@ -19,7 +19,6 @@ from chebprob import probnum
 from chebprob.chebyshev import reversed_T
 from chebprob.probnum import (
     CrossValidationError,
-    alternating_phase_sum,
     catalan_table,
     cross_validate,
     geometric_tail_bound,
@@ -238,36 +237,6 @@ class TestCatalanRoute:
         table = catalan_table(4, 20)
         assert table.method == "catalan"
         assert table.values == probnum_series(4, 20).values
-
-
-class TestPhaseSum:
-    def direct_sum(self, N, z):
-        total = 0j
-        for k, theta in enumerate(root_angles(N), start=1):
-            sign = 1.0 if k % 2 == 1 else -1.0
-            total += sign * complex(math.cos(theta * z), math.sin(theta * z))
-        return total
-
-    def test_trivial_single_term(self):
-        assert alternating_phase_sum(1, 0) == pytest.approx(1.0)
-
-    def test_singular_value(self):
-        assert alternating_phase_sum(3, 3) == pytest.approx(3j)
-        assert alternating_phase_sum(3, 9) == pytest.approx(-3j)
-        assert alternating_phase_sum(3, -3) == pytest.approx(-3j)
-
-    def test_singular_point_agrees_with_direct_sum(self):
-        # N=2, z=2 sits at a removable singularity of the closed form.
-        assert abs(
-            alternating_phase_sum(2, 2) - self.direct_sum(2, 2)
-        ) < 1e-12
-
-    def test_against_direct_sum(self):
-        for N in (1, 2, 3, 5, 8):
-            for z in (0.0, 0.7, 2.0, 4.25, -1.3, 6.0, float(N), 3.0 * N):
-                assert abs(
-                    alternating_phase_sum(N, z) - self.direct_sum(N, z)
-                ) < 1e-9, (N, z)
 
 
 class TestCrossValidation:

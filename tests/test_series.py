@@ -38,6 +38,7 @@ def test_order_mismatch_rejected():
 
 @settings(max_examples=50)
 @given(
+    st.integers(0, 3),
     st.lists(
         st.fractions(min_value=-4, max_value=4, max_denominator=8),
         min_size=1,
@@ -45,9 +46,14 @@ def test_order_mismatch_rejected():
     ),
     st.integers(0, 6),
 )
-def test_pow_equals_iterated_product(coeffs, exponent):
-    s = TruncatedSeries.of(coeffs, 6)
+def test_pow_equals_iterated_product(leading_zeros, coeffs, exponent):
+    # Leading zeros leave positions of the product that no pair of nonzero
+    # coefficients reaches; they must still hold Fractions.
+    s = TruncatedSeries.of([0] * leading_zeros + coeffs, 6)
     iterated = TruncatedSeries.one(6)
     for _ in range(exponent):
         iterated = iterated * s
-    assert s.pow(exponent).coefficients == iterated.coefficients
+        assert all(type(c) is Fraction for c in iterated.coefficients)
+    powered = s.pow(exponent)
+    assert all(type(c) is Fraction for c in powered.coefficients)
+    assert powered.coefficients == iterated.coefficients
