@@ -55,6 +55,17 @@ class TestFirstKind:
                 theta = (2 * k - 1) * math.pi / (2 * N)
                 assert abs(float(chebyshev_T(N).eval_exact(math.cos(theta)))) < 1e-10
 
+    def test_roots_via_coefficients_small_n(self):
+        # The same roots through a float Horner pass over the coefficients,
+        # which stays accurate while the coefficients are small.
+        for N in range(1, 11):
+            for k in range(1, N + 1):
+                x = math.cos((2 * k - 1) * math.pi / (2 * N))
+                acc = 0.0
+                for c in reversed(chebyshev_T(N).coefficients):
+                    acc = acc * x + float(c)
+                assert abs(acc) < 1e-10
+
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             chebyshev_T(-1)
