@@ -66,8 +66,8 @@ from .series import TruncatedSeries
 
 __version__ = "0.1.0"
 
-# Reached through __getattr__ below, so that numpy and scipy load only when
-# a stochastic name is first used.
+# Reached through __getattr__ below, so that numpy loads only when a
+# stochastic name is first used.
 _STOCHASTIC = (
     "RandomStream", "MomentEntry", "MomentReport", "sample_sech", "sample_mu",
     "sech_cdf", "sech_density", "mc_euler_poly", "mc_gen_euler",

@@ -198,12 +198,14 @@ def _montecarlo_report(args: argparse.Namespace) -> tuple:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    # numpy and scipy load here, so the exact subcommands never pay for them.
+    # numpy loads here, so the exact subcommands never pay for it.
     from . import stochastic
 
     if args.kind == "integral":
-        if args.k < 0:
-            raise UsageError(f"--k must be >= 0, got {args.k}")
+        if not 0 <= args.k <= stochastic.MAX_MOMENT_ORDER:
+            raise UsageError(
+                f"--k must be in 0..{stochastic.MAX_MOMENT_ORDER}, got {args.k}"
+            )
         deviation = stochastic.moment_integral_check(args.k)
         # Odd moments vanish identically; hold the quadrature to 1e-12 there.
         tolerance = 1e-12 if args.k % 2 else args.quad_tol
@@ -305,7 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--p", type=int, default=1)
     p_mc.add_argument("--N", type=int, default=2)
     p_mc.add_argument("--x", default=None, help="rational evaluation point")
-    p_mc.add_argument("--k", type=int, default=0, help="moment order for 'integral'")
+    p_mc.add_argument("--k", type=int, default=0,
+                      help="moment order for 'integral'; orders beyond the "
+                           "reach of the 1e-10 contract are refused")
     p_mc.add_argument("--samples", type=int, default=10**5)
     p_mc.add_argument("--seed", type=int, default=None)
     p_mc.add_argument("--band", type=positive_float, default=identities.DEFAULT_BAND,

@@ -175,8 +175,8 @@ def reconstruct_euler(
         raise ValueError(f"reconstruct_euler requires n >= 0, got n={n}")
     if N < 1:
         raise ValueError(f"reconstruct_euler requires N >= 1, got N={N}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     x = Fraction(x)
     target = eval_poly(euler_poly(n), x)
     tol_exact = Fraction(tol)
@@ -233,8 +233,8 @@ def expectation_form_check(
         raise ValueError(f"expectation_form_check requires n >= 0, got n={n}")
     if N < 1:
         raise ValueError(f"expectation_form_check requires N >= 1, got N={N}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     target = Fraction(N) ** n * eval_poly(euler_poly(n), Fraction(1, 2))
     tol_exact = Fraction(tol)
     if max_k is None:

@@ -311,8 +311,8 @@ def cross_validate(N: int, max_ell: int, tol: float) -> CrossValidationReport:
     Raises :class:`CrossValidationError` naming (N, ell, method pair) on the
     first disagreement.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     series = probnum_series(N, max_ell)
     worst = 0.0
     for ell in range(max_ell + 1):

@@ -10,6 +10,11 @@ the sampler is unbiased.
 The discrete ingredient is the random index mu_N sampled by inverse CDF over
 its exact table, extended on demand until the untabled mass is below 1e-15.
 
+numpy is the only dependency beyond the standard library: the two-sample
+Kolmogorov-Smirnov p-value is the exact law of the statistic for equal
+sample sizes, and the moment integrals use the trapezoid rule, which
+converges geometrically on these integrands.
+
 Streams are immutable values: a :class:`RandomStream` names a reproducible
 sequence (counter-based generator keyed by seed and stream id), every
 consumer restarts it from the origin, and independence between consumers is
@@ -26,7 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, stats
 
 from .eulerpoly import euler_numbers, euler_poly, eval_poly, gen_euler_recursive
 from .exactnum import Rational
@@ -46,6 +50,7 @@ __all__ = [
     "mc_gen_euler",
     "mc_klebanov",
     "moment_integral_check",
+    "MAX_MOMENT_ORDER",
 ]
 
 _MU_TABLE_GAP = Fraction(1, 10**15)
@@ -53,6 +58,16 @@ _MU_TABLE_GAP = Fraction(1, 10**15)
 # small enough to stay in cache, large enough that the per-chunk Python
 # overhead is negligible.
 _CHUNK = 2**16
+
+# moment_integral_check is held to an absolute 1e-10, and the moment
+# |E_k| / 2^k grows fast (1.2e4 at k = 14), so the rounding of the sum alone
+# exceeds the contract past this order (k = 14 gives 7e-12, k = 16 2e-10).
+MAX_MOMENT_ORDER = 14
+# Trapezoid step of the moment integrals.  Their integrands are analytic in
+# the strip |Im t| < 1/2, so the rule's error is about 4 exp(-pi / h) 2^-k,
+# 6e-22 at h = 1/16, far below rounding; a power of two keeps every node
+# exact.
+_QUAD_STEP = 1 / 16
 
 _MU_LOCK = threading.Lock()
 _MU_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -212,6 +227,11 @@ class MomentReport:
         return max(entry.standardized for entry in self.entries)
 
     def ok(self, band: float = DEFAULT_BAND, ks_alpha: float = 0.01) -> bool:
+        # A NaN compares false with everything, so it would pass every check.
+        if not (math.isfinite(band) and band > 0):
+            raise ValueError(f"band must be finite and positive, got {band}")
+        if not 0 < ks_alpha < 1:
+            raise ValueError(f"ks_alpha must lie in (0, 1), got {ks_alpha}")
         if self.max_standardized_deviation > band:
             return False
         p_value = self.extras.get("ks_pvalue")
@@ -340,13 +360,62 @@ def _random_sums(stream: RandomStream, mu: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Two-sample Kolmogorov-Smirnov statistic D and its p-value
+    P(D_{n,n} >= D) under the null, for two samples of one size n.
+
+    D is the largest gap between the two empirical distribution functions,
+    taken at the data points (sort both samples, then count each at every
+    point with ``searchsorted``).  The gaps are integer counts, so D is k/n
+    for an integer k.  The p-value is exact (:func:`_ks_pvalue`); unequal
+    sizes are refused rather than approximated.
+    """
+    n = len(a)
+    if n == 0 or len(b) != n:
+        raise ValueError(
+            f"the exact KS test needs two nonempty samples of one size, "
+            f"got {len(a)} and {len(b)}"
+        )
+    a = np.sort(a)
+    b = np.sort(b)
+    both = np.concatenate((a, b))
+    gaps = np.searchsorted(a, both, side="right")
+    gaps -= np.searchsorted(b, both, side="right")
+    k = max(int(gaps.max()), -int(gaps.min()))
+    return k / n, _ks_pvalue(n, k)
+
+
+def _ks_pvalue(n: int, k: int) -> float:
+    """P(D_{n,n} >= k/n) for two independent samples of size n from one
+    continuous law, by the Gnedenko-Korolyuk formula
+    2 sum_{j>=1} (-1)^(j+1) C(2n, n - jk) / C(2n, n).
+
+    Each ratio is n!^2 / ((n - jk)! (n + jk)!), taken through lgamma.  The
+    terms decay like exp(-(jk)^2 / n), so the sum stops at the first one that
+    underflows: O(sqrt(n) / k) terms.
+    """
+    if k == 0:
+        return 1.0
+    log_central = 2.0 * math.lgamma(n + 1)
+    total = 0.0
+    for j in range(1, n // k + 1):
+        m = j * k
+        term = math.exp(log_central - math.lgamma(n - m + 1) - math.lgamma(n + m + 1))
+        if term == 0.0:
+            break
+        total += term if j % 2 else -term
+    # For small k the alternating sum sits near 1/2, and rounding can carry
+    # twice it past 1, which no probability reaches.
+    return min(1.0, 2.0 * total)
+
+
 def mc_klebanov(stream: RandomStream, N: int, count: int) -> MomentReport:
     """Random-sum stability check: S = (L_1 + ... + L_{mu_N}) / N should be
     sech-distributed again.
 
     Compares the empirical moments of orders 1, 2, 4, 6 against the sech
     moments |E_k| / 2^k (computed, never hard-coded) and runs a two-sample
-    KS test against direct sech draws.
+    KS test, with its exact p-value, against as many direct sech draws.
     """
     if N < 2:
         raise ValueError(f"mc_klebanov requires N >= 2, got N={N}")
@@ -364,12 +433,12 @@ def mc_klebanov(stream: RandomStream, N: int, count: int) -> MomentReport:
         reference = float(Fraction(abs(numbers[k]), 2**k))
         entries.append(_entry(f"moment{k}", moments[k], reference))
 
-    comparison = sample_sech(reference_stream, count)
-    ks = stats.ks_2samp(sums, comparison)
+    del moments, squared  # free their memory for the KS test's sorted copies
+    statistic, p_value = _ks_two_sample(sums, sample_sech(reference_stream, count))
     return MomentReport(
         sample_size=count,
         entries=tuple(entries),
-        extras={"ks_statistic": float(ks.statistic), "ks_pvalue": float(ks.pvalue)},
+        extras={"ks_statistic": statistic, "ks_pvalue": p_value},
     )
 
 
@@ -378,28 +447,31 @@ def moment_integral_check(k: int) -> float:
     of the sech(pi x) density equals |E_k| / 2^k for even k and vanishes for
     odd k.
 
-    Returns the absolute deviation of adaptive quadrature from the exact
-    value.  The cutoff grows with k so the discarded tail stays far below
-    the 1e-10 contract (the integrand at the cutoff is below 1e-18).
+    Returns the absolute deviation of the trapezoid rule (step ``_QUAD_STEP``)
+    from the exact value.  Orders above ``MAX_MOMENT_ORDER``, where rounding
+    alone exceeds the 1e-10 contract, are refused.
     """
-    if k < 0:
-        raise ValueError(f"moment_integral_check requires k >= 0, got k={k}")
-    cutoff = 14.0 + 2.0 * k
-
-    def integrand(t: float) -> float:
-        return t**k / math.cosh(math.pi * t)
-
+    if not 0 <= k <= MAX_MOMENT_ORDER:
+        raise ValueError(
+            f"moment_integral_check requires 0 <= k <= {MAX_MOMENT_ORDER}, got k={k}"
+        )
+    value = _trapezoid_moment(k, _QUAD_STEP)
     if k % 2 == 1:
-        # The symmetric integral is exactly zero, so the relative tolerance
-        # is unattainable by construction; silence that complaint.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            value, _ = integrate.quad(
-                integrand, -cutoff, cutoff, epsabs=1e-13, epsrel=1e-13, limit=300
-            )
         return abs(value)
-    half, _ = integrate.quad(
-        integrand, 0.0, cutoff, epsabs=1e-13, epsrel=1e-13, limit=300
-    )
     reference = Fraction(abs(euler_numbers(k).euler_numbers[k]), 2**k)
-    return abs(2.0 * half - float(reference))
+    return abs(value - float(reference))
+
+
+def _trapezoid_moment(k: int, h: float) -> float:
+    """Trapezoid rule of step h for the integral of t^k sech(pi t) over
+    [-c, c], c = 14 + 2k, summed exactly by ``math.fsum``.
+
+    The cutoff grows with k so the discarded tail stays far below the
+    contract (the integrand at the cutoff is below 1e-18); the rule has
+    2c/h + 1 nodes.
+    """
+    cutoff = 14.0 + 2.0 * k
+    nodes = np.arange(-round(cutoff / h), round(cutoff / h) + 1) * h
+    values = nodes**k / np.cosh(np.pi * nodes)
+    values[[0, -1]] *= 0.5
+    return h * math.fsum(values)

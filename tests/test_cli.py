@@ -203,6 +203,16 @@ class TestMonteCarlo:
         document = json.loads(out)
         assert document["deviation"] <= 1e-10
 
+    def test_integral_order_cap(self, capsys):
+        from chebprob.stochastic import MAX_MOMENT_ORDER
+
+        code, out, _ = run(capsys, "montecarlo", "integral", "--k", str(MAX_MOMENT_ORDER))
+        assert code == 0
+        for k in (MAX_MOMENT_ORDER + 1, 150, -1):
+            code, _, err = run(capsys, "montecarlo", "integral", "--k", str(k))
+            assert code == 2
+            assert "--k" in err
+
     def test_gen(self, capsys):
         code, out, _ = run(
             capsys, "montecarlo", "gen", "--n", "1", "--p", "4", "--x", "0",
@@ -276,18 +286,34 @@ class TestDeterminism:
         assert out_a == out_b
 
 
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(chebprob.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+
+
 class TestImportCost:
     def test_exact_path_loads_no_numpy(self):
-        # numpy and scipy belong to the montecarlo path only.
-        src = os.path.dirname(os.path.dirname(chebprob.__file__))
-        code = (
+        # numpy belongs to the montecarlo path only.
+        proc = run_fresh(
             "import sys, chebprob, chebprob.cli\n"
             "heavy = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
             "assert not heavy, heavy\n"
         )
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True,
-            text=True, timeout=60,
+        assert proc.returncode == 0, proc.stderr
+
+    def test_montecarlo_loads_no_scipy(self):
+        # The KS test and the quadrature are numpy and stdlib only.
+        proc = run_fresh(
+            "import sys\n"
+            "from chebprob.cli import main\n"
+            "assert main(['montecarlo', 'klebanov', '--N', '2', '--samples', '100000']) == 0\n"
+            "assert main(['montecarlo', 'integral', '--k', '4']) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
         )
         assert proc.returncode == 0, proc.stderr

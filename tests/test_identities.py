@@ -238,6 +238,13 @@ class TestExpectationForm:
             with pytest.raises(ValueError, match="tol must be positive"):
                 expectation_form_check(3, 3, tol)
 
+    def test_nonfinite_tol_rejected(self):
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                expectation_form_check(3, 3, tol)
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                reconstruct_euler(2, 3, Fraction(1, 3), tol)
+
 
 class TestAsymptoticRatio:
     def test_hand_value(self):

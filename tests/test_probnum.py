@@ -252,6 +252,12 @@ class TestCrossValidation:
         with pytest.raises(ValueError):
             cross_validate(4, 3, 1e-10)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # A NaN tolerance would make the series/trig comparison vacuous.
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            cross_validate(3, 20, tol)
+
     def test_mismatch_is_named(self):
         with pytest.raises(CrossValidationError) as info:
             cross_validate(5, 30, 1e-30)

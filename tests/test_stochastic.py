@@ -21,6 +21,8 @@ from chebprob.eulerpoly import euler_numbers, euler_poly, eval_poly, gen_euler_r
 from chebprob.probnum import probnum_series
 from chebprob.stochastic import (
     _CHUNK,
+    _QUAD_STEP,
+    MAX_MOMENT_ORDER,
     MomentEntry,
     MomentReport,
     RandomStream,
@@ -230,6 +232,19 @@ class TestMomentReports:
         assert wrong.standardized > 4
         assert MomentEntry("real", -1 / 6 + 1e-9, 0.0, -1 / 6).standardized > 4
 
+    @pytest.mark.parametrize("band", [float("nan"), float("inf"), 0.0, -4.0])
+    def test_ok_rejects_a_band_not_finite_and_positive(self, band):
+        # A NaN band compares false with every deviation, so it passed all.
+        report = mc_euler_poly(RandomStream(7), 1, 0, 10**4)
+        with pytest.raises(ValueError, match="band"):
+            report.ok(band=band)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), 0.0, 1.0, 1.5])
+    def test_ok_rejects_a_ks_alpha_outside_the_unit_interval(self, alpha):
+        report = mc_euler_poly(RandomStream(7), 1, 0, 10**4)
+        with pytest.raises(ValueError, match="ks_alpha"):
+            report.ok(ks_alpha=alpha)
+
     def test_report_json(self):
         report = mc_gen_euler(RandomStream(5), 1, 2, 0, 10**4)
         doc = report.json_dict()
@@ -382,13 +397,25 @@ class TestRandomSums:
 
 
 class TestMomentIntegral:
-    @pytest.mark.parametrize("k", [0, 2, 4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("k", range(0, MAX_MOMENT_ORDER + 1, 2))
     def test_even_orders(self, k):
         assert moment_integral_check(k) <= 1e-10
 
-    @pytest.mark.parametrize("k", [1, 3, 5, 11])
+    @pytest.mark.parametrize("k", range(1, MAX_MOMENT_ORDER + 1, 2))
     def test_odd_orders_vanish(self, k):
         assert moment_integral_check(k) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(MAX_MOMENT_ORDER + 1))
+    def test_halving_the_step_agrees(self, k):
+        # The rule has converged: half the step moves it by less than the
+        # contract, so the deviation measures rounding, not discretization.
+        coarse = stochastic_module._trapezoid_moment(k, _QUAD_STEP)
+        fine = stochastic_module._trapezoid_moment(k, _QUAD_STEP / 2)
+        assert abs(coarse - fine) <= (1e-12 if k % 2 else 1e-10)
+
+    def test_order_above_the_cap_rejected(self):
+        with pytest.raises(ValueError, match=f"k <= {MAX_MOMENT_ORDER}"):
+            moment_integral_check(MAX_MOMENT_ORDER + 1)
 
     def test_normalization(self):
         assert moment_integral_check(0) <= 1e-10
@@ -396,3 +423,56 @@ class TestMomentIntegral:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             moment_integral_check(-2)
+
+
+def oracle_samples(n, seed, scale):
+    """Two sech samples of size n, the second stretched by ``scale`` so the
+    KS test sees a range of statistics."""
+    return sample_sech(RandomStream(seed, 1), n), scale * sample_sech(RandomStream(seed, 2), n)
+
+
+class TestKolmogorovSmirnov:
+    @pytest.mark.parametrize("n", [50, 1000, 5000])
+    def test_pvalue_equals_scipy_exact(self, n):
+        for seed, scale in enumerate((1.0, 1.05, 1.1, 1.2, 1.5)):
+            a, b = oracle_samples(n, seed, scale)
+            _, p_value = stochastic_module._ks_two_sample(a, b)
+            expected = stats.ks_2samp(a, b, method="exact")
+            assert p_value == pytest.approx(expected.pvalue, rel=1e-9, abs=0)
+
+    def test_pvalue_equals_the_exact_rational_law(self):
+        # Gnedenko-Korolyuk in exact integers, every statistic k/n, n <= 40.
+        for n in range(1, 41):
+            central = math.comb(2 * n, n)
+            assert stochastic_module._ks_pvalue(n, 0) == 1.0
+            for k in range(1, n + 1):
+                alternating = sum(
+                    (-1) ** (j + 1) * math.comb(2 * n, n - j * k)
+                    for j in range(1, n // k + 1)
+                )
+                exact = float(Fraction(2 * alternating, central))
+                got = stochastic_module._ks_pvalue(n, k)
+                assert got == pytest.approx(exact, rel=1e-12), (n, k)
+
+    def test_pvalue_near_scipy_asymptotic_at_large_n(self):
+        for seed in range(3):
+            a, b = oracle_samples(10**5, seed, 1.0)
+            _, p_value = stochastic_module._ks_two_sample(a, b)
+            assert abs(p_value - stats.ks_2samp(a, b).pvalue) <= 2e-3
+
+    @pytest.mark.parametrize("n", [50, 1000, 10**5])
+    def test_statistic_is_a_count_over_n(self, n):
+        a, b = oracle_samples(n, 4, 1.1)
+        statistic, _ = stochastic_module._ks_two_sample(a, b)
+        k = round(statistic * n)
+        assert statistic == k / n
+        assert abs(statistic - stats.ks_2samp(a, b).statistic) <= 4 * math.ulp(statistic)
+
+    def test_equal_samples_give_p_one(self):
+        a = sample_sech(RandomStream(3), 1000)
+        assert stochastic_module._ks_two_sample(a, a[::-1].copy()) == (0.0, 1.0)
+
+    def test_unequal_sizes_rejected(self):
+        a = sample_sech(RandomStream(3), 1000)
+        with pytest.raises(ValueError, match="one size"):
+            stochastic_module._ks_two_sample(a, a[:999])
