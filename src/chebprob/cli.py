@@ -227,10 +227,23 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
             )
         return EXIT_OK if passed else EXIT_CHECK_FAILED
 
-    if args.samples < 10**4:
-        raise UsageError(f"--samples must be >= 10000, got {args.samples}")
+    floor = (
+        stochastic.MIN_KLEBANOV_SAMPLES if args.kind == "klebanov"
+        else stochastic.MIN_SAMPLES
+    )
+    if args.samples < floor:
+        raise UsageError(
+            f"--samples must be >= {floor} for kind {args.kind!r}, got {args.samples}"
+        )
     if args.kind in ("rep", "gen") and args.x is None:
         raise UsageError(f"--x is required for kind {args.kind!r}")
+    max_order = stochastic.MAX_REP_ORDER if args.kind == "rep" else stochastic.MAX_GEN_ORDER
+    if args.kind in ("rep", "gen") and not 0 <= args.n <= max_order:
+        raise UsageError(
+            f"--n must be in 0..{max_order} for kind {args.kind!r}, got {args.n}"
+        )
+    if args.kind == "gen" and not 1 <= args.p <= stochastic.MAX_GEN_P:
+        raise UsageError(f"--p must be in 1..{stochastic.MAX_GEN_P}, got {args.p}")
     if args.kind == "klebanov" and args.N < 2:
         raise UsageError(f"--N must be >= 2, got {args.N}")
 
@@ -343,14 +356,13 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_rational_flags(list(argv)))
-    if getattr(args, "seed", None) is None and args.command == "montecarlo":
-        args.seed = _default_seed()
+    # Only a UsageError means a usage error: any other exception is a fault
+    # of the program and must not pass for one.
     try:
+        if getattr(args, "seed", None) is None and args.command == "montecarlo":
+            args.seed = _default_seed()
         return args.handler(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -51,6 +51,11 @@ __all__ = [
     "mc_klebanov",
     "moment_integral_check",
     "MAX_MOMENT_ORDER",
+    "MAX_REP_ORDER",
+    "MAX_GEN_ORDER",
+    "MAX_GEN_P",
+    "MIN_SAMPLES",
+    "MIN_KLEBANOV_SAMPLES",
 ]
 
 _MU_TABLE_GAP = Fraction(1, 10**15)
@@ -63,6 +68,15 @@ _CHUNK = 2**16
 # |E_k| / 2^k grows fast (1.2e4 at k = 14), so the rounding of the sum alone
 # exceeds the contract past this order (k = 14 gives 7e-12, k = 16 2e-10).
 MAX_MOMENT_ORDER = 14
+# Input limits of the Monte Carlo checks.  Above these orders the integrands'
+# variance grows too fast for the standard-error bands to mean anything at
+# desk-scale sample sizes; below these sizes the bands and the KS test have
+# too little data.
+MAX_REP_ORDER = 8
+MAX_GEN_ORDER = 6
+MAX_GEN_P = 10
+MIN_SAMPLES = 10**4
+MIN_KLEBANOV_SAMPLES = 10**5
 # Trapezoid step of the moment integrals.  Their integrands are analytic in
 # the strip |Im t| < 1/2, so the rule's error is about 4 exp(-pi / h) 2^-k,
 # 6e-22 at h = 1/16, far below rounding; a power of two keeps every node
@@ -160,9 +174,11 @@ def _mu_table(N: int) -> tuple[np.ndarray, np.ndarray]:
 def sample_mu(stream: RandomStream, N: int, count: int) -> np.ndarray:
     """Draws of the random index mu_N by inverse CDF over its exact table.
 
-    Draws beyond the tabled mass (total probability below 1e-15) are placed
-    on the smallest untabled support point; such events are counted and
-    reported through a RuntimeWarning rather than silently clamped.
+    The support is N, N + 2, N + 4, ..., so the draw of table index i is
+    N + 2 i, computed in place from the search result; the index one past
+    the table is the first untabled support point.  Draws beyond the tabled
+    mass (total probability below 1e-15) land there; such events are counted
+    and reported through a RuntimeWarning rather than silently clamped.
     """
     if N < 2:
         raise ValueError(f"sample_mu requires N >= 2, got N={N}")
@@ -170,20 +186,21 @@ def sample_mu(stream: RandomStream, N: int, count: int) -> np.ndarray:
         raise ValueError(f"sample_mu requires count >= 1, got {count}")
     support, cumulative = _mu_table(N)
     u = stream.generator().random(count)
-    idx = np.searchsorted(cumulative, u, side="right")
-    overflow = idx >= len(support)
-    n_overflow = int(overflow.sum())
+    out = np.searchsorted(cumulative, u, side="right").astype(np.int64, copy=False)
+    del u
+    n_overflow = int(np.count_nonzero(out == len(support)))
     if n_overflow:
         warnings.warn(
             f"sample_mu(N={N}): {n_overflow} of {count} draws fell beyond the "
             f"tabled mass; assigned to the first untabled support point "
-            f"{int(support[-1]) + 2}",
+            f"{N + 2 * len(support)}",
             RuntimeWarning,
             stacklevel=2,
         )
-    out = np.where(overflow, support[-1] + 2, support[np.minimum(idx, len(support) - 1)])
+    out *= 2
+    out += N
     assert int(out.min()) >= N
-    assert not ((out - N) % 2).any()
+    assert not ((out - N) & 1).any()
     return out
 
 
@@ -280,12 +297,13 @@ def mc_euler_poly(
     sech-distributed L; the imaginary part estimates zero.
 
     Orders above 8 are refused: the integrand's variance grows too fast for
-    the standard-error bands to mean anything at desk-scale sample sizes.
+    the standard-error bands to mean anything at desk-scale sample sizes
+    (``MAX_REP_ORDER``).
     """
-    if not 0 <= n <= 8:
-        raise ValueError(f"mc_euler_poly requires 0 <= n <= 8, got n={n}")
-    if count < 10**4:
-        raise ValueError(f"mc_euler_poly requires count >= 10^4, got {count}")
+    if not 0 <= n <= MAX_REP_ORDER:
+        raise ValueError(f"mc_euler_poly requires 0 <= n <= {MAX_REP_ORDER}, got n={n}")
+    if count < MIN_SAMPLES:
+        raise ValueError(f"mc_euler_poly requires count >= {MIN_SAMPLES}, got {count}")
     x = Fraction(x)
     draws = sample_sech(stream, count)
     base = _complex_base(float(x) - 0.5, draws)
@@ -305,12 +323,12 @@ def mc_gen_euler(
 ) -> MomentReport:
     """Monte Carlo estimate of E_n^{(p)}(x) as the mean of
     (x - p/2 + i (L_1 + ... + L_p))^n over independent sech draws."""
-    if not 0 <= n <= 6:
-        raise ValueError(f"mc_gen_euler requires 0 <= n <= 6, got n={n}")
-    if not 1 <= p <= 10:
-        raise ValueError(f"mc_gen_euler requires 1 <= p <= 10, got p={p}")
-    if count < 10**4:
-        raise ValueError(f"mc_gen_euler requires count >= 10^4, got {count}")
+    if not 0 <= n <= MAX_GEN_ORDER:
+        raise ValueError(f"mc_gen_euler requires 0 <= n <= {MAX_GEN_ORDER}, got n={n}")
+    if not 1 <= p <= MAX_GEN_P:
+        raise ValueError(f"mc_gen_euler requires 1 <= p <= {MAX_GEN_P}, got p={p}")
+    if count < MIN_SAMPLES:
+        raise ValueError(f"mc_gen_euler requires count >= {MIN_SAMPLES}, got {count}")
     x = Fraction(x)
     total = np.zeros(count)
     for child in stream.split(p):
@@ -365,10 +383,14 @@ def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     P(D_{n,n} >= D) under the null, for two samples of one size n.
 
     D is the largest gap between the two empirical distribution functions,
-    taken at the data points (sort both samples, then count each at every
-    point with ``searchsorted``).  The gaps are integer counts, so D is k/n
-    for an integer k.  The p-value is exact (:func:`_ks_pvalue`); unequal
-    sizes are refused rather than approximated.
+    taken at the data points.  Both samples are copied into one array of 2n
+    and sorted half by half; a stable argsort then merges the two sorted runs
+    in one O(n) pass, and the gaps are the running sum of +1 for a point of
+    ``a`` and -1 for one of ``b``.  They are read at the last point of each
+    run of equal values, so a tie counts every point at or below it, in both
+    samples.  The gaps are integer counts, so D is k/n for an integer k.  The
+    p-value is exact (:func:`_ks_pvalue`); unequal sizes are refused rather
+    than approximated.  The inputs are left as they are.
     """
     n = len(a)
     if n == 0 or len(b) != n:
@@ -376,11 +398,19 @@ def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
             f"the exact KS test needs two nonempty samples of one size, "
             f"got {len(a)} and {len(b)}"
         )
-    a = np.sort(a)
-    b = np.sort(b)
-    both = np.concatenate((a, b))
-    gaps = np.searchsorted(a, both, side="right")
-    gaps -= np.searchsorted(b, both, side="right")
+    pooled = np.concatenate((a, b))
+    pooled[:n].sort()
+    pooled[n:].sort()
+    order = np.argsort(pooled, kind="stable")
+    steps = np.less(order, n).view(np.int8)
+    del order
+    steps *= 2
+    steps -= 1
+    gaps = np.cumsum(steps, dtype=np.int32 if 2 * n < 2**31 else np.int64)
+    del steps
+    pooled.sort(kind="stable")
+    # gaps[-1] is 0 (the samples have one size) and ends the last run.
+    np.multiply(gaps[:-1], pooled[1:] != pooled[:-1], out=gaps[:-1])
     k = max(int(gaps.max()), -int(gaps.min()))
     return k / n, _ks_pvalue(n, k)
 
@@ -419,8 +449,10 @@ def mc_klebanov(stream: RandomStream, N: int, count: int) -> MomentReport:
     """
     if N < 2:
         raise ValueError(f"mc_klebanov requires N >= 2, got N={N}")
-    if count < 10**5:
-        raise ValueError(f"mc_klebanov requires count >= 10^5, got {count}")
+    if count < MIN_KLEBANOV_SAMPLES:
+        raise ValueError(
+            f"mc_klebanov requires count >= {MIN_KLEBANOV_SAMPLES}, got {count}"
+        )
     mu_stream, sech_stream, reference_stream = stream.split(3)
     sums = _random_sums(sech_stream, sample_mu(mu_stream, N, count))
     sums /= N

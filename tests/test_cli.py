@@ -255,6 +255,34 @@ class TestMonteCarlo:
         assert code == 2
         assert "--x" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("klebanov", "--samples", "20000"), "--samples"),
+        (("rep", "--n", "9", "--x", "0"), "--n"),
+        (("gen", "--n", "7", "--x", "0"), "--n"),
+        (("gen", "--p", "11", "--x", "0"), "--p"),
+    ])
+    def test_library_limits_are_usage_errors(self, capsys, argv, flag):
+        code, _, err = run(capsys, "montecarlo", *argv, "--seed", "1")
+        assert code == 2
+        assert err.startswith(f"error: {flag} must be")
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        # A ValueError from inside the library is a fault, not bad flags.
+        import chebprob.stochastic as stochastic_module
+
+        def broken(*args):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(stochastic_module, "mc_klebanov", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["montecarlo", "klebanov", "--seed", "1"])
+
+    def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHEBPROB_SEED", "abc")
+        code, _, err = run(capsys, "montecarlo", "rep", "--n", "0", "--x", "0")
+        assert code == 2
+        assert "CHEBPROB_SEED must be an integer" in err
+
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("CHEBPROB_SEED", "99")
         code, out, _ = run(

@@ -166,6 +166,25 @@ class TestMuSampling:
         beyond = (draws == 6).mean()
         assert 0.2 < beyond < 0.3  # the quarter of mass past the fake table
         assert set(np.unique(draws)) <= {2, 4, 6}
+        assert draws.tobytes() == reference_mu(RandomStream(13), 2, 10**4).tobytes()
+
+    def test_draws_are_the_support_at_the_searched_index(self):
+        # N + 2 i is support[i], and N + 2 len(support) the first untabled
+        # point, so the index arithmetic gives the gathered draws exactly.
+        for N in range(2, 8):
+            stream = RandomStream(21, N)
+            draws = sample_mu(stream, N, 10**5)
+            assert draws.dtype == np.int64
+            assert draws.tobytes() == reference_mu(stream, N, 10**5).tobytes(), N
+
+
+def reference_mu(stream, N, count):
+    """sample_mu as a gather: support[i] for table index i, and the first
+    untabled support point past the table."""
+    support, cumulative = stochastic_module._mu_table(N)
+    idx = np.searchsorted(cumulative, stream.generator().random(count), side="right")
+    extended = np.append(support, support[-1] + 2)
+    return extended[idx]
 
 
 class TestMomentReports:
@@ -431,7 +450,68 @@ def oracle_samples(n, seed, scale):
     return sample_sech(RandomStream(seed, 1), n), scale * sample_sech(RandomStream(seed, 2), n)
 
 
+def reference_ks_gap(a, b):
+    """The KS statistic's integer k by counting each sample at every pooled
+    point with two binary searches (ties counted with side="right")."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate((a, b))
+    gaps = np.searchsorted(a, both, side="right") - np.searchsorted(b, both, side="right")
+    return int(np.abs(gaps).max())
+
+
+@st.composite
+def tied_samples(draw):
+    """Two samples of one size, their values rounded to 0-2 decimals (or not
+    at all), so ties within and across the samples are common."""
+    n = draw(st.integers(1, 60))
+    decimals = draw(st.sampled_from([0, 1, 2, None]))
+    values = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+    a, b = (np.array(draw(st.lists(values, min_size=n, max_size=n))) for _ in range(2))
+    if decimals is not None:
+        a, b = np.round(a, decimals), np.round(b, decimals)
+    return a, b
+
+
 class TestKolmogorovSmirnov:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_samples())
+    def test_statistic_equals_the_binary_search_count(self, samples):
+        a, b = samples
+        k = reference_ks_gap(a, b)
+        n = len(a)
+        assert stochastic_module._ks_two_sample(a, b) == (k / n, stochastic_module._ks_pvalue(n, k))
+
+    def test_single_points(self):
+        assert stochastic_module._ks_two_sample(np.array([0.5]), np.array([0.5])) == (0.0, 1.0)
+        assert stochastic_module._ks_two_sample(np.array([0.0]), np.array([1.0])) == (1.0, 1.0)
+        assert stochastic_module._ks_two_sample(np.array([1.0]), np.array([-1.0])) == (1.0, 1.0)
+
+    def test_constant_sample(self):
+        constant = np.full(1000, 0.25)
+        a = sample_sech(RandomStream(6), 1000)
+        k = reference_ks_gap(constant, a)
+        assert stochastic_module._ks_two_sample(constant, a)[0] == k / 1000
+        assert stochastic_module._ks_two_sample(constant, constant.copy()) == (0.0, 1.0)
+        assert stochastic_module._ks_two_sample(constant, constant + 1)[0] == 1.0
+
+    def test_inputs_are_left_unchanged(self):
+        a, b = oracle_samples(1000, 8, 1.1)
+        a_bytes, b_bytes = a.tobytes(), b.tobytes()
+        stochastic_module._ks_two_sample(a, b)
+        assert a.tobytes() == a_bytes
+        assert b.tobytes() == b_bytes
+
+    def test_memory_is_bounded(self):
+        # Sorted copies plus two int64 search results reached 61 MiB here.
+        a, b = oracle_samples(10**6, 9, 1.0)
+        tracemalloc.start()
+        try:
+            stochastic_module._ks_two_sample(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20
+
     @pytest.mark.parametrize("n", [50, 1000, 5000])
     def test_pvalue_equals_scipy_exact(self, n):
         for seed, scale in enumerate((1.0, 1.05, 1.1, 1.2, 1.5)):
