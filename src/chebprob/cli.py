@@ -9,7 +9,8 @@ Three subcommands wrap the library:
 * ``montecarlo`` -- seeded statistical checks (rep | gen | klebanov |
   integral).
 
-Exit codes are a stable contract: 0 success, 1 check failure, 2 usage error.
+Exit codes are a stable contract: 0 success, 1 check failure, 2 usage error,
+3 internal fault (any other exception; its traceback goes to stderr).
 Every JSON document carries a ``schema_version`` field and is emitted with
 sorted keys, so identical flags and seed produce byte-identical output.
 Rational inputs are written "a/b" or as integer literals; decimal literals
@@ -37,6 +38,7 @@ SEED_ENV_VAR = "CHEBPROB_SEED"
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(ValueError):
@@ -55,6 +57,18 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"invalid rational {text!r}: {exc}") from exc
     raise UsageError(f"invalid rational {text!r}: expected 'a' or 'a/b'")
+
+
+def parse_point(text: str) -> Fraction:
+    """:func:`parse_rational` for a Monte Carlo evaluation point, which the
+    sampler shifts by as a float: a value beyond the float range is
+    refused."""
+    x = parse_rational(text)
+    try:
+        float(x)
+    except OverflowError:
+        raise UsageError("--x must be within the float range") from None
+    return x
 
 
 def positive_float(text: str) -> float:
@@ -184,11 +198,11 @@ def _montecarlo_report(args: argparse.Namespace) -> tuple:
 
     stream = stochastic.RandomStream(args.seed)
     if args.kind == "rep":
-        x = parse_rational(args.x)
+        x = parse_point(args.x)
         report = stochastic.mc_euler_poly(stream, args.n, x, args.samples)
         params = {"n": args.n, "x": format_rational(x)}
     elif args.kind == "gen":
-        x = parse_rational(args.x)
+        x = parse_point(args.x)
         report = stochastic.mc_gen_euler(stream, args.n, args.p, x, args.samples)
         params = {"n": args.n, "p": args.p, "x": format_rational(x)}
     else:
@@ -356,8 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_rational_flags(list(argv)))
-    # Only a UsageError means a usage error: any other exception is a fault
-    # of the program and must not pass for one.
+    # Only a UsageError means a usage error, and exit 1 only a failed check:
+    # any other exception is a fault of the program and must pass for neither.
     try:
         if getattr(args, "seed", None) is None and args.command == "montecarlo":
             args.seed = _default_seed()
@@ -365,6 +379,11 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        import traceback  # imported on a fault only: every command pays its import
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

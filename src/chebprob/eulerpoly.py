@@ -14,16 +14,23 @@ required to agree coefficient-for-coefficient:
 * ``gen_euler_recursive`` iterates the order-raising convolution of the
   values at zero, E_n^{(p)}(0) = sum_k binom(n, k) E_k^{(p-1)}(0) E_{n-k}(0),
   then expands E_n^{(p)}(x) = sum_k binom(n, k) x^k E_{n-k}^{(p)}(0).
-* ``gen_euler_series`` expands the generating function directly: truncated
-  reciprocal of (1 + e^z)/2, raised to the p-th power by repeated squaring,
-  then multiplied by the e^{xz} series symbolically in x.
+* ``gen_euler_series`` expands the generating function directly in the
+  ordinary basis: the long-division reciprocal of (1 + e^z)/2, raised to the
+  p-th power by repeated squaring (``exactnum.convolution_power``), then
+  multiplied by the e^{xz} series symbolically in x.  It runs in integers
+  scaled by K = 2^n n!: the ordinary coefficient of z^m in any power of
+  2/(1 + e^z) is E_m^{(p)}(0)/m!, whose denominator divides 2^m m! and so K,
+  so the division by the constant term K is exact at every step, the p-th
+  power holds K^p times the coefficients, and one Fraction is made per
+  output coefficient.  It shares no row with the recursive route: a
+  division and a convolution power, not binomial convolutions of values at
+  zero, so each route stays an oracle for the other.
 
-Series coefficients are stored in ordinary form c_n = a_n / n!, which keeps
-the order-raising convolutions binomial and exact.  The value-at-zero rows
-are memoized per order behind a lock; the identity sweeps downstream touch
-hundreds of orders and reuse them heavily.  The values at zero are dyadic
-(2^n E_n^{(p)}(0) is an integer), so the rows are held as those integers and
-the convolutions run in ``int``; a Fraction is made only on the way out.
+The value-at-zero rows of the recursive route are memoized per order behind
+a lock; the identity sweeps downstream touch hundreds of orders and reuse
+them heavily.  The values at zero are dyadic (2^n E_n^{(p)}(0) is an
+integer), so the rows are held as those integers and the convolutions run in
+``int``; a Fraction is made only on the way out.
 """
 
 from __future__ import annotations
@@ -33,8 +40,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Rational, binomial, dyadic, eval_exact
-from .series import TruncatedSeries
+from .exactnum import Rational, binomial, convolution_power, dyadic, eval_exact
 
 __all__ = [
     "EulerTable",
@@ -195,15 +201,23 @@ def gen_euler_series(n: int, p: int) -> PolyInX:
         raise ValueError(f"gen_euler_series requires n >= 0, got n={n}")
     if p < 0:
         raise ValueError(f"gen_euler_series requires p >= 0, got p={p}")
-    # (1 + e^z)/2 as an ordinary-coefficient truncation: 1 + sum z^j/(2 j!).
-    denom = TruncatedSeries.of(
-        [Fraction(1)] + [Fraction(1, 2 * math.factorial(j)) for j in range(1, n + 1)],
-        n,
-    )
-    powered = denom.reciprocal().pow(p)
+    # Ordinary coefficients times K = 2^n n!: K (1 + e^z)/2 is K, K/(2 j!),
+    # and K times 2/(1 + e^z) is integral through z^n, so its long division
+    # divides exactly by the constant term K.
+    K = math.factorial(n) << n
+    denom = [K] + [K // (2 * math.factorial(j)) for j in range(1, n + 1)]
+    recip = [K]
+    for m in range(1, n + 1):
+        acc = sum(denom[i] * recip[m - i] for i in range(1, m + 1))
+        r, remainder = divmod(-acc, K)
+        if remainder:
+            raise ArithmeticError(f"2^{n} {n}! / (1 + e^z) is not integral at z^{m}")
+        recip.append(r)
+    # K^p times the ordinary coefficients c_m of (2/(1 + e^z))^p; the
+    # coefficient of x^k is binom(n, k) (n-k)! c_{n-k} = (n!/k!) c_{n-k}.
+    powered = convolution_power(recip, p, n + 1) if p else [1] + [0] * n
     coeffs = tuple(
-        binomial(n, k) * powered[n - k] * math.factorial(n - k)
-        for k in range(n + 1)
+        Fraction(math.perm(n, n - k) * powered[n - k], K**p) for k in range(n + 1)
     )
     return PolyInX(coeffs, order=p)
 

@@ -11,11 +11,28 @@ independent routes and cross-validates:
   p_ell = (1/N) sum_{k=1}^{N} (-1)^{k+1} sin(t_k) cos(t_k)^{ell-1}
   with t_k = (2k-1) pi / (2N).
 * ``probnum_catalan`` -- exact: an alternating ballot-number (Catalan
-  triangle) sum, one closed branch for ell an odd multiple of N and one for
-  the rest.
+  triangle) sum, folded into one branch (below); ``catalan_table`` runs it
+  for a whole table in one pass of running binomials.
 
 Exact routes must agree identically; the trig route agrees to float
 accuracy.  ``cross_validate`` enforces both.
+
+The ballot sum.  With n = ell - 1 the ballot number
+A(n, k) = binom(n, k) - binom(n, k-1) gives
+2^ell p_ell = sum_t (-1)^t A(n, (ell - (2t+1)N)/2) over all integers t,
+under the total binomial convention.  Write B(n, d) = binom(n, (n-d)/2),
+zero for |d| > n; then A(n, (ell - (2t+1)N)/2) = B(n, (2t+1)N - 1) -
+B(n, (2t+1)N + 1).  As B(n, -d) = B(n, d) (that is,
+binom(n, k) = binom(n, n-k)), the map t -> -1-t leaves each term
+(-1)^t [B(n, (2t+1)N - 1) - B(n, (2t+1)N + 1)] unchanged, so the terms with
+t < 0 repeat those with t >= 0 and
+
+    2^ell p_ell = 2 sum_{t >= 0} (-1)^t [B(n, (2t+1)N - 1) - B(n, (2t+1)N + 1)],
+
+about ell/N terms.  Along the support n grows by 2, and B(n, d) at a fixed
+offset d moves from n - 2 to n by one multiply and one exact division, so a
+table through L costs about L^2/(4N) such steps on numbers of about L bits and
+no fresh binomial.  This route shares nothing with the recurrence below.
 
 The series values live in one append-only memo per N, lock-guarded and
 held for the life of the process; the identity and sampling layers read it.
@@ -42,7 +59,7 @@ from fractions import Fraction
 from typing import Iterator, Literal
 
 from .chebyshev import reversed_T
-from .exactnum import ballot_number, dyadic, format_rational
+from .exactnum import dyadic, format_rational
 
 __all__ = [
     "Method",
@@ -191,11 +208,11 @@ def _law(N: int, max_ell: int) -> list[int]:
         return values
 
 
-def _gap(N: int, max_ell: int) -> Fraction:
-    """The exact mass beyond max_ell, 1 - sum_{ell <= max_ell} p_ell, as one
-    integer sum over 2^max_ell."""
+def _gap(numerators: list[int], max_ell: int) -> Fraction:
+    """The exact mass beyond max_ell, 1 - sum_{ell <= max_ell} p_ell, from
+    the numerators a_ell = 2^ell p_ell, as one integer sum over 2^max_ell."""
     total = 0
-    for a in _law(N, max_ell)[: max_ell + 1]:
+    for a in numerators[: max_ell + 1]:
         total = (total << 1) + a
     return dyadic((1 << max_ell) - total, max_ell)
 
@@ -206,7 +223,7 @@ def probnum_series(N: int, max_ell: int) -> ProbTable:
     _check_table_args(N, max_ell)
     law = _law(N, max_ell)
     values = tuple(dyadic(law[ell], ell) for ell in range(max_ell + 1))
-    return ProbTable(N, max_ell, values, "series", _round_up(_gap(N, max_ell)))
+    return ProbTable(N, max_ell, values, "series", _round_up(_gap(law, max_ell)))
 
 
 def trig_value(N: int, ell: int) -> float:
@@ -232,20 +249,14 @@ def probnum_trig(N: int, max_ell: int) -> ProbTable:
 
 
 def probnum_catalan(N: int, ell: int) -> Fraction:
-    """p_ell as an alternating ballot-number sum, exactly.
+    """p_ell as the folded ballot sum, exactly (the closed form, one
+    ``math.comb`` per binomial; the per-index oracle of :func:`catalan_table`).
 
-    For ell an odd multiple of N (write ell = (2k+1) N):
+    With n = ell - 1 and B(n, d) = binom(n, (n - d)/2), zero for d > n:
 
-        p_ell = 2^-ell * sum_{s=1}^{ell/N - 1} (-1)^{k-s} A(ell-1, s N)
-                + (-1)^k * 2^{1-ell}
+        2^ell p_ell = 2 sum_{t >= 0} (-1)^t [B(n, (2t+1)N - 1) - B(n, (2t+1)N + 1)]
 
-    otherwise (ell == N mod 2 required):
-
-        p_ell = 2^-ell * sum_t (-1)^t A(ell-1, (ell - (2t+1) N) / 2)
-
-    with t running over floor((2-ell)/N - 1)/2 .. floor((ell/N - 1)/2) and
-    A(n, k) the ballot number.  The total binomial convention makes the
-    out-of-triangle indices harmless.
+    ell must equal N mod 2; below N the sum is empty and the value is zero.
     """
     if N < 1:
         raise ValueError(f"probnum_catalan requires N >= 1, got N={N}")
@@ -256,34 +267,58 @@ def probnum_catalan(N: int, ell: int) -> Fraction:
             f"parity mismatch: ell={ell} must equal N={N} mod 2 "
             "(off-parity values are identically zero upstream)"
         )
-    if ell % N == 0 and (ell // N) % 2 == 1:
-        k = (ell // N - 1) // 2
-        acc = 0
-        for s in range(1, ell // N):
-            sign = -1 if (k - s) % 2 else 1
-            acc += sign * ballot_number(ell - 1, s * N)
-        boundary_sign = -1 if k % 2 else 1
-        return dyadic(acc + 2 * boundary_sign, ell)
-    # Integer floor division rounds toward -inf, matching the floor bounds.
-    t_lo = (2 - ell - N) // (2 * N)
-    t_hi = (ell - N) // (2 * N)
+    n = ell - 1
     acc = 0
-    for t in range(t_lo, t_hi + 1):
-        sign = -1 if t % 2 else 1
-        acc += sign * ballot_number(ell - 1, (ell - (2 * t + 1) * N) // 2)
-    return dyadic(acc, ell)
+    for t, centre in enumerate(range(N, ell + 1, 2 * N)):
+        term = math.comb(n, (n - centre + 1) // 2)
+        if centre < ell:
+            term -= math.comb(n, (n - centre - 1) // 2)
+        acc += -term if t % 2 else term
+    return dyadic(2 * acc, ell)
+
+
+def _ballot_numerators(N: int, max_ell: int) -> list[int]:
+    """a_ell = 2^ell p_ell for ell = 0..max_ell by the folded ballot sum of
+    :func:`probnum_catalan`, in one pass over the support.
+
+    Each offset d = (2t+1)N -/+ 1 keeps one running binomial, signed
+    (+/-)(-1)^t.  It enters at n = ell - 1 = d as B(d, d) = 1, and each step
+    of the support moves it from n - 2 to n by
+    binom(n, k) = binom(n-2, k-1) n (n-1) / (k (n-k)) with k = (n - d)/2: one
+    multiply and one division, checked to be exact (ArithmeticError on a
+    remainder).  Off-support entries are zero.
+    """
+    # (d, sign) in increasing d: centre - 1 < centre + 1 <= next centre - 1.
+    offsets = [
+        (centre + e, e if t % 2 else -e)
+        for t, centre in enumerate(range(N, max_ell + 1, 2 * N))
+        for e in (-1, 1)
+    ]
+    values = [0] * (max_ell + 1)
+    running: list[int] = []  # the signed B(n, d), in the order of offsets
+    for ell in range(N, max_ell + 1, 2):
+        n = ell - 1
+        step = n * (n - 1)
+        for i, b in enumerate(running):
+            k = (n - offsets[i][0]) >> 1
+            b, remainder = divmod(b * step, k * (n - k))
+            if remainder:
+                raise ArithmeticError(f"N={N}: binom({n}, {k}) is not an integer")
+            running[i] = b
+        while len(running) < len(offsets) and offsets[len(running)][0] == n:
+            running.append(offsets[len(running)][1])
+        values[ell] = 2 * sum(running)
+    return values
 
 
 def catalan_table(N: int, max_ell: int) -> ProbTable:
-    """Exact table assembled index-by-index from :func:`probnum_catalan`
-    (method tag "catalan"); off-support entries are zero by the vanishing
-    rules."""
+    """Exact table from the ballot kernel :func:`_ballot_numerators`
+    (method tag "catalan"); off-support entries are zero."""
     _check_table_args(N, max_ell)
-    values = [Fraction(0)] * (max_ell + 1)
-    for ell in range(N, max_ell + 1, 2):
-        values[ell] = probnum_catalan(N, ell)
-    tail = _round_up(1 - sum(values))
-    return ProbTable(N, max_ell, tuple(values), "catalan", tail)
+    numerators = _ballot_numerators(N, max_ell)
+    values = tuple(dyadic(a, ell) for ell, a in enumerate(numerators))
+    tail = _round_up(_gap(numerators, max_ell))
+    return ProbTable(N, max_ell, values, "catalan", tail)
 
 
 @dataclass(frozen=True)
@@ -308,28 +343,32 @@ def cross_validate(N: int, max_ell: int, tol: float) -> CrossValidationReport:
     """Require series == catalan exactly and |series - trig| <= tol at every
     index through max_ell; returns the worst trig deviation seen.
 
-    Raises :class:`CrossValidationError` naming (N, ell, method pair) on the
-    first disagreement.
+    The exact routes are compared as the integers a_ell = 2^ell p_ell: the
+    law memo against one table of the ballot kernel.  Raises
+    :class:`CrossValidationError` naming (N, ell, method pair) on the first
+    disagreement.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    series = probnum_series(N, max_ell)
+    _check_table_args(N, max_ell)
+    law = _law(N, max_ell)
+    ballot = _ballot_numerators(N, max_ell)
     worst = 0.0
     for ell in range(max_ell + 1):
-        exact = series.values[ell]
-        on_support = ell >= N and (ell - N) % 2 == 0
-        if on_support:
-            by_catalan = probnum_catalan(N, ell)
-            if by_catalan != exact:
+        a = law[ell]
+        if a != ballot[ell]:
+            exact = dyadic(a, ell)
+            if ell >= N and (ell - N) % 2 == 0:
                 raise CrossValidationError(
                     N, ell, "series/catalan",
-                    f"{format_rational(exact)} != {format_rational(by_catalan)}",
+                    f"{format_rational(exact)} != "
+                    f"{format_rational(dyadic(ballot[ell], ell))}",
                 )
-        elif exact != 0:
             raise CrossValidationError(
                 N, ell, "series", f"expected 0 off support, got {exact}"
             )
-        deviation = abs(float(exact) - trig_value(N, ell))
+        # int / int is correctly rounded, so this is float(p_ell).
+        deviation = abs(a / (1 << ell) - trig_value(N, ell))
         worst = max(worst, deviation)
         if deviation > tol:
             raise CrossValidationError(
@@ -342,7 +381,7 @@ def tail_mass(N: int, max_ell: int) -> float:
     """Upper bound on the mass beyond max_ell: one minus the exact partial
     sum, rounded up to the next float."""
     _check_table_args(N, max_ell)
-    return _round_up(_gap(N, max_ell))
+    return _round_up(_gap(_law(N, max_ell), max_ell))
 
 
 def geometric_tail_bound(N: int, max_ell: int) -> float:

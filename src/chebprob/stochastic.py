@@ -35,7 +35,7 @@ import numpy as np
 from .eulerpoly import euler_numbers, euler_poly, eval_poly, gen_euler_recursive
 from .exactnum import Rational
 from .identities import DEFAULT_BAND
-from .probnum import _gap, probnum_series
+from .probnum import _gap, _law, probnum_series
 
 __all__ = [
     "RandomStream",
@@ -162,7 +162,7 @@ def _mu_table(N: int) -> tuple[np.ndarray, np.ndarray]:
         if cached is not None:
             return cached
         max_ell = max(4 * N * N, 64)
-        while _gap(N, max_ell) >= _MU_TABLE_GAP:
+        while _gap(_law(N, max_ell), max_ell) >= _MU_TABLE_GAP:
             max_ell *= 2
         table = probnum_series(N, max_ell)
         support = np.arange(N, table.max_ell + 1, 2, dtype=np.int64)
@@ -290,6 +290,16 @@ def _complex_base(real: float, imag: np.ndarray) -> np.ndarray:
     return base
 
 
+def _point(caller: str, x: Rational) -> tuple[Fraction, float]:
+    """x exactly and as the float the samples are shifted by; a ValueError
+    when that float would not be finite (x beyond the float range)."""
+    try:
+        x = Fraction(x)
+        return x, float(x)
+    except OverflowError:
+        raise ValueError(f"{caller} requires x within the float range") from None
+
+
 def mc_euler_poly(
     stream: RandomStream, n: int, x: Rational, count: int
 ) -> MomentReport:
@@ -304,9 +314,9 @@ def mc_euler_poly(
         raise ValueError(f"mc_euler_poly requires 0 <= n <= {MAX_REP_ORDER}, got n={n}")
     if count < MIN_SAMPLES:
         raise ValueError(f"mc_euler_poly requires count >= {MIN_SAMPLES}, got {count}")
-    x = Fraction(x)
+    x, shift = _point("mc_euler_poly", x)
     draws = sample_sech(stream, count)
-    base = _complex_base(float(x) - 0.5, draws)
+    base = _complex_base(shift - 0.5, draws)
     powers = _complex_power(base, n)
     reference = float(eval_poly(euler_poly(n), x))
     return MomentReport(
@@ -329,11 +339,11 @@ def mc_gen_euler(
         raise ValueError(f"mc_gen_euler requires 1 <= p <= {MAX_GEN_P}, got p={p}")
     if count < MIN_SAMPLES:
         raise ValueError(f"mc_gen_euler requires count >= {MIN_SAMPLES}, got {count}")
-    x = Fraction(x)
+    x, shift = _point("mc_gen_euler", x)
     total = np.zeros(count)
     for child in stream.split(p):
         total += sample_sech(child, count)
-    base = _complex_base(float(x) - 0.5 * p, total)
+    base = _complex_base(shift - 0.5 * p, total)
     powers = _complex_power(base, n)
     reference = float(eval_poly(gen_euler_recursive(n, p), x))
     return MomentReport(

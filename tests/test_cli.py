@@ -178,6 +178,23 @@ class TestFloatFlags:
         assert f"argument {flag}: must be positive and finite" in err
 
 
+class TestInternalFault:
+    def test_a_raising_handler_exits_3_with_its_traceback(self, capsys, monkeypatch):
+        # Exit 1 means a failed check and 2 bad flags; a fault of the program
+        # is neither.
+        import chebprob.cli as cli_module
+
+        def broken(args):
+            raise ValueError("handler fault")
+
+        monkeypatch.setattr(cli_module, "cmd_probnums", broken)
+        code, out, err = run(capsys, "probnums", "--N", "2", "--max-ell", "4")
+        assert code == cli_module.EXIT_INTERNAL == 3
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("ValueError: handler fault\n")
+
+
 class TestMonteCarlo:
     def test_rep(self, capsys):
         code, out, _ = run(
@@ -266,7 +283,15 @@ class TestMonteCarlo:
         assert code == 2
         assert err.startswith(f"error: {flag} must be")
 
-    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["rep", "gen"])
+    def test_x_beyond_the_float_range_is_a_usage_error(self, capsys, kind):
+        # float(10^310) overflows; the sampler shifts by float(x).
+        code, out, err = run(capsys, "montecarlo", kind, "--x", "1" + "0" * 310,
+                             "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: --x must be within the float range\n"
+
+    def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
         # A ValueError from inside the library is a fault, not bad flags.
         import chebprob.stochastic as stochastic_module
 
@@ -274,8 +299,9 @@ class TestMonteCarlo:
             raise ValueError("internal fault")
 
         monkeypatch.setattr(stochastic_module, "mc_klebanov", broken)
-        with pytest.raises(ValueError, match="internal fault"):
-            main(["montecarlo", "klebanov", "--seed", "1"])
+        code, out, err = run(capsys, "montecarlo", "klebanov", "--seed", "1")
+        assert (code, out) == (3, "")
+        assert "Traceback" in err and "ValueError: internal fault" in err
 
     def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("CHEBPROB_SEED", "abc")

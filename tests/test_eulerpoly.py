@@ -21,6 +21,7 @@ from chebprob.eulerpoly import (
     gen_euler_series,
     gen_euler_zero,
 )
+from chebprob.series import TruncatedSeries
 
 
 def series_product(a, b, order):
@@ -153,6 +154,24 @@ class TestGeneralized:
                     gen_euler_recursive(n, p).coefficients
                     == gen_euler_series(n, p).coefficients
                 ), (n, p)
+
+    def test_routes_agree_on_the_grid(self):
+        # The scaled-integer series route against the recursive one, and
+        # against the same expansion in Fractions.
+        for n in range(17):
+            denom = TruncatedSeries.of(
+                [1] + [Fraction(1, 2 * math.factorial(j)) for j in range(1, n + 1)], n
+            )
+            recip = denom.reciprocal()
+            for p in range(25):
+                powered = recip.pow(p)
+                in_fractions = tuple(
+                    math.comb(n, k) * powered[n - k] * math.factorial(n - k)
+                    for k in range(n + 1)
+                )
+                coeffs = gen_euler_series(n, p).coefficients
+                assert coeffs == gen_euler_recursive(n, p).coefficients, (n, p)
+                assert coeffs == in_fractions, (n, p)
 
     @settings(max_examples=40)
     @given(st.integers(0, 10), st.integers(1, 14))

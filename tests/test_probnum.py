@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from chebprob import probnum
 from chebprob.chebyshev import reversed_T
+from chebprob.exactnum import ballot_number
 from chebprob.probnum import (
     CrossValidationError,
     catalan_table,
@@ -98,8 +99,9 @@ MEMO_MAX_ELL = 600
 
 @functools.lru_cache(maxsize=None)
 def catalan_prefix(N: int) -> tuple:
-    # catalan_table fills each index on its own, so catalan_table(N, L) is
-    # this prefix through L; one table per N keeps the property test fast.
+    # The ballot kernel runs up from ell = N and no entry depends on L, so
+    # catalan_table(N, L) is this prefix through L; one table per N keeps the
+    # property test fast.
     return catalan_table(N, MEMO_MAX_ELL).values
 
 
@@ -237,6 +239,67 @@ class TestCatalanRoute:
         table = catalan_table(4, 20)
         assert table.method == "catalan"
         assert table.values == probnum_series(4, 20).values
+
+
+def sign(t: int) -> int:
+    return -1 if t % 2 else 1
+
+
+def two_branch_ballot_sum(N: int, ell: int) -> Fraction:
+    """p_ell by the ballot sum before its folding: one branch for ell an odd
+    multiple of N, one for the rest, one ballot_number per term."""
+    if ell % N == 0 and (ell // N) % 2 == 1:
+        k = (ell // N - 1) // 2
+        acc = sum(
+            sign(k - s) * ballot_number(ell - 1, s * N) for s in range(1, ell // N)
+        )
+        return Fraction(acc + 2 * sign(k), 2**ell)
+    t_lo = (2 - ell - N) // (2 * N)
+    t_hi = (ell - N) // (2 * N)
+    acc = sum(
+        sign(t) * ballot_number(ell - 1, (ell - (2 * t + 1) * N) // 2)
+        for t in range(t_lo, t_hi + 1)
+    )
+    return Fraction(acc, 2**ell)
+
+
+tables = st.integers(1, 40).flatmap(
+    lambda N: st.tuples(st.just(N), st.integers(N, 1000))
+)
+
+
+class TestBallotKernel:
+    def test_folded_sum_equals_the_two_branch_sum(self):
+        for N in range(1, 13):
+            for ell in range(N, 160, 2):
+                expected = two_branch_ballot_sum(N, ell)
+                assert probnum_catalan(N, ell) == expected, (N, ell)
+
+    @settings(max_examples=30, deadline=None)
+    @given(tables, st.data())
+    def test_table_equals_the_series_law(self, case, data):
+        N, L = case
+        table = catalan_table(N, L)
+        series = probnum_series(N, L)
+        assert table.values == series.values
+        assert table.tail_bound == series.tail_bound
+        ell = data.draw(st.integers(0, (L - N) // 2).map(lambda j: N + 2 * j))
+        assert probnum_catalan(N, ell) == table.values[ell]
+
+    def test_cross_validate_catches_one_perturbed_value(self, monkeypatch):
+        # cross_validate compares integers from one kernel table; a wrong
+        # entry in it must still be named.
+        kernel = probnum._ballot_numerators
+
+        def perturbed(N, max_ell):
+            values = kernel(N, max_ell)
+            values[N + 10] += 2
+            return values
+
+        monkeypatch.setattr(probnum, "_ballot_numerators", perturbed)
+        with pytest.raises(CrossValidationError, match="series/catalan") as info:
+            cross_validate(5, 40, 1e-10)
+        assert (info.value.N, info.value.ell) == (5, 15)
 
 
 class TestCrossValidation:

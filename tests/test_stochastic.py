@@ -264,6 +264,14 @@ class TestMomentReports:
         with pytest.raises(ValueError, match="ks_alpha"):
             report.ok(ks_alpha=alpha)
 
+    @pytest.mark.parametrize("x", [10**310, Fraction(-(10**400), 3), float("inf")])
+    def test_x_beyond_the_float_range_rejected(self, x):
+        # The samples are shifted by float(x), which would overflow.
+        with pytest.raises(ValueError, match="mc_euler_poly requires x within"):
+            mc_euler_poly(RandomStream(7), 1, x, 10**4)
+        with pytest.raises(ValueError, match="mc_gen_euler requires x within"):
+            mc_gen_euler(RandomStream(7), 1, 2, x, 10**4)
+
     def test_report_json(self):
         report = mc_gen_euler(RandomStream(5), 1, 2, 0, 10**4)
         doc = report.json_dict()
