@@ -28,6 +28,7 @@ from .eulerpoly import (
     gen_euler_zero,
 )
 from .exactnum import (
+    DomainError,
     ballot_number,
     binomial,
     catalan_sequence,
@@ -77,7 +78,7 @@ _STOCHASTIC = (
 __all__ = [
     "__version__",
     # exactnum
-    "binomial", "catalan_sequence", "ballot_number",
+    "DomainError", "binomial", "catalan_sequence", "ballot_number",
     "convolve", "convolution_power", "format_rational",
     # series
     "TruncatedSeries",

@@ -62,11 +62,10 @@ _ZERO_ROWS: dict[int, list[int]] = {0: [1], 1: [1]}
 
 @dataclass(frozen=True)
 class EulerTable:
-    """Euler numbers E_n and values E_n(0) for n = 0..max_n."""
+    """Euler numbers E_n for n = 0..max_n."""
 
     max_n: int
     euler_numbers: tuple[int, ...]
-    euler_at_zero: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -131,13 +130,12 @@ def _zero_rows_upto(p: int, max_n: int) -> list[int]:
 
 
 def euler_numbers(max_n: int) -> EulerTable:
-    """Euler numbers and values at zero through max_n, exact."""
+    """Euler numbers through max_n, exact."""
     if max_n < 0:
         raise ValueError(f"euler_numbers requires max_n >= 0, got {max_n}")
     with _CACHE_LOCK:
         numbers = tuple(_euler_numbers_upto(max_n))
-        row = _zero_row_one_upto(max_n)
-    return EulerTable(max_n, numbers, _dyadic_row(row, max_n))
+    return EulerTable(max_n, numbers)
 
 
 def gen_euler_zero(p: int, max_n: int) -> tuple[Fraction, ...]:
@@ -146,7 +144,7 @@ def gen_euler_zero(p: int, max_n: int) -> tuple[Fraction, ...]:
         raise ValueError(f"gen_euler_zero requires p >= 0, got p={p}")
     if max_n < 0:
         raise ValueError(f"gen_euler_zero requires max_n >= 0, got {max_n}")
-    return _dyadic_row(_zero_row(p, max_n), max_n)
+    return tuple(dyadic(b, n) for n, b in enumerate(_zero_row(p, max_n)[: max_n + 1]))
 
 
 def _zero_row(p: int, max_n: int) -> list[int]:
@@ -157,10 +155,6 @@ def _zero_row(p: int, max_n: int) -> list[int]:
     """
     with _CACHE_LOCK:
         return _zero_rows_upto(p, max_n)
-
-
-def _dyadic_row(row: list[int], max_n: int) -> tuple[Fraction, ...]:
-    return tuple(dyadic(b, n) for n, b in enumerate(row[: max_n + 1]))
 
 
 def euler_poly(n: int) -> PolyInX:

@@ -18,6 +18,7 @@ Rational = Union[int, Fraction]
 
 __all__ = [
     "Rational",
+    "DomainError",
     "binomial",
     "catalan_sequence",
     "ballot_number",
@@ -28,6 +29,12 @@ __all__ = [
     "eval_exact",
     "format_rational",
 ]
+
+
+class DomainError(ValueError):
+    """An argument outside the domain of a public entry point, raised by the
+    checks at its top before any work is done.  The command line reports it
+    as a usage error; every other exception is a fault of the program."""
 
 
 def binomial(n: int, k: int) -> int:

@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .eulerpoly import _zero_row, euler_poly, eval_poly
 from .exactnum import (
+    DomainError,
     Rational,
     binomial,
     catalan_sequence,
@@ -130,6 +131,21 @@ def _default_max_k(n: int, N: int, tol: float) -> int:
     return high
 
 
+def _check_sum_args(
+    caller: str, n: int, N: int, tol: float, max_k: int | None
+) -> None:
+    """The domain of the weighted sums: n >= 0, N >= 1, a finite tol > 0 and,
+    when one is given, a term budget max_k >= N (below N it admits no term)."""
+    if n < 0:
+        raise DomainError(f"{caller} requires n >= 0, got n={n}")
+    if N < 1:
+        raise DomainError(f"{caller} requires N >= 1, got N={N}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"{caller}: tol must be positive and finite, got {tol}")
+    if max_k is not None and max_k < N:
+        raise DomainError(f"{caller} requires max_k >= N, got max_k={max_k} < N={N}")
+
+
 def _weighted_sums(n: int, N: int, x: Fraction, max_k: int):
     """Yield (k, total, term, den) for k = N, N+2, ..., max_k (off-parity
     weights vanish), all integers: total / den is the partial sum over j <= k
@@ -171,12 +187,7 @@ def reconstruct_euler(
     :class:`ConvergenceError` when the budget ``max_k`` is exhausted first;
     by default it is the least k >= 2000 with k^n cos(pi/2N)^k <= tol.
     """
-    if n < 0:
-        raise ValueError(f"reconstruct_euler requires n >= 0, got n={n}")
-    if N < 1:
-        raise ValueError(f"reconstruct_euler requires N >= 1, got N={N}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_sum_args("reconstruct_euler", n, N, tol, max_k)
     x = Fraction(x)
     target = eval_poly(euler_poly(n), x)
     tol_exact = Fraction(tol)
@@ -229,12 +240,7 @@ def expectation_form_check(
     """Truncate sum_k p_k E_n^{(k)}(k/2) against N^n E_n(1/2) and return the
     exact absolute difference once it is within ``tol``, summing at most to
     ``max_k`` (by default, as in :func:`reconstruct_euler`)."""
-    if n < 0:
-        raise ValueError(f"expectation_form_check requires n >= 0, got n={n}")
-    if N < 1:
-        raise ValueError(f"expectation_form_check requires N >= 1, got N={N}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_sum_args("expectation_form_check", n, N, tol, max_k)
     target = Fraction(N) ** n * eval_poly(euler_poly(n), Fraction(1, 2))
     tol_exact = Fraction(tol)
     if max_k is None:
@@ -278,9 +284,7 @@ class QSequence:
 
 
 def q_sequence(N: int, max_ell: int) -> QSequence:
-    if N < 1:
-        raise ValueError(f"q_sequence requires N >= 1, got N={N}")
-    _check_table_args(N, max_ell)
+    _check_table_args("q_sequence", N, max_ell)
     # q_ell = a_ell / 2 with a_ell = 2^ell p_ell the integers of the law memo.
     values = tuple(Fraction(a, 2) for a in _law(N, max_ell)[: max_ell + 1])
     return QSequence(N, values)

@@ -59,7 +59,7 @@ from fractions import Fraction
 from typing import Iterator, Literal
 
 from .chebyshev import reversed_T
-from .exactnum import dyadic, format_rational
+from .exactnum import DomainError, dyadic, format_rational
 
 __all__ = [
     "Method",
@@ -220,7 +220,7 @@ def _gap(numerators: list[int], max_ell: int) -> Fraction:
 def probnum_series(N: int, max_ell: int) -> ProbTable:
     """Exact table of p_0..p_max_ell via the reciprocal series of the
     reversed polynomial (method tag "series")."""
-    _check_table_args(N, max_ell)
+    _check_table_args("probnum_series", N, max_ell)
     law = _law(N, max_ell)
     values = tuple(dyadic(law[ell], ell) for ell in range(max_ell + 1))
     return ProbTable(N, max_ell, values, "series", _round_up(_gap(law, max_ell)))
@@ -243,7 +243,7 @@ def probnum_trig(N: int, max_ell: int) -> ProbTable:
     "trig").  Off-support entries carry the formula's cancellation residue,
     of the order of machine epsilon.  The tail bound is the geometric bound
     from the dominant root cos(pi/(2N))."""
-    _check_table_args(N, max_ell)
+    _check_table_args("probnum_trig", N, max_ell)
     values = tuple(trig_value(N, ell) for ell in range(max_ell + 1))
     return ProbTable(N, max_ell, values, "trig", geometric_tail_bound(N, max_ell))
 
@@ -314,7 +314,7 @@ def _ballot_numerators(N: int, max_ell: int) -> list[int]:
 def catalan_table(N: int, max_ell: int) -> ProbTable:
     """Exact table from the ballot kernel :func:`_ballot_numerators`
     (method tag "catalan"); off-support entries are zero."""
-    _check_table_args(N, max_ell)
+    _check_table_args("catalan_table", N, max_ell)
     numerators = _ballot_numerators(N, max_ell)
     values = tuple(dyadic(a, ell) for ell, a in enumerate(numerators))
     tail = _round_up(_gap(numerators, max_ell))
@@ -349,8 +349,8 @@ def cross_validate(N: int, max_ell: int, tol: float) -> CrossValidationReport:
     disagreement.
     """
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    _check_table_args(N, max_ell)
+        raise DomainError(f"cross_validate: tol must be positive and finite, got {tol}")
+    _check_table_args("cross_validate", N, max_ell)
     law = _law(N, max_ell)
     ballot = _ballot_numerators(N, max_ell)
     worst = 0.0
@@ -380,7 +380,7 @@ def cross_validate(N: int, max_ell: int, tol: float) -> CrossValidationReport:
 def tail_mass(N: int, max_ell: int) -> float:
     """Upper bound on the mass beyond max_ell: one minus the exact partial
     sum, rounded up to the next float."""
-    _check_table_args(N, max_ell)
+    _check_table_args("tail_mass", N, max_ell)
     return _round_up(_gap(_law(N, max_ell), max_ell))
 
 
@@ -396,11 +396,14 @@ def geometric_tail_bound(N: int, max_ell: int) -> float:
     return c**max_ell / (1.0 - c)
 
 
-def _check_table_args(N: int, max_ell: int) -> None:
+def _check_table_args(caller: str, N: int, max_ell: int) -> None:
+    """The domain of a table of the law: N >= 1 and max_ell >= N."""
     if N < 1:
-        raise ValueError(f"N must be >= 1, got N={N}")
+        raise DomainError(f"{caller} requires N >= 1, got N={N}")
     if max_ell < N:
-        raise ValueError(f"max_ell must be >= N, got max_ell={max_ell} < N={N}")
+        raise DomainError(
+            f"{caller} requires max_ell >= N, got max_ell={max_ell} < N={N}"
+        )
 
 
 def _round_up(gap: Fraction) -> float:

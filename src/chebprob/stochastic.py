@@ -32,8 +32,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .eulerpoly import euler_numbers, euler_poly, eval_poly, gen_euler_recursive
-from .exactnum import Rational
+from .eulerpoly import (
+    PolyInX, euler_numbers, euler_poly, eval_poly, gen_euler_recursive,
+)
+from .exactnum import DomainError, Rational
 from .identities import DEFAULT_BAND
 from .probnum import _gap, _law, probnum_series
 
@@ -290,14 +292,31 @@ def _complex_base(real: float, imag: np.ndarray) -> np.ndarray:
     return base
 
 
-def _point(caller: str, x: Rational) -> tuple[Fraction, float]:
-    """x exactly and as the float the samples are shifted by; a ValueError
-    when that float would not be finite (x beyond the float range)."""
+def _point(caller: str, poly: PolyInX, x: Rational) -> tuple[float, float]:
+    """x as the float the samples are shifted by, and the float of the
+    reference value poly(x); a DomainError, before any sampling, when either
+    would not be finite."""
     try:
         x = Fraction(x)
-        return x, float(x)
+        return float(x), float(eval_poly(poly, x))
     except OverflowError:
-        raise ValueError(f"{caller} requires x within the float range") from None
+        raise DomainError(
+            f"{caller} requires x within the float range, and its reference value too"
+        ) from None
+
+
+def _power_report(
+    real: float, imag: np.ndarray, n: int, reference: float
+) -> MomentReport:
+    """The mean of (real + i imag)^n against reference + 0 i."""
+    powers = _complex_power(_complex_base(real, imag), n)
+    return MomentReport(
+        sample_size=len(imag),
+        entries=(
+            _entry("real", powers.real, reference),
+            _entry("imag", powers.imag, 0.0),
+        ),
+    )
 
 
 def mc_euler_poly(
@@ -311,21 +330,13 @@ def mc_euler_poly(
     (``MAX_REP_ORDER``).
     """
     if not 0 <= n <= MAX_REP_ORDER:
-        raise ValueError(f"mc_euler_poly requires 0 <= n <= {MAX_REP_ORDER}, got n={n}")
+        raise DomainError(
+            f"mc_euler_poly requires 0 <= n <= {MAX_REP_ORDER}, got n={n}"
+        )
     if count < MIN_SAMPLES:
-        raise ValueError(f"mc_euler_poly requires count >= {MIN_SAMPLES}, got {count}")
-    x, shift = _point("mc_euler_poly", x)
-    draws = sample_sech(stream, count)
-    base = _complex_base(shift - 0.5, draws)
-    powers = _complex_power(base, n)
-    reference = float(eval_poly(euler_poly(n), x))
-    return MomentReport(
-        sample_size=count,
-        entries=(
-            _entry("real", powers.real, reference),
-            _entry("imag", powers.imag, 0.0),
-        ),
-    )
+        raise DomainError(f"mc_euler_poly requires count >= {MIN_SAMPLES}, got {count}")
+    shift, reference = _point("mc_euler_poly", euler_poly(n), x)
+    return _power_report(shift - 0.5, sample_sech(stream, count), n, reference)
 
 
 def mc_gen_euler(
@@ -334,25 +345,16 @@ def mc_gen_euler(
     """Monte Carlo estimate of E_n^{(p)}(x) as the mean of
     (x - p/2 + i (L_1 + ... + L_p))^n over independent sech draws."""
     if not 0 <= n <= MAX_GEN_ORDER:
-        raise ValueError(f"mc_gen_euler requires 0 <= n <= {MAX_GEN_ORDER}, got n={n}")
+        raise DomainError(f"mc_gen_euler requires 0 <= n <= {MAX_GEN_ORDER}, got n={n}")
     if not 1 <= p <= MAX_GEN_P:
-        raise ValueError(f"mc_gen_euler requires 1 <= p <= {MAX_GEN_P}, got p={p}")
+        raise DomainError(f"mc_gen_euler requires 1 <= p <= {MAX_GEN_P}, got p={p}")
     if count < MIN_SAMPLES:
-        raise ValueError(f"mc_gen_euler requires count >= {MIN_SAMPLES}, got {count}")
-    x, shift = _point("mc_gen_euler", x)
+        raise DomainError(f"mc_gen_euler requires count >= {MIN_SAMPLES}, got {count}")
+    shift, reference = _point("mc_gen_euler", gen_euler_recursive(n, p), x)
     total = np.zeros(count)
     for child in stream.split(p):
         total += sample_sech(child, count)
-    base = _complex_base(shift - 0.5 * p, total)
-    powers = _complex_power(base, n)
-    reference = float(eval_poly(gen_euler_recursive(n, p), x))
-    return MomentReport(
-        sample_size=count,
-        entries=(
-            _entry("real", powers.real, reference),
-            _entry("imag", powers.imag, 0.0),
-        ),
-    )
+    return _power_report(shift - 0.5 * p, total, n, reference)
 
 
 def _random_sums(stream: RandomStream, mu: np.ndarray) -> np.ndarray:
@@ -458,9 +460,9 @@ def mc_klebanov(stream: RandomStream, N: int, count: int) -> MomentReport:
     KS test, with its exact p-value, against as many direct sech draws.
     """
     if N < 2:
-        raise ValueError(f"mc_klebanov requires N >= 2, got N={N}")
+        raise DomainError(f"mc_klebanov requires N >= 2, got N={N}")
     if count < MIN_KLEBANOV_SAMPLES:
-        raise ValueError(
+        raise DomainError(
             f"mc_klebanov requires count >= {MIN_KLEBANOV_SAMPLES}, got {count}"
         )
     mu_stream, sech_stream, reference_stream = stream.split(3)
@@ -494,7 +496,7 @@ def moment_integral_check(k: int) -> float:
     alone exceeds the 1e-10 contract, are refused.
     """
     if not 0 <= k <= MAX_MOMENT_ORDER:
-        raise ValueError(
+        raise DomainError(
             f"moment_integral_check requires 0 <= k <= {MAX_MOMENT_ORDER}, got k={k}"
         )
     value = _trapezoid_moment(k, _QUAD_STEP)

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import chebprob
 
+from chebprob import identities, probnum, stochastic
 from chebprob.cli import main, parse_rational, UsageError
+from chebprob.exactnum import DomainError
 
 
 def run(capsys, *argv):
@@ -49,11 +52,6 @@ class TestProbnums:
         assert lines[1] == "2,1/2,0.5"
         assert lines[2] == "4,1/4,0.25"
         assert "max trig deviation" in err
-
-    def test_usage_error_max_ell(self, capsys):
-        code, _, err = run(capsys, "probnums", "--N", "4", "--max-ell", "3")
-        assert code == 2
-        assert "max-ell" in err
 
     def test_cross_validation_run(self, capsys):
         code, out, _ = run(
@@ -139,17 +137,6 @@ class TestIdentity:
         assert code == 1
         assert "by k=100, the end of the term budget" in err
 
-    def test_budget_below_N_is_a_usage_error(self, capsys):
-        # A budget below N admits no term k >= N; a budget of N admits one.
-        argv = ("identity", "--n", "2", "--N", "3", "--x", "1/3", "--max-terms")
-        for budget in ("-5", "2"):
-            code, _, err = run(capsys, *argv, budget)
-            assert code == 2
-            assert "--max-terms must be >= N" in err
-        code, _, err = run(capsys, *argv, "3")
-        assert code == 1
-        assert "by k=3, the end of the term budget" in err
-
     def test_decimal_rejected(self, capsys):
         code, _, err = run(
             capsys, "identity", "--n", "1", "--N", "2", "--x", "0.25",
@@ -220,16 +207,6 @@ class TestMonteCarlo:
         document = json.loads(out)
         assert document["deviation"] <= 1e-10
 
-    def test_integral_order_cap(self, capsys):
-        from chebprob.stochastic import MAX_MOMENT_ORDER
-
-        code, out, _ = run(capsys, "montecarlo", "integral", "--k", str(MAX_MOMENT_ORDER))
-        assert code == 0
-        for k in (MAX_MOMENT_ORDER + 1, 150, -1):
-            code, _, err = run(capsys, "montecarlo", "integral", "--k", str(k))
-            assert code == 2
-            assert "--k" in err
-
     def test_gen(self, capsys):
         code, out, _ = run(
             capsys, "montecarlo", "gen", "--n", "1", "--p", "4", "--x", "0",
@@ -256,14 +233,6 @@ class TestMonteCarlo:
         assert code == 0
         assert "-> ok" in out
 
-    def test_sample_floor_enforced(self, capsys):
-        code, _, err = run(
-            capsys, "montecarlo", "rep", "--n", "1", "--x", "0",
-            "--samples", "100", "--seed", "1",
-        )
-        assert code == 2
-        assert "samples" in err
-
     def test_missing_x_rejected(self, capsys):
         code, _, err = run(
             capsys, "montecarlo", "rep", "--n", "1", "--samples", "10000",
@@ -271,25 +240,6 @@ class TestMonteCarlo:
         )
         assert code == 2
         assert "--x" in err
-
-    @pytest.mark.parametrize("argv, flag", [
-        (("klebanov", "--samples", "20000"), "--samples"),
-        (("rep", "--n", "9", "--x", "0"), "--n"),
-        (("gen", "--n", "7", "--x", "0"), "--n"),
-        (("gen", "--p", "11", "--x", "0"), "--p"),
-    ])
-    def test_library_limits_are_usage_errors(self, capsys, argv, flag):
-        code, _, err = run(capsys, "montecarlo", *argv, "--seed", "1")
-        assert code == 2
-        assert err.startswith(f"error: {flag} must be")
-
-    @pytest.mark.parametrize("kind", ["rep", "gen"])
-    def test_x_beyond_the_float_range_is_a_usage_error(self, capsys, kind):
-        # float(10^310) overflows; the sampler shifts by float(x).
-        code, out, err = run(capsys, "montecarlo", kind, "--x", "1" + "0" * 310,
-                             "--seed", "1")
-        assert (code, out) == (2, "")
-        assert err == "error: --x must be within the float range\n"
 
     def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
         # A ValueError from inside the library is a fault, not bad flags.
@@ -317,6 +267,92 @@ class TestMonteCarlo:
         )
         assert code == 0
         assert json.loads(out)["seed"] == 99
+
+
+# (id, CLI arguments, the library call they reach with the CLI's defaults).
+# Every range is the library's: the command line checks syntax only.
+STREAM = stochastic.RandomStream(1)
+BEYOND_FLOAT = 10**310
+# float(10^300) is finite, but E_8 and E_6^{(2)} at 10^300 are not.
+BEYOND_REFERENCE = 10**300
+REFUSED = [
+    ("probnums-N", ("probnums", "--N", "0", "--max-ell", "5"),
+     lambda: probnum.probnum_series(0, 5)),
+    ("probnums-max-ell", ("probnums", "--N", "4", "--max-ell", "3"),
+     lambda: probnum.probnum_series(4, 3)),
+    ("trig-max-ell", ("probnums", "--N", "4", "--max-ell", "3", "--method", "trig"),
+     lambda: probnum.probnum_trig(4, 3)),
+    ("catalan-max-ell",
+     ("probnums", "--N", "4", "--max-ell", "3", "--method", "catalan"),
+     lambda: probnum.catalan_table(4, 3)),
+    ("all-N", ("probnums", "--N", "-3", "--max-ell", "5", "--method", "all"),
+     lambda: probnum.cross_validate(-3, 5, 1e-10)),
+    ("identity-N", ("identity", "--n", "2", "--N", "0", "--x", "1/3"),
+     lambda: identities.reconstruct_euler(2, 0, Fraction(1, 3), 1e-9)),
+    ("identity-n", ("identity", "--n", "-1", "--N", "3", "--x", "1/3"),
+     lambda: identities.reconstruct_euler(-1, 3, Fraction(1, 3), 1e-9)),
+    ("max-terms-negative",
+     ("identity", "--n", "2", "--N", "3", "--x", "1/3", "--max-terms", "-5"),
+     lambda: identities.reconstruct_euler(2, 3, Fraction(1, 3), 1e-9, max_k=-5)),
+    ("max-terms-below-N",
+     ("identity", "--n", "2", "--N", "3", "--x", "1/3", "--max-terms", "2"),
+     lambda: identities.reconstruct_euler(2, 3, Fraction(1, 3), 1e-9, max_k=2)),
+    ("integral-k-15", ("montecarlo", "integral", "--k", "15"),
+     lambda: stochastic.moment_integral_check(15)),
+    ("integral-k-150", ("montecarlo", "integral", "--k", "150"),
+     lambda: stochastic.moment_integral_check(150)),
+    ("integral-k-negative", ("montecarlo", "integral", "--k", "-1"),
+     lambda: stochastic.moment_integral_check(-1)),
+    ("rep-samples", ("montecarlo", "rep", "--x", "0", "--samples", "100"),
+     lambda: stochastic.mc_euler_poly(STREAM, 1, 0, 100)),
+    ("gen-samples", ("montecarlo", "gen", "--x", "0", "--samples", "9999"),
+     lambda: stochastic.mc_gen_euler(STREAM, 1, 1, 0, 9999)),
+    ("klebanov-samples", ("montecarlo", "klebanov", "--samples", "20000"),
+     lambda: stochastic.mc_klebanov(STREAM, 2, 20000)),
+    ("klebanov-N", ("montecarlo", "klebanov", "--N", "1"),
+     lambda: stochastic.mc_klebanov(STREAM, 1, 10**5)),
+    ("rep-n", ("montecarlo", "rep", "--n", "9", "--x", "0"),
+     lambda: stochastic.mc_euler_poly(STREAM, 9, 0, 10**5)),
+    ("gen-n", ("montecarlo", "gen", "--n", "7", "--x", "0"),
+     lambda: stochastic.mc_gen_euler(STREAM, 7, 1, 0, 10**5)),
+    ("gen-p", ("montecarlo", "gen", "--p", "11", "--x", "0"),
+     lambda: stochastic.mc_gen_euler(STREAM, 1, 11, 0, 10**5)),
+    ("gen-p-0", ("montecarlo", "gen", "--p", "0", "--x", "0"),
+     lambda: stochastic.mc_gen_euler(STREAM, 1, 0, 0, 10**5)),
+    ("rep-x", ("montecarlo", "rep", "--x", str(BEYOND_FLOAT)),
+     lambda: stochastic.mc_euler_poly(STREAM, 1, BEYOND_FLOAT, 10**5)),
+    ("gen-x", ("montecarlo", "gen", "--x", f"-{BEYOND_FLOAT}/3"),
+     lambda: stochastic.mc_gen_euler(
+         STREAM, 1, 1, Fraction(-BEYOND_FLOAT, 3), 10**5)),
+    ("rep-reference",
+     ("montecarlo", "rep", "--n", "8", "--x", str(BEYOND_REFERENCE),
+      "--samples", "10000"),
+     lambda: stochastic.mc_euler_poly(STREAM, 8, BEYOND_REFERENCE, 10**4)),
+    ("gen-reference",
+     ("montecarlo", "gen", "--n", "6", "--p", "2", "--x", str(BEYOND_REFERENCE),
+      "--samples", "10000"),
+     lambda: stochastic.mc_gen_euler(STREAM, 6, 2, BEYOND_REFERENCE, 10**4)),
+]
+
+
+class TestDomain:
+    @pytest.mark.parametrize(
+        "argv, call", [row[1:] for row in REFUSED], ids=[row[0] for row in REFUSED]
+    )
+    def test_refused_in_the_library_words(self, capsys, monkeypatch, argv, call):
+        # Exit 2, nothing on stdout, and the library's own message; nothing is
+        # sampled first (a draw would end in exit 3).
+        def no_draws(*args):
+            raise AssertionError("a refused input reached the sampler")
+
+        monkeypatch.setattr(stochastic, "sample_sech", no_draws)
+        monkeypatch.setattr(stochastic, "sample_mu", no_draws)
+        monkeypatch.delenv("CHEBPROB_SEED", raising=False)
+        with pytest.raises(DomainError) as info:
+            call()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {info.value}\n"
 
 
 class TestDeterminism:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from chebprob.chebyshev import chebyshev_T
 from chebprob.eulerpoly import euler_poly, eval_poly, gen_euler_recursive
+from chebprob.exactnum import DomainError
 from chebprob.identities import (
     DEFAULT_MAX_K,
     ConvergenceError,
@@ -205,15 +206,30 @@ class TestIntegerLoop:
         N=st.integers(1, 6),
         x=points,
         tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
-        max_k=st.one_of(st.just(DEFAULT_MAX_K), st.integers(0, 30)),
+        data=st.data(),
     )
-    def test_equals_the_fraction_loop(self, n, N, x, tol, max_k):
+    def test_equals_the_fraction_loop(self, n, N, x, tol, data):
         # Field for field, terms_used and first_small_term_k included; at a
-        # small budget, the same ConvergenceError and achieved_error.
+        # small budget, the same ConvergenceError and achieved_error.  A
+        # budget below N is outside the domain (test_budget_below_N_refused).
+        max_k = data.draw(st.one_of(st.just(DEFAULT_MAX_K), st.integers(N, 30)))
         got = outcome(reconstruct_euler, n, N, x, tol, max_k)
         assert got == outcome(reference_reconstruct, n, N, x, tol, max_k)
         got = outcome(expectation_form_check, n, N, tol, max_k)
         assert got == outcome(reference_expectation, n, N, tol, max_k)
+
+    @pytest.mark.parametrize("max_k", [-5, 0, 2])
+    def test_budget_below_N_refused(self, max_k):
+        # Such a budget admits no term k >= N, so the sum never starts; it
+        # used to end in a ConvergenceError with an achieved error of 0.
+        message = f"requires max_k >= N, got max_k={max_k} < N=3"
+        with pytest.raises(DomainError, match=message):
+            reconstruct_euler(1, 3, Fraction(1, 2), 1e-9, max_k=max_k)
+        with pytest.raises(DomainError, match=message):
+            expectation_form_check(1, 3, 1e-9, max_k)
+        # A budget of N admits the one term k = N.
+        with pytest.raises(ConvergenceError, match="by k=3, the end of the term budget"):
+            reconstruct_euler(2, 3, Fraction(1, 3), 1e-9, max_k=3)
 
 
 class TestExpectationForm:
