@@ -63,7 +63,6 @@ from .probnum import (
     tail_mass,
     trig_value,
 )
-from .series import TruncatedSeries
 
 __version__ = "0.1.0"
 
@@ -80,8 +79,6 @@ __all__ = [
     # exactnum
     "DomainError", "binomial", "catalan_sequence", "ballot_number",
     "convolve", "convolution_power", "format_rational",
-    # series
-    "TruncatedSeries",
     # chebyshev
     "DensePolynomial", "chebyshev_T", "chebyshev_U", "reversed_T",
     # probnum

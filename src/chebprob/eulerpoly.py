@@ -15,16 +15,18 @@ required to agree coefficient-for-coefficient:
   values at zero, E_n^{(p)}(0) = sum_k binom(n, k) E_k^{(p-1)}(0) E_{n-k}(0),
   then expands E_n^{(p)}(x) = sum_k binom(n, k) x^k E_{n-k}^{(p)}(0).
 * ``gen_euler_series`` expands the generating function directly in the
-  ordinary basis: the long-division reciprocal of (1 + e^z)/2, raised to the
-  p-th power by repeated squaring (``exactnum.convolution_power``), then
-  multiplied by the e^{xz} series symbolically in x.  It runs in integers
-  scaled by K = 2^n n!: the ordinary coefficient of z^m in any power of
-  2/(1 + e^z) is E_m^{(p)}(0)/m!, whose denominator divides 2^m m! and so K,
-  so the division by the constant term K is exact at every step, the p-th
-  power holds K^p times the coefficients, and one Fraction is made per
-  output coefficient.  It shares no row with the recursive route: a
-  division and a convolution power, not binomial convolutions of values at
-  zero, so each route stays an oracle for the other.
+  ordinary basis: the reciprocal of (1 + e^z)/2 by the integer long division
+  ``exactnum.extend_quotient`` (the kernel that also extends the law of
+  mu_N), raised to the p-th power by repeated squaring
+  (``exactnum.convolution_power``), then multiplied by the e^{xz} series
+  symbolically in x.  It runs in integers scaled by K = 2^n n!: the ordinary
+  coefficient of z^m in any power of 2/(1 + e^z) is E_m^{(p)}(0)/m!, whose
+  denominator divides 2^m m! and so K, so the division by the constant term
+  K is exact at every step, the p-th power holds K^p times the
+  coefficients, and one Fraction is made per output coefficient.  It shares
+  no row with the recursive route: a division and a convolution power, not
+  binomial convolutions of values at zero, so each route stays an oracle
+  for the other.
 
 The value-at-zero rows of the recursive route are memoized per order behind
 a lock; the identity sweeps downstream touch hundreds of orders and reuse
@@ -40,7 +42,14 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Rational, binomial, convolution_power, dyadic, eval_exact
+from .exactnum import (
+    Rational,
+    binomial,
+    convolution_power,
+    dyadic,
+    eval_exact,
+    extend_quotient,
+)
 
 __all__ = [
     "EulerTable",
@@ -197,16 +206,11 @@ def gen_euler_series(n: int, p: int) -> PolyInX:
         raise ValueError(f"gen_euler_series requires p >= 0, got p={p}")
     # Ordinary coefficients times K = 2^n n!: K (1 + e^z)/2 is K, K/(2 j!),
     # and K times 2/(1 + e^z) is integral through z^n, so its long division
-    # divides exactly by the constant term K.
+    # divides exactly by the constant term K.  The n leading zeros pad the
+    # kernel's list; z^m sits at index n + m.
     K = math.factorial(n) << n
-    denom = [K] + [K // (2 * math.factorial(j)) for j in range(1, n + 1)]
-    recip = [K]
-    for m in range(1, n + 1):
-        acc = sum(denom[i] * recip[m - i] for i in range(1, m + 1))
-        r, remainder = divmod(-acc, K)
-        if remainder:
-            raise ArithmeticError(f"2^{n} {n}! / (1 + e^z) is not integral at z^{m}")
-        recip.append(r)
+    taps = [(j, K // (2 * math.factorial(j))) for j in range(1, n + 1)]
+    recip = extend_quotient(taps, K, [0] * n + [K], 2 * n)[n:]
     # K^p times the ordinary coefficients c_m of (2/(1 + e^z))^p; the
     # coefficient of x^k is binom(n, k) (n-k)! c_{n-k} = (n!/k!) c_{n-k}.
     powered = convolution_power(recip, p, n + 1) if p else [1] + [0] * n

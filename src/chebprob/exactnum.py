@@ -1,5 +1,6 @@
 """Exact combinatorial primitives: binomials, Catalan and ballot numbers,
-sequence convolution, dyadic rationals and exact Horner evaluation.
+sequence convolution, integer series long division, dyadic rationals and
+exact Horner evaluation.
 
 All arithmetic here is exact.  Plain ``int`` is the arbitrary-precision
 integer and :class:`fractions.Fraction` the exact rational (always stored
@@ -24,6 +25,7 @@ __all__ = [
     "ballot_number",
     "convolve",
     "convolution_power",
+    "extend_quotient",
     "dyadic",
     "horner",
     "eval_exact",
@@ -124,6 +126,29 @@ def convolution_power(
             base = convolve(base, base, cap)
     assert result is not None
     return result[:cap]
+
+
+def extend_quotient(
+    taps: Sequence[tuple[int, int]], c0: int, values: list[int], last: int
+) -> list[int]:
+    """Extend ``values`` in place through index ``last`` by the long division
+    c0 a_m = -sum_i t_i a_{m-i} over the nonzero taps (i, t_i), i >= 1, of an
+    integer denominator c0 + t_1 z + t_2 z^2 + ...; returns ``values``.
+
+    This is the one integer series reciprocal of the package: the law of
+    mu_N and the Euler series route both run it.  The caller pads ``values``
+    with at least max(i) leading entries (zeros before the first term of the
+    quotient), so every a_{m-i} exists and the loop tests no bound.  Each
+    step is a checked ``divmod``: a remainder raises ArithmeticError naming
+    the index, for the quotient is then not integral.  The kernel keeps no
+    state; callers that share ``values`` between threads hold their lock.
+    """
+    for m in range(len(values), last + 1):
+        a, remainder = divmod(-sum(t * values[m - i] for i, t in taps), c0)
+        if remainder:
+            raise ArithmeticError(f"division by {c0} is not exact at ell={m}")
+        values.append(a)
+    return values
 
 
 _ZERO = Fraction(0)

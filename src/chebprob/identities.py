@@ -10,7 +10,8 @@
   sum_k p_k E_n^{(k)}(k/2) = N^n E_n(1/2), again exactly.
 * ``asymptotic_ratio`` tracks the large-N behaviour of the generating
   function 1/T_N(1/z) against the geometric factor (z / (1 + sqrt(1-z^2)))^N.
-  Empirically the ratio tends to 2, not 1; callers assert the observed limit.
+  The ratio is 2 / (1 + a^(-2N)) with a = (1 + sqrt(1-z^2))/z > 1 (proved in
+  its docstring), so it increases in N and tends to 2, not 1.
 * ``catalan_prefix_check`` verifies that the normalized coefficients
   q_ell = 2^{ell-1} p_ell start out as the N-th convolution power of the
   Catalan numbers and first disagree exactly at ell = 3N.
@@ -32,11 +33,11 @@ from .exactnum import (
     binomial,
     catalan_sequence,
     convolution_power,
+    convolve,
     format_rational,
     horner,
 )
 from .probnum import _check_table_args, _law
-from .series import TruncatedSeries
 
 __all__ = [
     "ConvergenceError",
@@ -340,13 +341,15 @@ def catalan_prefix_check(N: int) -> CatalanPrefixReport:
 class CatalanGFReport:
     order: int
     ok: bool
-    residual: tuple[Fraction, ...]
+    residual: tuple[int, ...]
 
 
 def catalan_gf_check(order: int) -> CatalanGFReport:
     """Check z S^2 - S + 1 = 0 through z^order for the Catalan series S."""
     if order < 1:
         raise ValueError(f"catalan_gf_check requires order >= 1, got {order}")
-    s = TruncatedSeries.of(catalan_sequence(order + 1), order)
-    residual = s.pow(2).shift(1) - s + TruncatedSeries.one(order)
-    return CatalanGFReport(order, residual.is_zero(), residual.coefficients)
+    s = catalan_sequence(order + 1)
+    # 1 + z S^2 through z^order, from S^2 through z^(order - 1).
+    one_plus_z_square = [1] + convolve(s, s, order)
+    residual = tuple(a - b for a, b in zip(one_plus_z_square, s))
+    return CatalanGFReport(order, not any(residual), residual)

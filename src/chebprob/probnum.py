@@ -6,7 +6,8 @@ supported on {N, N+2, N+4, ...}.  This module computes them by three
 independent routes and cross-validates:
 
 * ``probnum_series``  -- exact: z^N times the truncated reciprocal of the
-  reversed Chebyshev polynomial (long division over rationals).
+  reversed Chebyshev polynomial, by the integer long division of
+  ``exactnum.extend_quotient``.
 * ``probnum_trig``    -- float: the root-angle formula
   p_ell = (1/N) sum_{k=1}^{N} (-1)^{k+1} sin(t_k) cos(t_k)^{ell-1}
   with t_k = (2k-1) pi / (2N).
@@ -43,7 +44,9 @@ a_ell = 2^ell p_ell, which obey
 
     a_ell = -(2 c_1 a_{ell-1} + 4 c_2 a_{ell-2} + ... + 2^N c_N a_{ell-N}) / c_0
 
-with c_0 = 2^(N-1), a division that is checked to be exact.  Each new term
+with c_0 = 2^(N-1): the package's one integer long division,
+``exactnum.extend_quotient``, which checks each division to be exact over
+the taps 2^i c_i and the memo padded with N leading zeros.  Each new term
 costs O(N) integer operations (only the nonzero taps are kept) and no gcd,
 a longer table never redoes the terms already held, and a Fraction is made
 only where a public function returns one.
@@ -59,7 +62,7 @@ from fractions import Fraction
 from typing import Iterator, Literal
 
 from .chebyshev import reversed_T
-from .exactnum import DomainError, dyadic, format_rational
+from .exactnum import DomainError, dyadic, extend_quotient, format_rational
 
 __all__ = [
     "Method",
@@ -184,7 +187,7 @@ class ProbTable:
 
 def _law(N: int, max_ell: int) -> list[int]:
     """The memo of mu_N as the integers a_ell = 2^ell p_ell, extended through
-    ``max_ell``.
+    ``max_ell`` by :func:`~.exactnum.extend_quotient`.
 
     The list is append-only: callers index or slice it below ``max_ell``
     without the lock, and never mutate it.  Raises ArithmeticError if the
@@ -197,15 +200,7 @@ def _law(N: int, max_ell: int) -> list[int]:
             taps = tuple((i, ci << i) for i, ci in enumerate(c) if i and ci)
             # a_N = 2^N / c_0 = 2.
             entry = _LAW[N] = (taps, c[0], [0] * N + [2])
-        taps, c0, values = entry
-        for ell in range(len(values), max_ell + 1):
-            a, remainder = divmod(-sum(t * values[ell - i] for i, t in taps), c0)
-            if remainder:
-                raise ArithmeticError(
-                    f"N={N}: 2^ell p_ell is not an integer at ell={ell}"
-                )
-            values.append(a)
-        return values
+        return extend_quotient(*entry, max_ell)
 
 
 def _gap(numerators: list[int], max_ell: int) -> Fraction:

@@ -225,6 +225,16 @@ class TestMonteCarlo:
         assert document["passed"] is True
         assert document["extras"]["ks_pvalue"] > 0.01
 
+    def test_klebanov_N_beyond_the_cap_builds_no_table(self, capsys):
+        N = stochastic.MAX_KLEBANOV_N + 1
+        code, out, err = run(capsys, "montecarlo", "klebanov", "--N", str(N))
+        assert (code, out) == (2, "")
+        assert f"2 <= N <= {N - 1}, got N={N}" in err
+        assert N not in stochastic._MU_TABLES
+        with pytest.raises(DomainError):
+            stochastic.sample_mu(stochastic.RandomStream(1), N, 10)
+        assert N not in stochastic._MU_TABLES
+
     def test_rep_constant_real_part(self, capsys):
         code, out, _ = run(
             capsys, "montecarlo", "rep", "--n", "1", "--x", "1/3",
@@ -311,6 +321,9 @@ REFUSED = [
      lambda: stochastic.mc_klebanov(STREAM, 2, 20000)),
     ("klebanov-N", ("montecarlo", "klebanov", "--N", "1"),
      lambda: stochastic.mc_klebanov(STREAM, 1, 10**5)),
+    ("klebanov-N-cap",
+     ("montecarlo", "klebanov", "--N", str(stochastic.MAX_KLEBANOV_N + 1)),
+     lambda: stochastic.mc_klebanov(STREAM, stochastic.MAX_KLEBANOV_N + 1, 10**5)),
     ("rep-n", ("montecarlo", "rep", "--n", "9", "--x", "0"),
      lambda: stochastic.mc_euler_poly(STREAM, 9, 0, 10**5)),
     ("gen-n", ("montecarlo", "gen", "--n", "7", "--x", "0"),
@@ -388,10 +401,11 @@ def run_fresh(code):
 
 class TestImportCost:
     def test_exact_path_loads_no_numpy(self):
-        # numpy belongs to the montecarlo path only.
+        # numpy belongs to the montecarlo path only, and the Fraction
+        # reference series to the tests.
         proc = run_fresh(
             "import sys, chebprob, chebprob.cli\n"
-            "heavy = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+            "heavy = sorted({'numpy', 'scipy', 'chebprob.series'} & set(sys.modules))\n"
             "assert not heavy, heavy\n"
         )
         assert proc.returncode == 0, proc.stderr

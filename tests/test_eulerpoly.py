@@ -21,7 +21,6 @@ from chebprob.eulerpoly import (
     gen_euler_series,
     gen_euler_zero,
 )
-from chebprob.series import TruncatedSeries
 
 
 def series_product(a, b, order):
@@ -157,14 +156,15 @@ class TestGeneralized:
 
     def test_routes_agree_on_the_grid(self):
         # The scaled-integer series route against the recursive one, and
-        # against the same expansion in Fractions.
+        # against the same expansion in Fractions, powered by iterated
+        # products.
         for n in range(17):
-            denom = TruncatedSeries.of(
-                [1] + [Fraction(1, 2 * math.factorial(j)) for j in range(1, n + 1)], n
-            )
-            recip = denom.reciprocal()
+            denom = [Fraction(1)] + [
+                Fraction(1, 2 * math.factorial(j)) for j in range(1, n + 1)
+            ]
+            recip = series_reciprocal(denom, n)
+            powered = [Fraction(1)] + [Fraction(0)] * n
             for p in range(25):
-                powered = recip.pow(p)
                 in_fractions = tuple(
                     math.comb(n, k) * powered[n - k] * math.factorial(n - k)
                     for k in range(n + 1)
@@ -172,6 +172,7 @@ class TestGeneralized:
                 coeffs = gen_euler_series(n, p).coefficients
                 assert coeffs == gen_euler_recursive(n, p).coefficients, (n, p)
                 assert coeffs == in_fractions, (n, p)
+                powered = series_product(powered, recip, n)
 
     @settings(max_examples=40)
     @given(st.integers(0, 10), st.integers(1, 14))

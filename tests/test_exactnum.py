@@ -17,8 +17,10 @@ from chebprob.exactnum import (
     catalan_sequence,
     convolution_power,
     convolve,
+    extend_quotient,
     format_rational,
 )
+from chebprob.series import TruncatedSeries
 
 
 def pascal_triangle(rows: int) -> list[list[int]]:
@@ -163,6 +165,34 @@ class TestConvolutionPower:
         for _ in range(N - 1):
             iterated = convolve(iterated, a)
         assert convolution_power(a, N) == iterated
+
+
+class TestExtendQuotient:
+    @settings(max_examples=50)
+    @given(
+        st.sampled_from([1, -1]),
+        st.lists(st.integers(-5, 5), min_size=1, max_size=5),
+        st.integers(0, 12),
+    )
+    def test_reciprocal_equals_the_fraction_reference(self, c0, tail, order):
+        # A unit constant term keeps every coefficient of the reciprocal an
+        # integer; the list is padded with one zero per tap position.
+        taps = [(i, t) for i, t in enumerate(tail, 1) if t]
+        pad = len(tail)
+        values = extend_quotient(taps, c0, [0] * pad + [c0], pad + order)
+        reference = TruncatedSeries.of([c0, *tail], order).reciprocal()
+        assert tuple(values[pad:]) == reference.coefficients
+
+    def test_extends_in_place_and_keeps_what_it_holds(self):
+        values = [0, 1]
+        assert extend_quotient([(1, -1)], 1, values, 4) is values
+        assert values == [0, 1, 1, 1, 1]
+        assert extend_quotient([(1, 7)], 1, values, 3) == [0, 1, 1, 1, 1]
+
+    def test_inexact_division_names_the_index(self):
+        # 1 / (2 + z): a_1 = -1/2.
+        with pytest.raises(ArithmeticError, match="ell=2"):
+            extend_quotient([(1, 1)], 2, [0, 1], 2)
 
 
 class TestRationalBasics:

@@ -321,6 +321,16 @@ class TestCrossValidation:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             cross_validate(3, 20, tol)
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 40).flatmap(
+        lambda N: st.tuples(st.just(N), st.integers(N, 1000))))
+    def test_all_three_routes_agree(self, case):
+        # series == catalan exactly and trig within 1e-10 at every index.
+        N, L = case
+        report = cross_validate(N, L, 1e-10)
+        assert report.indices_checked == L + 1
+        assert report.max_trig_deviation <= 1e-10
+
     def test_mismatch_is_named(self):
         with pytest.raises(CrossValidationError) as info:
             cross_validate(5, 30, 1e-30)
