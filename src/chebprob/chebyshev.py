@@ -33,15 +33,15 @@ class DensePolynomial:
     which is stored as the single coefficient 0.
     """
 
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[Rational, ...]
 
     @classmethod
     def of(cls, values) -> "DensePolynomial":
-        coeffs = [Fraction(v) for v in values]
+        coeffs = list(values)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         if not coeffs:
-            coeffs = [Fraction(0)]
+            coeffs = [0]
         return cls(tuple(coeffs))
 
     def eval_exact(self, x: Rational) -> Fraction:
@@ -66,12 +66,12 @@ def chebyshev_U(N: int) -> DensePolynomial:
 
 
 def _recurrence(N: int, u_kind: bool) -> DensePolynomial:
-    prev = [Fraction(1)]
-    cur = [Fraction(0), Fraction(2 if u_kind else 1)]
+    prev = [1]
+    cur = [0, 2 if u_kind else 1]
     if N == 0:
         return DensePolynomial.of(prev)
     for _ in range(N - 1):
-        nxt = [Fraction(0)] + [2 * c for c in cur]
+        nxt = [0] + [2 * c for c in cur]
         for i, c in enumerate(prev):
             nxt[i] -= c
         prev, cur = cur, nxt

@@ -84,9 +84,14 @@ def _json_text(document: dict) -> str:
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        return
+    # A path that cannot be opened is a bad flag; a failing write stays a fault.
+    try:
+        handle = open(out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"--out {out!r} cannot be opened: {exc.strerror}") from exc
+    with handle:
+        handle.write(text)
 
 
 def _default_seed() -> int:

@@ -7,7 +7,8 @@
   with exact arithmetic until it matches the directly computed E_n(x) to a
   requested tolerance.
 * ``expectation_form_check`` verifies the underlying expectation identity
-  sum_k p_k E_n^{(k)}(k/2) = N^n E_n(1/2), again exactly.
+  sum_k p_k E_n^{(k)}(k/2) = N^n E_n(1/2): the same sum at x = 1/2, not
+  divided by N^n.  Both run one summation routine, ``_reconstruct``.
 * ``asymptotic_ratio`` tracks the large-N behaviour of the generating
   function 1/T_N(1/z) against the geometric factor (z / (1 + sqrt(1-z^2)))^N.
   The ratio is 2 / (1 + a^(-2N)) with a = (1 + sqrt(1-z^2))/z > 1 (proved in
@@ -132,11 +133,32 @@ def _default_max_k(n: int, N: int, tol: float) -> int:
     return high
 
 
-def _check_sum_args(
-    caller: str, n: int, N: int, tol: float, max_k: int | None
-) -> None:
-    """The domain of the weighted sums: n >= 0, N >= 1, a finite tol > 0 and,
-    when one is given, a term budget max_k >= N (below N it admits no term)."""
+def _reconstruct(
+    caller: str,
+    what: str,
+    n: int,
+    N: int,
+    x: Rational,
+    scale: int,
+    tol: float,
+    max_k: int | None,
+) -> ReconstructionResult:
+    """The one summation of the identity: sum S_k / scale for k = N, N+2, ...
+    (off-parity weights vanish), S_k = sum_{j <= k} p_j E_n^{(j)}(j/2 +
+    N(x - 1/2)), until it is within ``tol`` of N^n E_n(x) / scale.
+
+    The domain: n >= 0, N >= 1, a finite tol > 0 and, when given, a budget
+    max_k >= N (below N it admits no term); ``caller`` names the entry point
+    in the DomainError, ``what`` the sum in the ConvergenceError.
+
+    With x = u/q, the argument is Y_j / 2q for Y_j = jq + N(2u - q).  The law
+    gives a_j = 2^j p_j and the zero rows b_m = 2^m E_m^{(j)}(0), both
+    integers, so E_n^{(j)}(Y_j / 2q) = H_j / (2^n q^n) with H_j the
+    homogeneous Horner sum of the coefficients binom(n, i) b_{n-i} at
+    (Y_j, q).  S_k = total / den with den = 2^(n+k) q^n; no gcd is taken.
+    With target = g / h and tol = e / f, the stop test and the small-term
+    test are multiplied through by scale den h f > 0.
+    """
     if n < 0:
         raise DomainError(f"{caller} requires n >= 0, got n={n}")
     if N < 1:
@@ -145,32 +167,51 @@ def _check_sum_args(
         raise DomainError(f"{caller}: tol must be positive and finite, got {tol}")
     if max_k is not None and max_k < N:
         raise DomainError(f"{caller} requires max_k >= N, got max_k={max_k} < N={N}")
+    x = Fraction(x)
+    target = eval_poly(euler_poly(n), x) * Fraction(N**n, scale)
+    tol_exact = Fraction(tol)
+    if max_k is None:
+        max_k = _default_max_k(n, N, tol)
 
-
-def _weighted_sums(n: int, N: int, x: Fraction, max_k: int):
-    """Yield (k, total, term, den) for k = N, N+2, ..., max_k (off-parity
-    weights vanish), all integers: total / den is the partial sum over j <= k
-    of p_j E_n^{(j)}(j/2 + N(x - 1/2)) and term / den its last term.
-
-    With x = u/q, the argument is Y_j / 2q for Y_j = jq + N(2u - q).  The law
-    gives a_j = 2^j p_j and the zero rows b_m = 2^m E_m^{(j)}(0), both
-    integers, so E_n^{(j)}(Y_j / 2q) = H_j / (2^n q^n) with H_j the
-    homogeneous Horner sum of the coefficients binom(n, i) b_{n-i} at
-    (Y_j, q).  The common denominator is den = 2^(n+k) q^n, which grows by
-    a factor 4 per step; no gcd is taken.
-    """
+    g, h = target.numerator * scale, target.denominator
+    e, f = tol_exact.numerator, tol_exact.denominator
     u, q = x.numerator, x.denominator
+    q_n = q**n
     binomials = [binomial(n, i) for i in range(n + 1)]
     offset = N * (2 * u - q)
+    terms_used = 0
+    first_small: int | None = None
     total = 0
-    den = q**n << (n + N)
     for k in range(N, max_k + 1, 2):
         row = _zero_row(k, n)
         coefficients = [binomials[i] * row[n - i] for i in range(n + 1)]
         term = _law(N, k)[k] * horner(coefficients, k * q + offset, q)
         total = (total << 2) + term
-        yield k, total, term, den
-        den <<= 2
+        den = q_n << (n + k)
+        terms_used += 1
+        bound = e * scale * den
+        if first_small is None and 10 * f * abs(term) < bound:
+            first_small = k
+        if abs(total * h - g * den) * f <= bound * h:
+            partial = Fraction(total, scale * den)
+            # In floats cos(pi/2N) > 0 for every N >= 1 (6.1e-17 at N = 1).
+            decay = math.cos(math.pi / (2 * N))
+            last_term = float(Fraction(abs(term), scale * den))
+            return ReconstructionResult(
+                n=n,
+                N=N,
+                x=x,
+                terms_used=terms_used,
+                partial_value=partial,
+                target=target,
+                abs_error=float(abs(partial - target)),
+                tail_estimate=last_term * decay**2 / (1.0 - decay**2),
+                first_small_term_k=first_small,
+            )
+    raise ConvergenceError(
+        f"{what} not within {tol} by k={max_k}, the end of the term budget",
+        achieved_error=float(abs(Fraction(total, scale * den) - target)),
+    )
 
 
 def reconstruct_euler(
@@ -184,51 +225,13 @@ def reconstruct_euler(
     exact difference from the exact target drops to ``tol``.
 
     Terms run over k = N, N+2, ... (off-parity weights vanish); everything is
-    accumulated as rationals, floats appear only in the report.  Raises
+    accumulated exactly, floats appear only in the report.  Raises
     :class:`ConvergenceError` when the budget ``max_k`` is exhausted first;
     by default it is the least k >= 2000 with k^n cos(pi/2N)^k <= tol.
     """
-    _check_sum_args("reconstruct_euler", n, N, tol, max_k)
-    x = Fraction(x)
-    target = eval_poly(euler_poly(n), x)
-    tol_exact = Fraction(tol)
-    if max_k is None:
-        max_k = _default_max_k(n, N, tol)
-    decay = math.cos(math.pi / (2 * N))
-
-    # The partial sum is total / (scale den).  With target = g / h and
-    # tol = e / f, |partial - target| <= tol and |term| < tol / 10 are tested
-    # multiplied through by scale den h f > 0.
-    scale = N**n
-    g, h = target.numerator * scale, target.denominator
-    e, f = tol_exact.numerator, tol_exact.denominator
-    terms_used = 0
-    first_small: int | None = None
-    total, den = 0, 1
-
-    for k, total, term, den in _weighted_sums(n, N, x, max_k):
-        terms_used += 1
-        if first_small is None and 10 * f * abs(term) < e * scale * den:
-            first_small = k
-        if abs(total * h - g * den) * f <= e * scale * den * h:
-            partial = Fraction(total, scale * den)
-            last_term = float(Fraction(abs(term), scale * den))
-            tail = last_term * decay**2 / (1.0 - decay**2) if decay else 0.0
-            return ReconstructionResult(
-                n=n,
-                N=N,
-                x=x,
-                terms_used=terms_used,
-                partial_value=partial,
-                target=target,
-                abs_error=float(abs(partial - target)),
-                tail_estimate=tail,
-                first_small_term_k=first_small,
-            )
-    raise ConvergenceError(
-        f"series for E_{n}(x) with N={N} not within {tol} by k={max_k}, "
-        "the end of the term budget",
-        achieved_error=float(abs(Fraction(total, scale * den) - target)),
+    return _reconstruct(
+        "reconstruct_euler", f"series for E_{n}(x) with N={N}",
+        n, N, x, N**n, tol, max_k,
     )
 
 
@@ -240,25 +243,13 @@ def expectation_form_check(
 ) -> Fraction:
     """Truncate sum_k p_k E_n^{(k)}(k/2) against N^n E_n(1/2) and return the
     exact absolute difference once it is within ``tol``, summing at most to
-    ``max_k`` (by default, as in :func:`reconstruct_euler`)."""
-    _check_sum_args("expectation_form_check", n, N, tol, max_k)
-    target = Fraction(N) ** n * eval_poly(euler_poly(n), Fraction(1, 2))
-    tol_exact = Fraction(tol)
-    if max_k is None:
-        max_k = _default_max_k(n, N, tol)
-    # As in reconstruct_euler: the tests are multiplied through by den h f.
-    g, h = target.numerator, target.denominator
-    e, f = tol_exact.numerator, tol_exact.denominator
-    total, den = 0, 1
-    for _, total, _, den in _weighted_sums(n, N, Fraction(1, 2), max_k):
-        gap = abs(total * h - g * den)
-        if gap * f <= e * den * h:
-            return Fraction(gap, den * h)
-    raise ConvergenceError(
-        f"expectation identity for n={n}, N={N} not within {tol} by k={max_k}, "
-        "the end of the term budget",
-        achieved_error=float(abs(Fraction(total, den) - target)),
+    ``max_k`` (by default, as in :func:`reconstruct_euler`).  It is the sum
+    of :func:`reconstruct_euler` at x = 1/2, not divided by N^n."""
+    result = _reconstruct(
+        "expectation_form_check", f"expectation identity for n={n}, N={N}",
+        n, N, Fraction(1, 2), 1, tol, max_k,
     )
+    return abs(result.partial_value - result.target)
 
 
 def asymptotic_ratio(N: int, z: float) -> float:

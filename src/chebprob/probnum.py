@@ -196,7 +196,7 @@ def _law(N: int, max_ell: int) -> list[int]:
     with _LAW_LOCK:
         entry = _LAW.get(N)
         if entry is None:
-            c = [int(ci) for ci in reversed_T(N).coefficients]
+            c = reversed_T(N).coefficients
             taps = tuple((i, ci << i) for i, ci in enumerate(c) if i and ci)
             # a_N = 2^N / c_0 = 2.
             entry = _LAW[N] = (taps, c[0], [0] * N + [2])
@@ -386,8 +386,6 @@ def geometric_tail_bound(N: int, max_ell: int) -> float:
     if N < 1:
         raise ValueError(f"geometric_tail_bound requires N >= 1, got N={N}")
     c = math.cos(math.pi / (2 * N))
-    if c <= 0.0:
-        return 0.0
     return c**max_ell / (1.0 - c)
 
 

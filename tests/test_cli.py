@@ -90,6 +90,17 @@ class TestProbnums:
         assert out == ""
         assert target.read_text().splitlines()[1] == "2,1/2,0.5"
 
+    @pytest.mark.parametrize("where", ["missing/table.csv", "."])
+    def test_output_file_that_cannot_be_opened(self, capsys, tmp_path, where):
+        # A missing directory or a directory is a bad --out, not a fault.
+        target = tmp_path / where
+        code, out, err = run(
+            capsys, "probnums", "--N", "2", "--max-ell", "4", "--out", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --out ")
+        assert "Traceback" not in err
+
 
 class TestIdentity:
     def test_linear(self, capsys):

@@ -5,12 +5,17 @@ A name left in ``__all__`` after its definition is deleted breaks
 """
 
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import chebprob
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = sorted(info.name for info in pkgutil.iter_modules(chebprob.__path__))
 
 
@@ -24,3 +29,19 @@ def test_module_all_resolves(name):
 def test_package_all_resolves():
     missing = [n for n in chebprob.__all__ if not hasattr(chebprob, n)]
     assert missing == []
+
+
+def test_benchmark_tracer_installs():
+    # bench/tracer.py wraps chebprob functions, methods and modules by name;
+    # renaming or deleting one breaks the benchmark, which this catches with
+    # the tracer's own ImportError or AttributeError.
+    script = (
+        "import sys; sys.path.insert(0, 'bench'); "
+        "import chebprob.cli, chebprob.stochastic; "
+        "from tracer import Tracer; Tracer().install()"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
