@@ -197,7 +197,9 @@ def eval_exact(coefficients: Sequence[Rational], x: Rational) -> Fraction:
 
 
 def format_rational(x: Rational) -> str:
-    """Render an exact value as "num/den", omitting "/den" when den == 1."""
+    """Render an exact value as "num/den", omitting "/den" when den == 1.
+    Past Python's int-to-str digit limit it raises ValueError: the library
+    leaves interpreter state alone, and ``cli.main`` lifts the limit."""
     f = Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)

@@ -54,8 +54,7 @@ __all__ = [
     "catalan_gf_check",
 ]
 
-# The least term budget: the default budget is the first k from here on at
-# which k^n cos(pi/2N)^k drops to the tolerance (see _default_max_k).
+# The least term budget; the default budget grows from here (_default_max_k).
 DEFAULT_MAX_K = 2000
 # Band, in standard errors, of the Monte Carlo checks; here, not in the numpy
 # module ``stochastic``, so that the command line reads it without numpy.
@@ -106,19 +105,20 @@ class ReconstructionResult:
         }
 
 
-def _default_max_k(n: int, N: int, tol: float) -> int:
+def _default_max_k(n: int, N: int, tol: float, x: Rational = Fraction(1, 2)) -> int:
     """Default term budget of the weighted series: the least k >= 2000 with
-    k^n cos(pi/2N)^k <= tol.
+    k^n (1 + 2N|x - 1/2|)^n cos(pi/2N)^k <= tol.
 
-    The weights decay like cos(pi/2N)^k and E_n^{(k)} at the series' points
-    grows like k^n, so the budget follows n, N and tol instead of being one
-    fixed k, which a true identity at large N or small tol outruns.
-    """
+    The weights decay like cos(pi/2N)^k, and E_n^{(k)} at the series' point
+    y = k/2 + N(x - 1/2) grows like y^n, |y| <= (k/2)(1 + 2N|x - 1/2|); the
+    log of that spread is taken from its integer terms, so no float overflows."""
+    u, q = Fraction(x).as_integer_ratio()
+    log_spread = math.log(q + N * abs(2 * u - q)) - math.log(q)
     log_decay = math.log(math.cos(math.pi / (2 * N)))
     log_tol = math.log(tol)
 
     def reached(k: int) -> bool:
-        return n * math.log(k) + k * log_decay <= log_tol
+        return n * (math.log(k) + log_spread) + k * log_decay <= log_tol
 
     if reached(DEFAULT_MAX_K):
         return DEFAULT_MAX_K
@@ -171,7 +171,7 @@ def _reconstruct(
     target = eval_poly(euler_poly(n), x) * Fraction(N**n, scale)
     tol_exact = Fraction(tol)
     if max_k is None:
-        max_k = _default_max_k(n, N, tol)
+        max_k = _default_max_k(n, N, tol, x)
 
     g, h = target.numerator * scale, target.denominator
     e, f = tol_exact.numerator, tol_exact.denominator
@@ -227,7 +227,7 @@ def reconstruct_euler(
     Terms run over k = N, N+2, ... (off-parity weights vanish); everything is
     accumulated exactly, floats appear only in the report.  Raises
     :class:`ConvergenceError` when the budget ``max_k`` is exhausted first;
-    by default it is the least k >= 2000 with k^n cos(pi/2N)^k <= tol.
+    by default it grows from 2000 with n, N, |x - 1/2| and 1/tol.
     """
     return _reconstruct(
         "reconstruct_euler", f"series for E_{n}(x) with N={N}",

@@ -136,32 +136,27 @@ def sech_cdf(x):
 
 
 def sample_sech(stream: RandomStream, count: int) -> np.ndarray:
-    """i.i.d. draws from the sech(pi x) law by exact CDF inversion.
-
-    Uniform endpoints are excluded: the generator never returns 1, and the
-    rare exact 0 is redrawn rather than remapped, keeping the sampler
-    unbiased.
-    """
+    """i.i.d. draws from the sech(pi x) law by exact CDF inversion: the
+    values of ln(tan(pi u / 2)) / pi at the uniforms of ``stream``, except
+    where a uniform is an exact 0 (see :func:`_sech_fill`)."""
     if count < 1:
         raise ValueError(f"sample_sech requires count >= 1, got {count}")
-    rng = stream.generator()
-    u = rng.random(count)
-    while True:
-        zeros = u == 0.0
-        if not zeros.any():
-            break
-        u[zeros] = rng.random(int(zeros.sum()))
-    return _sech_inplace(u)
+    return _sech_fill(stream.generator(), np.empty(count))
 
 
-def _sech_inplace(u: np.ndarray) -> np.ndarray:
-    """Map uniforms in (0, 1) to sech draws, ln(tan(pi u / 2)) / pi, in the
-    array itself; the values are those of the expression written out."""
-    np.multiply(u, 0.5 * np.pi, out=u)
-    np.tan(u, out=u)
-    np.log(u, out=u)
-    np.divide(u, np.pi, out=u)
-    return u
+def _sech_fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with sech draws from ``rng`` in place and return it.  The
+    generator never returns 1, and an exact 0 (about 2^-53 per draw) is
+    redrawn after the block rather than remapped, keeping it unbiased."""
+    zeros = rng.random(out=out) == 0.0
+    while zeros.any():
+        out[zeros] = rng.random(int(zeros.sum()))
+        zeros = out == 0.0
+    np.multiply(out, 0.5 * np.pi, out=out)
+    np.tan(out, out=out)
+    np.log(out, out=out)
+    np.divide(out, np.pi, out=out)
+    return out
 
 
 def _mu_table(N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -376,15 +371,14 @@ def mc_gen_euler(
 def _random_sums(stream: RandomStream, mu: np.ndarray) -> np.ndarray:
     """Sums of consecutive sech draws of ``stream``, mu[i] of them for sum i:
     the values of ``np.add.reduceat(sample_sech(stream, mu.sum()), starts)``
-    with ``starts`` the offsets of the segments.
+    with ``starts`` the offsets of the segments, except when a uniform is an
+    exact 0 (about 2^-53 per draw), which is redrawn inside its chunk.
 
     The draws pass through one reused buffer in chunks of about ``_CHUNK``
     that end on segment boundaries, so memory stays O(len(mu) + _CHUNK +
     max(mu)) while every sum adds the same draws in the same order.  Chunks
     read the one generator in sequence, and a counter-based generator gives
-    the same numbers in short draws as in one long one.  An exact 0.0
-    uniform (about 2^-53 per draw) is redrawn by sample_sech after the whole
-    block, so a chunk that holds one hands the call to the whole-array path.
+    the same numbers in short draws as in one long one.
     """
     ends = np.cumsum(mu)
     starts = ends - mu
@@ -397,11 +391,8 @@ def _random_sums(stream: RandomStream, mu: np.ndarray) -> np.ndarray:
         start = int(starts[k])
         # The first segment ending at or past start + _CHUNK closes the chunk.
         j = min(int(np.searchsorted(ends, start + _CHUNK)) + 1, count)
-        u = buffer[: int(ends[j - 1]) - start]
-        rng.random(out=u)
-        if not u.all():
-            return np.add.reduceat(sample_sech(stream, int(ends[-1])), starts)
-        np.add.reduceat(_sech_inplace(u), starts[k:j] - start, out=sums[k:j])
+        draws = _sech_fill(rng, buffer[: int(ends[j - 1]) - start])
+        np.add.reduceat(draws, starts[k:j] - start, out=sums[k:j])
         k = j
     return sums
 

@@ -21,6 +21,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture(autouse=True)
+def restore_int_str_limit():
+    """main lifts the interpreter's int-to-str digit limit for its process;
+    put it back so that every test starts from the interpreter's default."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
 class TestParseRational:
     def test_accepts_fraction_and_integer(self):
         from fractions import Fraction
@@ -52,6 +64,18 @@ class TestProbnums:
         assert lines[1] == "2,1/2,0.5"
         assert lines[2] == "4,1/4,0.25"
         assert "max trig deviation" in err
+
+    def test_values_past_the_int_str_limit(self, capsys):
+        # The denominators reach 2^ell, 4515 digits at ell = 15000: past the
+        # interpreter's 4300-digit int-to-str limit.
+        code, out, _ = run(
+            capsys, "probnums", "--N", "3", "--max-ell", "15000", "--format", "csv",
+        )
+        assert code == 0
+        ell, exact, _ = out.splitlines()[-1].split(",")
+        assert ell == "14999"
+        assert exact == f"{Fraction(probnum.probnum_series(3, 15000).values[14999])}"
+        assert len(exact.split("/")[1]) > 4300
 
     def test_cross_validation_run(self, capsys):
         code, out, _ = run(
@@ -147,6 +171,32 @@ class TestIdentity:
         code, _, err = run(capsys, *argv, "--max-terms", "100")
         assert code == 1
         assert "by k=100, the end of the term budget" in err
+
+    @pytest.mark.parametrize("argv, k", [
+        (("--n", "8", "--N", "10", "--x", "100000", "--tol", "1e-9"), 9128),
+        (("--n", "8", "--N", "10", "--x", "1000000", "--tol", "1e-9"), 10614),
+        (("--n", "1", "--N", "2", "--x", str(10**400), "--tol", "1e-9"), 2718),
+    ], ids=["x-10^5", "x-10^6", "x-10^400"])
+    def test_default_budget_follows_x(self, capsys, argv, k):
+        # These true identities converge past a budget blind to |x|.
+        code, out, _ = run(capsys, "identity", *argv, "--format", "json")
+        assert code == 0
+        document = json.loads(out)
+        assert int(argv[3]) + 2 * (document["terms_used"] - 1) == k
+
+    def test_values_past_the_int_str_limit(self, capsys):
+        # The partial value's denominator is 2^(n+k) q^n, k = 26844: past the
+        # interpreter's 4300-digit int-to-str limit.
+        code, out, _ = run(
+            capsys, "identity", "--n", "2", "--N", "30", "--x", "1/3",
+            "--tol", "1e-15", "--format", "json",
+        )
+        assert code == 0
+        document = json.loads(out)
+        partial = document["partial_value"]
+        assert max(len(part) for part in partial.split("/")) > 4300
+        assert document["target"] == "-2/9"
+        assert abs(Fraction(partial) - Fraction(-2, 9)) <= Fraction(1e-15)
 
     def test_decimal_rejected(self, capsys):
         code, _, err = run(

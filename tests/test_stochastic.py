@@ -366,9 +366,10 @@ class TestRandomSums:
         assert got.tobytes() == reference_sums(stream, mu).tobytes()
 
     @pytest.mark.parametrize("position", [0, 5, 150_000, 199_999])
-    def test_planted_zero_takes_the_whole_array_path(self, monkeypatch, position):
-        # A zero uniform must be redrawn after the whole block, as sample_sech
-        # does, never mapped to ln(tan(0)) = -inf.
+    def test_planted_zero_is_redrawn_in_its_chunk(self, monkeypatch, position):
+        # A zero uniform must be redrawn, never mapped to ln(tan(0)) = -inf,
+        # and inside its chunk: no whole-array draw of sum(mu) variates
+        # (37 MiB here) is made, and the sums before it are untouched.
         calls = []
 
         def spy(stream, count):
@@ -376,12 +377,20 @@ class TestRandomSums:
             return sample_sech(stream, count)
 
         monkeypatch.setattr(stochastic_module, "sample_sech", spy)
-        mu = np.full(50_000, 4, dtype=np.int64)
+        mu = np.full(10**5, 49, dtype=np.int64)
         stream = PlantedZeroStream(RandomStream(17), [position])
-        got = stochastic_module._random_sums(stream, mu)
-        assert calls == [200_000]
+        tracemalloc.start()
+        try:
+            got = stochastic_module._random_sums(stream, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
         assert np.isfinite(got).all()
-        assert got.tobytes() == reference_sums(stream, mu).tobytes()
+        assert peak < 8 * 2**20
+        before = np.cumsum(mu) <= position
+        expected = reference_sums(stream, mu)
+        assert got[before].tobytes() == expected[before].tobytes()
 
     def test_klebanov_memory_is_bounded(self):
         # Whole-array sampling held about samples * N^2 draws, 118 MiB here.
