@@ -16,15 +16,21 @@ sample sizes, and the moment integrals use the trapezoid rule, which
 converges geometrically on these integrands.
 
 Streams are immutable values: a :class:`RandomStream` names a reproducible
-sequence (counter-based generator keyed by seed and stream id), every
-consumer restarts it from the origin, and independence between consumers is
+sequence (counter-based generator keyed by seed and stream id), any position
+of which can be read directly, and independence between consumers is
 obtained by splitting.  Identical (seed, stream id, draw count) therefore
 reproduce identical arrays on any platform.
+
+A large call is cut into contiguous runs of draws, one per CPU this process
+may use, each filled on its own thread (see :func:`_in_runs`).  Every draw
+is read at its own stream position, so the output does not depend on the
+number of runs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -93,6 +99,20 @@ MAX_KLEBANOV_N = 30
 # exact.
 _QUAD_STEP = 1 / 16
 
+# Threads of one Monte Carlo call: the CPUs this process may run on, read
+# once.  A run has at least _MIN_RUN draws (about 1.3 ms of sech draws), so a
+# call of fewer than 2 _MIN_RUN stays on the calling thread.  Starting,
+# waking and joining a thread cost more than the split saved at 10^5 draws:
+# on a 2-vCPU VM, runs of 2^15 draws made 10^5-draw calls about 20% slower.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
+_MIN_RUN = 2**17
+# Draws per Philox counter value: a run that starts on a multiple of it
+# shares no counter block with the run before it.
+_BLOCK = 4
+
 _MU_LOCK = threading.Lock()
 _MU_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -102,18 +122,28 @@ class RandomStream:
     """Name of a deterministic random sequence.
 
     Drawing does not mutate the stream: two calls that consume the same
-    stream see the same numbers.  Use :meth:`split` to hand independent
-    sub-streams to independent consumers.
+    stream see the same numbers, and any position can be read directly
+    (:meth:`generator`).  Use :meth:`split` to hand independent sub-streams
+    to independent consumers.
     """
 
     seed: int
     stream_id: int = 0
 
-    def generator(self) -> np.random.Generator:
+    def generator(self, offset: int = 0) -> np.random.Generator:
+        """A generator whose next draw is draw ``offset`` of the stream.
+
+        Philox is counter-based: counter value c yields draws 4c to 4c + 3,
+        so the generator starts at counter offset // 4 and skips offset % 4
+        draws.
+        """
         key = np.array(
             [self.seed % 2**64, self.stream_id % 2**64], dtype=np.uint64
         )
-        return np.random.Generator(np.random.Philox(key=key))
+        block, skip = divmod(offset, _BLOCK)
+        bits = np.random.Philox(key=key, counter=block)
+        bits.random_raw(skip)
+        return np.random.Generator(bits)
 
     def split(self, count: int) -> tuple["RandomStream", ...]:
         """``count`` child streams with ids derived from this one."""
@@ -135,28 +165,94 @@ def sech_cdf(x):
         return (2.0 / np.pi) * np.arctan(np.exp(np.pi * np.asarray(x, dtype=float)))
 
 
+def _run_count(draws: int) -> int:
+    """How many runs a call of ``draws`` draws is cut into: one per worker,
+    each of at least ``_MIN_RUN`` draws."""
+    return max(1, min(_WORKERS, draws // _MIN_RUN))
+
+
+def _cuts(total: int) -> list[int]:
+    """Bounds of the ``_run_count(total)`` near-equal runs of ``total``
+    draws, cut on multiples of ``_BLOCK``."""
+    runs = _run_count(total)
+    return [total * r // runs // _BLOCK * _BLOCK for r in range(runs)] + [total]
+
+
+def _in_runs(job, bounds) -> None:
+    """``job(lo, hi)`` for each pair of consecutive ``bounds``: the first run
+    on the calling thread, each other on a thread started for this call.
+
+    Every thread is joined before this returns, also when a run raises, and
+    the first exception of the other runs is re-raised here.  Runs call only
+    private kernels, so the calling thread keeps every public call.
+    """
+    errors = []
+
+    def guarded(lo, hi):
+        try:
+            job(lo, hi)
+        except Exception as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    started = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            thread = threading.Thread(target=guarded, args=(lo, hi))
+            thread.start()
+            started.append(thread)
+        job(bounds[0], bounds[1])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def sample_sech(stream: RandomStream, count: int) -> np.ndarray:
     """i.i.d. draws from the sech(pi x) law by exact CDF inversion: the
     values of ln(tan(pi u / 2)) / pi at the uniforms of ``stream``, except
     where a uniform is an exact 0 (see :func:`_sech_fill`)."""
     if count < 1:
-        raise ValueError(f"sample_sech requires count >= 1, got {count}")
-    return _sech_fill(stream.generator(), np.empty(count))
+        raise DomainError(f"sample_sech requires count >= 1, got {count}")
+    out = np.empty(count)
+
+    def run(lo, hi):
+        _sech_fill(stream, lo, stream.generator(lo), out[lo:hi])
+
+    _in_runs(run, _cuts(count))
+    return out
 
 
-def _sech_fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with sech draws from ``rng`` in place and return it.  The
-    generator never returns 1, and an exact 0 (about 2^-53 per draw) is
-    redrawn after the block rather than remapped, keeping it unbiased."""
+def _sech_fill(
+    stream: RandomStream, offset: int, rng: np.random.Generator, out: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` in place with the sech draws at positions ``offset``,
+    ``offset + 1``, ... of ``stream``, read from ``rng`` (positioned at
+    ``offset``), and return it.  The generator never returns 1, and an
+    exact 0 (about 2^-53 per draw) is replaced by :func:`_redraw` rather than
+    remapped, keeping it unbiased."""
     zeros = rng.random(out=out) == 0.0
-    while zeros.any():
-        out[zeros] = rng.random(int(zeros.sum()))
-        zeros = out == 0.0
+    if zeros.any():
+        for i in np.flatnonzero(zeros):
+            out[i] = _redraw(stream, offset + int(i))
     np.multiply(out, 0.5 * np.pi, out=out)
     np.tan(out, out=out)
     np.log(out, out=out)
     np.divide(out, np.pi, out=out)
     return out
+
+
+def _redraw(stream: RandomStream, position: int) -> float:
+    """The uniform that replaces an exact 0 at ``position`` of ``stream``:
+    the first nonzero draw from the counter words (0, position, 0, 1), lowest
+    word first.  The stream's own draws use counters below 2^64 and never
+    reach them, so the replacement depends only on the stream and the
+    position, and moves no other draw."""
+    rng = stream.generator(_BLOCK * (2**192 + position * 2**64))
+    u = rng.random()
+    while u == 0.0:
+        u = rng.random()
+    return u
 
 
 def _mu_table(N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,19 +285,30 @@ def sample_mu(stream: RandomStream, N: int, count: int) -> np.ndarray:
     """Draws of the random index mu_N by inverse CDF over its exact table.
 
     The support is N, N + 2, N + 4, ..., so the draw of table index i is
-    N + 2 i, computed in place from the search result; the index one past
+    N + 2 i, written straight into the output from the search result of each
+    chunk of ``_CHUNK`` uniforms, so no array of all the uniforms is held;
+    large calls are cut into runs (:func:`_in_runs`).  The index one past
     the table is the first untabled support point.  Draws beyond the tabled
     mass (total probability below 1e-15) land there; such events are counted
     and reported through a RuntimeWarning rather than silently clamped.
     """
     _check_mu_N("sample_mu", N)
     if count < 1:
-        raise ValueError(f"sample_mu requires count >= 1, got {count}")
+        raise DomainError(f"sample_mu requires count >= 1, got {count}")
     support, cumulative = _mu_table(N)
-    u = stream.generator().random(count)
-    out = np.searchsorted(cumulative, u, side="right").astype(np.int64, copy=False)
-    del u
-    n_overflow = int(np.count_nonzero(out == len(support)))
+    out = np.empty(count, dtype=np.int64)
+
+    def run(lo, hi):
+        rng = stream.generator(lo)
+        for a in range(lo, hi, _CHUNK):
+            b = min(a + _CHUNK, hi)
+            # The uniforms fill the output's own bytes until they are searched.
+            u = rng.random(out=out[a:b].view(np.float64))
+            np.multiply(np.searchsorted(cumulative, u, side="right"), 2, out=out[a:b])
+            out[a:b] += N
+
+    _in_runs(run, _cuts(count))
+    n_overflow = int(np.count_nonzero(out == N + 2 * len(support)))
     if n_overflow:
         warnings.warn(
             f"sample_mu(N={N}): {n_overflow} of {count} draws fell beyond the "
@@ -210,8 +317,6 @@ def sample_mu(stream: RandomStream, N: int, count: int) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-    out *= 2
-    out += N
     assert int(out.min()) >= N
     assert not ((out - N) & 1).any()
     return out
@@ -369,31 +474,42 @@ def mc_gen_euler(
 
 
 def _random_sums(stream: RandomStream, mu: np.ndarray) -> np.ndarray:
-    """Sums of consecutive sech draws of ``stream``, mu[i] of them for sum i:
-    the values of ``np.add.reduceat(sample_sech(stream, mu.sum()), starts)``
-    with ``starts`` the offsets of the segments, except when a uniform is an
-    exact 0 (about 2^-53 per draw), which is redrawn inside its chunk.
+    """Sums of consecutive sech draws of ``stream``, mu[i] of them for sum i.
 
-    The draws pass through one reused buffer in chunks of about ``_CHUNK``
-    that end on segment boundaries, so memory stays O(len(mu) + _CHUNK +
-    max(mu)) while every sum adds the same draws in the same order.  Chunks
-    read the one generator in sequence, and a counter-based generator gives
-    the same numbers in short draws as in one long one.
+    They equal ``np.add.reduceat(sample_sech(stream, mu.sum()), starts)``,
+    with ``starts`` the offsets of the segments, byte for byte: each sum adds
+    the draws at its own stream positions, in order, within one reduceat.
+    An exact-zero uniform is replaced as :func:`sample_sech` replaces it, by
+    a draw keyed by its position alone (:func:`_redraw`), so it changes only
+    the sum that holds it.
+
+    The segments are cut into runs that end on segment boundaries, with
+    near-equal numbers of draws, one per worker (:func:`_in_runs`).  A run
+    reads the stream from its first position and passes its draws through
+    its own reused buffer in chunks of about ``_CHUNK`` that end on segment
+    boundaries, so memory stays O(len(mu) + runs (_CHUNK + max(mu))).
     """
     ends = np.cumsum(mu)
     starts = ends - mu
-    count = len(mu)
-    sums = np.empty(count)
-    buffer = np.empty(_CHUNK + int(mu.max()))
-    rng = stream.generator()
-    k = 0
-    while k < count:
-        start = int(starts[k])
-        # The first segment ending at or past start + _CHUNK closes the chunk.
-        j = min(int(np.searchsorted(ends, start + _CHUNK)) + 1, count)
-        draws = _sech_fill(rng, buffer[: int(ends[j - 1]) - start])
-        np.add.reduceat(draws, starts[k:j] - start, out=sums[k:j])
-        k = j
+    total = int(ends[-1])
+    sums = np.empty(len(mu))
+
+    def run(lo, hi):
+        buffer = np.empty(_CHUNK + int(mu[lo:hi].max()))
+        rng = stream.generator(int(starts[lo]))
+        k = lo
+        while k < hi:
+            start = int(starts[k])
+            # The first segment ending at or past start + _CHUNK closes the chunk.
+            j = min(int(np.searchsorted(ends, start + _CHUNK)) + 1, hi)
+            draws = _sech_fill(stream, start, rng, buffer[: int(ends[j - 1]) - start])
+            np.add.reduceat(draws, starts[k:j] - start, out=sums[k:j])
+            k = j
+
+    # Run r starts at the first segment starting at or past its share of the
+    # draws; a segment longer than a share leaves a run empty, and it goes.
+    bounds = np.searchsorted(starts, _cuts(total)).tolist()
+    _in_runs(run, sorted(set(bounds)))
     return sums
 
 
@@ -403,7 +519,8 @@ def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 
     D is the largest gap between the two empirical distribution functions,
     taken at the data points.  Both samples are copied into one array of 2n
-    and sorted half by half; a stable argsort then merges the two sorted runs
+    and sorted half by half, on two threads when 2n is large enough to cut
+    (:func:`_run_count`); a stable argsort then merges the two sorted runs
     in one O(n) pass, and the gaps are the running sum of +1 for a point of
     ``a`` and -1 for one of ``b``.  They are read at the last point of each
     run of equal values, so a tie counts every point at or below it, in both
@@ -418,8 +535,11 @@ def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
             f"got {len(a)} and {len(b)}"
         )
     pooled = np.concatenate((a, b))
-    pooled[:n].sort()
-    pooled[n:].sort()
+    halves = pooled.reshape(2, n)
+    _in_runs(
+        lambda lo, hi: halves[lo:hi].sort(axis=1),
+        [0, 1, 2] if _run_count(2 * n) > 1 else [0, 2],
+    )
     order = np.argsort(pooled, kind="stable")
     steps = np.less(order, n).view(np.int8)
     del order

@@ -7,6 +7,10 @@ these seeds all of them hold with margin.
 
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +22,7 @@ from scipy import stats
 
 import chebprob.stochastic as stochastic_module
 from chebprob.eulerpoly import euler_numbers, euler_poly, eval_poly, gen_euler_recursive
+from chebprob.exactnum import DomainError
 from chebprob.probnum import probnum_series
 from chebprob.stochastic import (
     _CHUNK,
@@ -98,8 +103,9 @@ class TestSechSampling:
             assert statistic * math.sqrt(count) < 2.5
 
     def test_count_validated(self):
-        with pytest.raises(ValueError):
-            sample_sech(RandomStream(1), 0)
+        for count in (0, -1):
+            with pytest.raises(DomainError, match="sample_sech requires count >= 1"):
+                sample_sech(RandomStream(1), count)
 
 
 class TestMuSampling:
@@ -129,6 +135,11 @@ class TestMuSampling:
     def test_n1_rejected(self):
         with pytest.raises(ValueError):
             sample_mu(RandomStream(1), 1, 10)
+
+    def test_count_validated(self):
+        for count in (0, -1):
+            with pytest.raises(DomainError, match="sample_mu requires count >= 1"):
+                sample_mu(RandomStream(1), 3, count)
 
     def test_tables_equal_the_fraction_doubling_loop(self):
         # The sampling tables fix every pinned-seed draw, so they must match,
@@ -282,15 +293,16 @@ class TestMomentReports:
 
 
 def reference_sech(stream, count):
-    """sample_sech as the whole-array expression: draw, redraw exact zeros
-    after the block, then transform with temporaries."""
-    rng = stream.generator()
-    u = rng.random(count)
-    while True:
-        zeros = u == 0.0
-        if not zeros.any():
-            break
-        u[zeros] = rng.random(int(zeros.sum()))
+    """sample_sech as the whole-array expression: draw, replace an exact zero
+    at position p by the first nonzero uniform of the Philox counter words
+    (0, p, 0, 1), then transform with temporaries."""
+    u = stream.generator().random(count)
+    key = np.array([stream.seed % 2**64, stream.stream_id % 2**64], dtype=np.uint64)
+    for p in np.flatnonzero(u == 0.0):
+        rng = np.random.Generator(np.random.Philox(key=key, counter=[0, int(p), 0, 1]))
+        u[p] = rng.random()
+        while u[p] == 0.0:
+            u[p] = rng.random()
     return np.log(np.tan(0.5 * np.pi * u)) / np.pi
 
 
@@ -321,26 +333,42 @@ def same_json(a, b):
 
 class PlantedZeroStream:
     """A stream whose uniforms are those of ``stream`` except exact zeros at
-    the given positions of the sequence."""
+    the given positions of the sequence, whatever offset a generator starts
+    at."""
 
     def __init__(self, stream, positions):
         self.stream, self.positions = stream, positions
+        self.seed, self.stream_id = stream.seed, stream.stream_id
 
-    def generator(self):
-        return PlantedZeroGenerator(self.stream.generator(), self.positions)
+    def generator(self, offset=0):
+        return PlantedZeroGenerator(self.stream.generator(offset), self.positions, offset)
 
 
 class PlantedZeroGenerator:
-    def __init__(self, rng, positions):
-        self.rng, self.positions, self.drawn = rng, positions, 0
+    def __init__(self, rng, positions, drawn):
+        self.rng, self.positions, self.drawn = rng, positions, drawn
 
     def random(self, size=None, out=None):
         values = self.rng.random(size, out=out)
-        for position in self.positions:
-            if self.drawn <= position < self.drawn + values.size:
-                values[position - self.drawn] = 0.0
-        self.drawn += values.size
+        count = np.size(values)
+        hits = [p - self.drawn for p in self.positions if self.drawn <= p < self.drawn + count]
+        if hits:
+            values[hits] = 0.0
+        self.drawn += count
         return values
+
+
+WORKER_COUNTS = (1, 2, 3, 5)
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(stochastic_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
 
 
 # Segment lengths: short runs, single segments near and past _CHUNK, and
@@ -353,6 +381,11 @@ segment_blocks = st.one_of(
 )
 
 
+@pytest.fixture(scope="module")
+def zero_free_sums():
+    return reference_sums(RandomStream(17), np.full(10**5, 49, dtype=np.int64))
+
+
 class TestRandomSums:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -360,16 +393,26 @@ class TestRandomSums:
         seed=st.integers(0, 2**32),
     )
     def test_chunk_loop_equals_the_whole_array(self, blocks, seed):
+        # For every worker count, with runs of at least 16 draws, so that
+        # small blocks are cut into runs too.
         mu = np.array([m for block in blocks for m in block], dtype=np.int64)
         stream = RandomStream(seed, 3)
-        got = stochastic_module._random_sums(stream, mu)
-        assert got.tobytes() == reference_sums(stream, mu).tobytes()
+        expected = reference_sums(stream, mu).tobytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stochastic_module, "_MIN_RUN", 16)
+            for workers in WORKER_COUNTS:
+                patch.setattr(stochastic_module, "_WORKERS", workers)
+                got = stochastic_module._random_sums(stream, mu)
+                assert got.tobytes() == expected, workers
 
-    @pytest.mark.parametrize("position", [0, 5, 150_000, 199_999])
-    def test_planted_zero_is_redrawn_in_its_chunk(self, monkeypatch, position):
+    # 2_450_000 starts the second run at two workers, and 4_899_999 is its
+    # last draw.
+    @pytest.mark.parametrize("position", [0, 5, 150_000, 199_999, 2_450_000, 4_899_999])
+    def test_planted_zero_is_redrawn_in_its_chunk(self, monkeypatch, position, zero_free_sums):
         # A zero uniform must be redrawn, never mapped to ln(tan(0)) = -inf,
-        # and inside its chunk: no whole-array draw of sum(mu) variates
-        # (37 MiB here) is made, and the sums before it are untouched.
+        # inside its chunk: no whole-array draw of sum(mu) variates (37 MiB
+        # here) is made.  Its replacement is keyed by its position alone, so
+        # every other sum is untouched and no worker count changes anything.
         calls = []
 
         def spy(stream, count):
@@ -379,18 +422,25 @@ class TestRandomSums:
         monkeypatch.setattr(stochastic_module, "sample_sech", spy)
         mu = np.full(10**5, 49, dtype=np.int64)
         stream = PlantedZeroStream(RandomStream(17), [position])
-        tracemalloc.start()
-        try:
-            got = stochastic_module._random_sums(stream, mu)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(stochastic_module, "_WORKERS", workers)
+            tracemalloc.start()
+            try:
+                got = stochastic_module._random_sums(stream, mu)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, workers
+            results.append(got.tobytes())
         assert calls == []
+        assert len(set(results)) == 1
         assert np.isfinite(got).all()
-        assert peak < 8 * 2**20
-        before = np.cumsum(mu) <= position
-        expected = reference_sums(stream, mu)
-        assert got[before].tobytes() == expected[before].tobytes()
+        hit = position // 49
+        others = np.arange(len(mu)) != hit
+        assert got[others].tobytes() == zero_free_sums[others].tobytes()
+        assert got[hit] != zero_free_sums[hit]
+        assert got.tobytes() == reference_sums(stream, mu).tobytes()
 
     def test_klebanov_memory_is_bounded(self):
         # Whole-array sampling held about samples * N^2 draws, 118 MiB here.
@@ -402,10 +452,13 @@ class TestRandomSums:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
-    def test_sample_sech_equals_the_expression(self):
-        for count in (1, 7, 1000, 65537):
+    def test_sample_sech_equals_the_expression(self, monkeypatch):
+        for count in (1, 7, 1000, 65537, 10**6):
             stream = RandomStream(5, count)
-            assert sample_sech(stream, count).tobytes() == reference_sech(stream, count).tobytes()
+            expected = reference_sech(stream, count).tobytes()
+            for workers in WORKER_COUNTS:
+                monkeypatch.setattr(stochastic_module, "_WORKERS", workers)
+                assert sample_sech(stream, count).tobytes() == expected, (count, workers)
 
     @pytest.mark.parametrize("n", range(9))
     def test_euler_poly_equals_the_expressions(self, n):
@@ -430,6 +483,95 @@ class TestRandomSums:
                 float(eval_poly(gen_euler_recursive(n, p), x)),
             )
             assert same_json(mc_gen_euler(stream, n, p, x, 10**4), expected)
+
+
+class TestRuns:
+    """Monte Carlo calls cut into runs, one per worker thread: the output
+    must not depend on the worker count."""
+
+    def test_generator_starts_at_any_offset(self):
+        stream = RandomStream(23, 4)
+        whole = stream.generator().random(64)
+        for offset in (0, 1, 2, 3, 4, 5, 11, 40):
+            got = stream.generator(offset).random(8)
+            assert got.tobytes() == whole[offset:offset + 8].tobytes(), offset
+        far = stream.generator(10**9 + 3).random(2)
+        assert stream.generator(10**9).random(5)[3:].tobytes() == far.tobytes()
+
+    def test_sample_mu_for_every_worker_count(self, monkeypatch):
+        # 10^6 draws: up to five runs, each longer than one _CHUNK.
+        stream = RandomStream(12, 5)
+        expected = reference_mu(stream, 5, 10**6).tobytes()
+        for workers in WORKER_COUNTS:
+            monkeypatch.setattr(stochastic_module, "_WORKERS", workers)
+            assert sample_mu(stream, 5, 10**6).tobytes() == expected, workers
+
+    def test_ks_for_every_worker_count(self, monkeypatch):
+        a, b = oracle_samples(10**4, 10, 1.05)
+        k = reference_ks_gap(a, b)
+        expected = (k / 10**4, stochastic_module._ks_pvalue(10**4, k))
+        monkeypatch.setattr(stochastic_module, "_MIN_RUN", 2**10)
+        for workers in WORKER_COUNTS:
+            monkeypatch.setattr(stochastic_module, "_WORKERS", workers)
+            assert stochastic_module._ks_two_sample(a, b) == expected, workers
+
+    def test_klebanov_report_for_one_and_two_workers(self, monkeypatch):
+        reports = []
+        for workers in (1, 2):
+            monkeypatch.setattr(stochastic_module, "_WORKERS", workers)
+            reports.append(json.dumps(mc_klebanov(RandomStream(42), 2, 10**6).json_dict()))
+        assert reports[0] == reports[1]
+
+    def test_no_thread_outlives_import_or_call(self):
+        # The benchmark forks after the import, and callers may fork too.
+        proc = run_fresh(
+            "import threading\n"
+            "before = threading.active_count()\n"
+            "import chebprob.stochastic as s\n"
+            "assert threading.active_count() == before\n"
+            "s._WORKERS = 2\n"
+            "s.mc_klebanov(s.RandomStream(3), 3, 10**5)\n"
+            "assert threading.active_count() == before, threading.enumerate()\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_failing_run_raises_on_the_calling_thread(self, monkeypatch):
+        real = stochastic_module._sech_fill
+
+        def fails_past_the_first_run(stream, offset, rng, out):
+            if offset > 0:
+                raise RuntimeError(f"run at {offset} failed")
+            return real(stream, offset, rng, out)
+
+        monkeypatch.setattr(stochastic_module, "_WORKERS", 2)
+        monkeypatch.setattr(stochastic_module, "_sech_fill", fails_past_the_first_run)
+        before = threading.enumerate()
+        monkeypatch.setattr(stochastic_module, "_MIN_RUN", 2**10)
+        with pytest.raises(RuntimeError, match="run at 5000 failed"):
+            sample_sech(RandomStream(1), 10**4)
+        assert threading.enumerate() == before
+        with pytest.raises(RuntimeError, match="run at 4500 failed"):
+            stochastic_module._random_sums(RandomStream(1), np.full(10**3, 9, dtype=np.int64))
+        assert threading.enumerate() == before
+
+    def test_public_entry_points_stay_on_the_calling_thread(self, monkeypatch):
+        # The benchmark's tracer wraps these names and keeps one span stack:
+        # a worker that called one would corrupt it, and would change what the
+        # traced draw count means.
+        threads = []
+        for name in ("sample_sech", "sample_mu", "_mu_table", "probnum_series"):
+            real = getattr(stochastic_module, name)
+
+            def spy(*args, real=real, name=name):
+                threads.append((name, threading.get_ident()))
+                return real(*args)
+
+            monkeypatch.setattr(stochastic_module, name, spy)
+        monkeypatch.setattr(stochastic_module, "_WORKERS", 3)
+        mc_klebanov(RandomStream(8), 4, 10**5)
+        mc_gen_euler(RandomStream(8), 2, 3, 0, 10**5)
+        assert {name for name, _ in threads} >= {"sample_sech", "sample_mu", "_mu_table"}
+        assert {ident for _, ident in threads} == {threading.get_ident()}
 
 
 class TestMomentIntegral:
