@@ -283,8 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--x", required=True, help="rational, e.g. 1/4 or -2/3 or 5")
     p_id.add_argument("--tol", type=positive_float, default=1e-9)
     p_id.add_argument("--max-terms", dest="max_terms", type=int, default=None,
-                      help="index budget for the series (default: the least k "
-                           ">= 2000 with k^n (1+2N|x-1/2|)^n cos(pi/2N)^k <= tol)")
+                      help="index budget for the series, at most 2^16 (default: "
+                           "the least k >= 2000 with "
+                           "k^n (1+2N|x-1/2|)^n cos(pi/2N)^k <= tol)")
     p_id.add_argument("--format", choices=["json", "pretty"], default="pretty")
     p_id.add_argument("--out", default=None)
     p_id.set_defaults(handler=cmd_identity)

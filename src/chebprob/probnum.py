@@ -127,11 +127,6 @@ class ProbTable:
     method: Method
     tail_bound: float
 
-    def value(self, ell: int):
-        if not 0 <= ell <= self.max_ell:
-            raise IndexError(f"ell={ell} outside table range 0..{self.max_ell}")
-        return self.values[ell]
-
     def support(self) -> Iterator[tuple[int, object]]:
         """(ell, value) pairs over the support indices N, N+2, ..."""
         for ell in range(self.N, self.max_ell + 1, 2):

@@ -68,9 +68,8 @@ __all__ = [
 ]
 
 _MU_TABLE_GAP = Fraction(1, 10**15)
-# Draws per chunk of mc_klebanov's random sums: about 0.5 MiB of doubles,
-# small enough to stay in cache, large enough that the per-chunk Python
-# overhead is negligible.
+# Draws per chunk of sample_mu and of the random sums: 0.5 MiB, small enough
+# to stay in cache, large enough that the per-chunk Python overhead is small.
 _CHUNK = 2**16
 
 # moment_integral_check is held to an absolute 1e-10, and the moment
@@ -88,11 +87,11 @@ MIN_SAMPLES = 10**4
 MIN_KLEBANOV_SAMPLES = 10**5
 # Largest N of sample_mu and mc_klebanov.  The sampling table of mu_N runs to
 # about 28 N^2 terms and the law memo behind it holds about N^4 bits, so
-# memory grows like N^4.  mc_klebanov at MIN_KLEBANOV_SAMPLES, on a 2-vCPU VM
-# under Python 3.11: N = 20 tables through ell 12800 in 0.9 s at a 52 MiB
-# peak, N = 30 through 28800 in 2.7 s at 118 MiB, N = 40 through 51200 in
-# 7.2 s at 291 MiB.
+# memory grows like N^4: at MIN_KLEBANOV_SAMPLES, N = 30 peaks at 118 MiB and
+# N = 40 would at 291 MiB (2-vCPU VM, Python 3.11).
 MAX_KLEBANOV_N = 30
+# MomentReport.ok fails a report whose KS p-value is below this level.
+_KS_ALPHA = 0.01
 # Trapezoid step of the moment integrals.  Their integrands are analytic in
 # the strip |Im t| < 1/2, so the rule's error is about 4 exp(-pi / h) 2^-k,
 # 6e-22 at h = 1/16, far below rounding; a power of two keeps every node
@@ -214,12 +213,16 @@ def sample_sech(stream: RandomStream, count: int) -> np.ndarray:
     where a uniform is an exact 0 (see :func:`_sech_fill`)."""
     if count < 1:
         raise DomainError(f"sample_sech requires count >= 1, got {count}")
-    out = np.empty(count)
+    return _sech_draws(stream, np.empty(count))
+
+
+def _sech_draws(stream: RandomStream, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` in place with the first sech draws of ``stream``, in runs."""
 
     def run(lo, hi):
         _sech_fill(stream, lo, stream.generator(lo), out[lo:hi])
 
-    _in_runs(run, _cuts(count))
+    _in_runs(run, _cuts(len(out)))
     return out
 
 
@@ -317,8 +320,6 @@ def sample_mu(stream: RandomStream, N: int, count: int) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-    assert int(out.min()) >= N
-    assert not ((out - N) & 1).any()
     return out
 
 
@@ -361,16 +362,14 @@ class MomentReport:
     def max_standardized_deviation(self) -> float:
         return max(entry.standardized for entry in self.entries)
 
-    def ok(self, band: float = DEFAULT_BAND, ks_alpha: float = 0.01) -> bool:
+    def ok(self, band: float = DEFAULT_BAND) -> bool:
         # A NaN compares false with everything, so it would pass every check.
         if not (math.isfinite(band) and band > 0):
             raise ValueError(f"band must be finite and positive, got {band}")
-        if not 0 < ks_alpha < 1:
-            raise ValueError(f"ks_alpha must lie in (0, 1), got {ks_alpha}")
         if self.max_standardized_deviation > band:
             return False
         p_value = self.extras.get("ks_pvalue")
-        if p_value is not None and p_value < ks_alpha:
+        if p_value is not None and p_value < _KS_ALPHA:
             return False
         return True
 
@@ -473,26 +472,24 @@ def mc_gen_euler(
     return _power_report(shift - 0.5 * p, total, n, reference)
 
 
-def _random_sums(stream: RandomStream, mu: np.ndarray) -> np.ndarray:
-    """Sums of consecutive sech draws of ``stream``, mu[i] of them for sum i.
+def _random_sums(stream: RandomStream, mu: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` in place with the sums of consecutive sech draws of
+    ``stream``, mu[i] of them for sum i, and return it.
 
-    They equal ``np.add.reduceat(sample_sech(stream, mu.sum()), starts)``,
-    with ``starts`` the offsets of the segments, byte for byte: each sum adds
-    the draws at its own stream positions, in order, within one reduceat.
-    An exact-zero uniform is replaced as :func:`sample_sech` replaces it, by
-    a draw keyed by its position alone (:func:`_redraw`), so it changes only
-    the sum that holds it.
+    Byte for byte they are ``np.add.reduceat(sample_sech(stream, mu.sum()),
+    starts)``, ``starts`` the offsets of the segments: each sum adds the draws
+    at its own stream positions, in order, within one reduceat.  An exact-zero
+    uniform is replaced by a draw keyed by its position alone
+    (:func:`_redraw`), so it changes only the sum that holds it.
 
-    The segments are cut into runs that end on segment boundaries, with
-    near-equal numbers of draws, one per worker (:func:`_in_runs`).  A run
-    reads the stream from its first position and passes its draws through
-    its own reused buffer in chunks of about ``_CHUNK`` that end on segment
-    boundaries, so memory stays O(len(mu) + runs (_CHUNK + max(mu))).
+    The segments are cut into runs that end on segment boundaries, one per
+    worker, with near-equal numbers of draws (:func:`_in_runs`).  A run reads
+    the stream from its first position through its own reused buffer, in
+    chunks of about ``_CHUNK`` that end on segment boundaries, so memory
+    beyond ``out`` is O(len(mu) + runs (_CHUNK + max(mu))).
     """
     ends = np.cumsum(mu)
     starts = ends - mu
-    total = int(ends[-1])
-    sums = np.empty(len(mu))
 
     def run(lo, hi):
         buffer = np.empty(_CHUNK + int(mu[lo:hi].max()))
@@ -503,38 +500,37 @@ def _random_sums(stream: RandomStream, mu: np.ndarray) -> np.ndarray:
             # The first segment ending at or past start + _CHUNK closes the chunk.
             j = min(int(np.searchsorted(ends, start + _CHUNK)) + 1, hi)
             draws = _sech_fill(stream, start, rng, buffer[: int(ends[j - 1]) - start])
-            np.add.reduceat(draws, starts[k:j] - start, out=sums[k:j])
+            np.add.reduceat(draws, starts[k:j] - start, out=out[k:j])
             k = j
 
     # Run r starts at the first segment starting at or past its share of the
     # draws; a segment longer than a share leaves a run empty, and it goes.
-    bounds = np.searchsorted(starts, _cuts(total)).tolist()
+    bounds = np.searchsorted(starts, _cuts(int(ends[-1]))).tolist()
     _in_runs(run, sorted(set(bounds)))
-    return sums
+    return out
 
 
-def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+def _ks_two_sample(pooled: np.ndarray) -> tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic D and its p-value
-    P(D_{n,n} >= D) under the null, for two samples of one size n.
+    P(D_{n,n} >= D) under the null, for the halves of ``pooled``, two
+    samples of one size n; ``pooled`` is left sorted.
 
     D is the largest gap between the two empirical distribution functions,
-    taken at the data points.  Both samples are copied into one array of 2n
-    and sorted half by half, on two threads when 2n is large enough to cut
-    (:func:`_run_count`); a stable argsort then merges the two sorted runs
-    in one O(n) pass, and the gaps are the running sum of +1 for a point of
-    ``a`` and -1 for one of ``b``.  They are read at the last point of each
-    run of equal values, so a tie counts every point at or below it, in both
-    samples.  The gaps are integer counts, so D is k/n for an integer k.  The
-    p-value is exact (:func:`_ks_pvalue`); unequal sizes are refused rather
-    than approximated.  The inputs are left as they are.
+    taken at the data points.  The halves are sorted in place (on two
+    threads when 2n can be cut, :func:`_run_count`); a stable argsort merges
+    the two sorted runs in one O(n) pass, and the gaps are the running sum
+    of +1 for a point of the first half, -1 for one of the second.  They are
+    read at the last point of each run of equal values, which a second
+    stable sort of ``pooled`` in place finds (a gather ``pooled[order]``
+    would hold 2n more doubles), so a tie counts every point at or below it,
+    in both samples.  D is k/n for an integer k, and the p-value is exact
+    (:func:`_ks_pvalue`); an odd length is refused.
     """
-    n = len(a)
-    if n == 0 or len(b) != n:
+    n, odd = divmod(len(pooled), 2)
+    if n == 0 or odd:
         raise ValueError(
-            f"the exact KS test needs two nonempty samples of one size, "
-            f"got {len(a)} and {len(b)}"
+            f"the exact KS test needs two samples of one size, got {len(pooled)} values"
         )
-    pooled = np.concatenate((a, b))
     halves = pooled.reshape(2, n)
     _in_runs(
         lambda lo, hi: halves[lo:hi].sort(axis=1),
@@ -592,19 +588,22 @@ def mc_klebanov(stream: RandomStream, N: int, count: int) -> MomentReport:
             f"mc_klebanov requires count >= {MIN_KLEBANOV_SAMPLES}, got {count}"
         )
     mu_stream, sech_stream, reference_stream = stream.split(3)
-    sums = _random_sums(sech_stream, sample_mu(mu_stream, N, count))
+    pooled = np.empty(2 * count)
+    sums = _random_sums(sech_stream, sample_mu(mu_stream, N, count), pooled[:count])
     sums /= N
 
     numbers = euler_numbers(6).euler_numbers
-    squared = sums * sums
-    moments = {2: squared, 4: squared * squared, 6: squared * squared * squared}
     entries = [_entry("mean", sums, 0.0)]
+    squared = sums * sums
+    power = np.ones(count)  # then squared, squared^2, squared^2 * squared
     for k in (2, 4, 6):
+        np.multiply(power, squared, out=power)
         reference = float(Fraction(abs(numbers[k]), 2**k))
-        entries.append(_entry(f"moment{k}", moments[k], reference))
+        entries.append(_entry(f"moment{k}", power, reference))
 
-    del moments, squared  # free their memory for the KS test's sorted copies
-    statistic, p_value = _ks_two_sample(sums, sample_sech(reference_stream, count))
+    del squared, power  # free their memory for the KS test's merge
+    _sech_draws(reference_stream, pooled[count:])
+    statistic, p_value = _ks_two_sample(pooled)
     return MomentReport(
         sample_size=count,
         entries=tuple(entries),

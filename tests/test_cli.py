@@ -365,6 +365,17 @@ REFUSED = [
     ("max-terms-negative",
      ("identity", "--n", "2", "--N", "3", "--x", "1/3", "--max-terms", "-5"),
      lambda: identities.reconstruct_euler(2, 3, Fraction(1, 3), 1e-9, max_k=-5)),
+    ("identity-default-budget",
+     ("identity", "--n", "8", "--N", "10", "--x", str(10**400)),
+     lambda: identities.reconstruct_euler(8, 10, 10**400, 1e-9)),
+    ("identity-default-budget-past-the-int-str-limit",
+     ("identity", "--n", "1", "--N", "2", "--x", "1" + "0" * 10000),
+     lambda: identities.reconstruct_euler(1, 2, 10**10000, 1e-9)),
+    ("max-terms-above-MAX_K",
+     ("identity", "--n", "2", "--N", "3", "--x", "1/3",
+      "--max-terms", str(identities.MAX_K + 1)),
+     lambda: identities.reconstruct_euler(
+         2, 3, Fraction(1, 3), 1e-9, max_k=identities.MAX_K + 1)),
     ("max-terms-below-N",
      ("identity", "--n", "2", "--N", "3", "--x", "1/3", "--max-terms", "2"),
      lambda: identities.reconstruct_euler(2, 3, Fraction(1, 3), 1e-9, max_k=2)),

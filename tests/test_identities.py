@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import chebprob.identities as identities_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from chebprob.eulerpoly import euler_poly, eval_poly, gen_euler_recursive
 from chebprob.exactnum import DomainError
 from chebprob.identities import (
     DEFAULT_MAX_K,
+    MAX_K,
     ConvergenceError,
     ReconstructionResult,
     asymptotic_ratio,
@@ -230,6 +232,31 @@ class TestIntegerLoop:
         # A budget of N admits the one term k = N.
         with pytest.raises(ConvergenceError, match="by k=3, the end of the term budget"):
             reconstruct_euler(2, 3, Fraction(1, 3), 1e-9, max_k=3)
+
+    def test_budget_above_MAX_K_refused_before_any_work(self, monkeypatch):
+        # The law memo through k holds about k^2 / 2 bits: the default budget
+        # of the first call, 606995, would hold about 23 GB.
+        def no_work(*args):
+            raise AssertionError("a refused budget reached the sum")
+
+        monkeypatch.setattr(identities_module, "_law", no_work)
+        monkeypatch.setattr(identities_module, "euler_poly", no_work)
+        default = f"requires max_k <= {MAX_K}; the default term budget for"
+        with pytest.raises(DomainError, match=f"{default} n=8, N=10, .* is 606995$"):
+            reconstruct_euler(8, 10, 10**400, 1e-9)
+        with pytest.raises(DomainError, match=f"{default} n=1, N=2, .* is 66535$"):
+            reconstruct_euler(1, 2, 10**10000, 1e-9)
+        with pytest.raises(DomainError, match=f"expectation_form_check {default}"):
+            expectation_form_check(1, 100, 1e-300)
+        given = f"requires max_k <= {MAX_K}, got max_k={MAX_K + 1}"
+        with pytest.raises(DomainError, match=given):
+            reconstruct_euler(2, 3, Fraction(1, 3), 1e-9, max_k=MAX_K + 1)
+        with pytest.raises(DomainError, match=given):
+            expectation_form_check(2, 3, 1e-9, MAX_K + 1)
+
+    def test_budget_of_MAX_K_admitted(self):
+        exact = reconstruct_euler(2, 3, Fraction(1, 3), 1e-9)
+        assert reconstruct_euler(2, 3, Fraction(1, 3), 1e-9, max_k=MAX_K) == exact
 
 
 class TestExpectationForm:

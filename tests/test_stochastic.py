@@ -269,12 +269,6 @@ class TestMomentReports:
         with pytest.raises(ValueError, match="band"):
             report.ok(band=band)
 
-    @pytest.mark.parametrize("alpha", [float("nan"), 0.0, 1.0, 1.5])
-    def test_ok_rejects_a_ks_alpha_outside_the_unit_interval(self, alpha):
-        report = mc_euler_poly(RandomStream(7), 1, 0, 10**4)
-        with pytest.raises(ValueError, match="ks_alpha"):
-            report.ok(ks_alpha=alpha)
-
     @pytest.mark.parametrize("x", [10**310, Fraction(-(10**400), 3), float("inf")])
     def test_x_beyond_the_float_range_rejected(self, x):
         # The samples are shifted by float(x), which would overflow.
@@ -310,6 +304,27 @@ def reference_sums(stream, mu):
     """mc_klebanov's random sums drawn as one array and reduced at once."""
     increments = reference_sech(stream, int(mu.sum()))
     return np.add.reduceat(increments, np.concatenate(([0], np.cumsum(mu)[:-1])))
+
+
+def reference_klebanov(stream, N, count):
+    """mc_klebanov from whole-array expressions: the moments as the products
+    squared, squared * squared and squared * squared * squared, and the KS
+    test by binary-search counting against separately drawn sech values."""
+    mu_stream, sech_stream, reference_stream = stream.split(3)
+    sums = reference_sums(sech_stream, reference_mu(mu_stream, N, count)) / N
+    numbers = euler_numbers(6).euler_numbers
+    squared = sums * sums
+    moments = {2: squared, 4: squared * squared, 6: squared * squared * squared}
+    entries = [stochastic_module._entry("mean", sums, 0.0)]
+    for k in (2, 4, 6):
+        reference = float(Fraction(abs(numbers[k]), 2**k))
+        entries.append(stochastic_module._entry(f"moment{k}", moments[k], reference))
+    k = reference_ks_gap(sums, reference_sech(reference_stream, count))
+    return MomentReport(
+        sample_size=count,
+        entries=tuple(entries),
+        extras={"ks_statistic": k / count, "ks_pvalue": stochastic_module._ks_pvalue(count, k)},
+    )
 
 
 def reference_report(draws, real_part, n, reference):
@@ -402,7 +417,7 @@ class TestRandomSums:
             patch.setattr(stochastic_module, "_MIN_RUN", 16)
             for workers in WORKER_COUNTS:
                 patch.setattr(stochastic_module, "_WORKERS", workers)
-                got = stochastic_module._random_sums(stream, mu)
+                got = stochastic_module._random_sums(stream, mu, np.empty(len(mu)))
                 assert got.tobytes() == expected, workers
 
     # 2_450_000 starts the second run at two workers, and 4_899_999 is its
@@ -427,7 +442,7 @@ class TestRandomSums:
             monkeypatch.setattr(stochastic_module, "_WORKERS", workers)
             tracemalloc.start()
             try:
-                got = stochastic_module._random_sums(stream, mu)
+                got = stochastic_module._random_sums(stream, mu, np.empty(len(mu)))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -451,6 +466,25 @@ class TestRandomSums:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_klebanov_peak_at_a_million_samples(self):
+        # Separate random sums and reference draws, their pooled copy and
+        # three moment arrays made the peak about 48 MiB; one pooled array and
+        # one running power make it about 40 MiB.
+        tracemalloc.start()
+        try:
+            mc_klebanov(RandomStream(42), 2, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 44 * 2**20
+
+    @pytest.mark.parametrize("seed, N, count", [(42, 2, 10**6), (1, 7, 10**5)])
+    def test_klebanov_equals_the_expressions(self, seed, N, count):
+        assert same_json(
+            mc_klebanov(RandomStream(seed), N, count),
+            reference_klebanov(RandomStream(seed), N, count),
+        )
 
     def test_sample_sech_equals_the_expression(self, monkeypatch):
         for count in (1, 7, 1000, 65537, 10**6):
@@ -513,7 +547,7 @@ class TestRuns:
         monkeypatch.setattr(stochastic_module, "_MIN_RUN", 2**10)
         for workers in WORKER_COUNTS:
             monkeypatch.setattr(stochastic_module, "_WORKERS", workers)
-            assert stochastic_module._ks_two_sample(a, b) == expected, workers
+            assert ks_two_sample(a, b) == expected, workers
 
     def test_klebanov_report_for_one_and_two_workers(self, monkeypatch):
         reports = []
@@ -551,7 +585,8 @@ class TestRuns:
             sample_sech(RandomStream(1), 10**4)
         assert threading.enumerate() == before
         with pytest.raises(RuntimeError, match="run at 4500 failed"):
-            stochastic_module._random_sums(RandomStream(1), np.full(10**3, 9, dtype=np.int64))
+            mu = np.full(10**3, 9, dtype=np.int64)
+            stochastic_module._random_sums(RandomStream(1), mu, np.empty(len(mu)))
         assert threading.enumerate() == before
 
     def test_public_entry_points_stay_on_the_calling_thread(self, monkeypatch):
@@ -609,6 +644,11 @@ def oracle_samples(n, seed, scale):
     return sample_sech(RandomStream(seed, 1), n), scale * sample_sech(RandomStream(seed, 2), n)
 
 
+def ks_two_sample(a, b):
+    """The KS test of two samples, pooled as mc_klebanov pools them."""
+    return stochastic_module._ks_two_sample(np.concatenate((a, b)))
+
+
 def reference_ks_gap(a, b):
     """The KS statistic's integer k by counting each sample at every pooled
     point with two binary searches (ties counted with side="right")."""
@@ -638,44 +678,45 @@ class TestKolmogorovSmirnov:
         a, b = samples
         k = reference_ks_gap(a, b)
         n = len(a)
-        assert stochastic_module._ks_two_sample(a, b) == (k / n, stochastic_module._ks_pvalue(n, k))
+        assert ks_two_sample(a, b) == (k / n, stochastic_module._ks_pvalue(n, k))
 
     def test_single_points(self):
-        assert stochastic_module._ks_two_sample(np.array([0.5]), np.array([0.5])) == (0.0, 1.0)
-        assert stochastic_module._ks_two_sample(np.array([0.0]), np.array([1.0])) == (1.0, 1.0)
-        assert stochastic_module._ks_two_sample(np.array([1.0]), np.array([-1.0])) == (1.0, 1.0)
+        assert ks_two_sample(np.array([0.5]), np.array([0.5])) == (0.0, 1.0)
+        assert ks_two_sample(np.array([0.0]), np.array([1.0])) == (1.0, 1.0)
+        assert ks_two_sample(np.array([1.0]), np.array([-1.0])) == (1.0, 1.0)
 
     def test_constant_sample(self):
         constant = np.full(1000, 0.25)
         a = sample_sech(RandomStream(6), 1000)
         k = reference_ks_gap(constant, a)
-        assert stochastic_module._ks_two_sample(constant, a)[0] == k / 1000
-        assert stochastic_module._ks_two_sample(constant, constant.copy()) == (0.0, 1.0)
-        assert stochastic_module._ks_two_sample(constant, constant + 1)[0] == 1.0
+        assert ks_two_sample(constant, a)[0] == k / 1000
+        assert ks_two_sample(constant, constant.copy()) == (0.0, 1.0)
+        assert ks_two_sample(constant, constant + 1)[0] == 1.0
 
-    def test_inputs_are_left_unchanged(self):
+    def test_pooled_array_is_left_sorted(self):
         a, b = oracle_samples(1000, 8, 1.1)
-        a_bytes, b_bytes = a.tobytes(), b.tobytes()
-        stochastic_module._ks_two_sample(a, b)
-        assert a.tobytes() == a_bytes
-        assert b.tobytes() == b_bytes
+        pooled = np.concatenate((a, b))
+        expected = np.sort(pooled).tobytes()
+        stochastic_module._ks_two_sample(pooled)
+        assert pooled.tobytes() == expected
 
     def test_memory_is_bounded(self):
-        # Sorted copies plus two int64 search results reached 61 MiB here.
-        a, b = oracle_samples(10**6, 9, 1.0)
+        # Sorted copies plus two int64 search results reached 61 MiB here, and
+        # a pooled copy of the two samples with the int64 merge order 32 MiB.
+        pooled = np.concatenate(oracle_samples(10**6, 9, 1.0))
         tracemalloc.start()
         try:
-            stochastic_module._ks_two_sample(a, b)
+            stochastic_module._ks_two_sample(pooled)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * 2**20
+        assert peak <= 24 * 2**20
 
     @pytest.mark.parametrize("n", [50, 1000, 5000])
     def test_pvalue_equals_scipy_exact(self, n):
         for seed, scale in enumerate((1.0, 1.05, 1.1, 1.2, 1.5)):
             a, b = oracle_samples(n, seed, scale)
-            _, p_value = stochastic_module._ks_two_sample(a, b)
+            _, p_value = ks_two_sample(a, b)
             expected = stats.ks_2samp(a, b, method="exact")
             assert p_value == pytest.approx(expected.pvalue, rel=1e-9, abs=0)
 
@@ -696,22 +737,24 @@ class TestKolmogorovSmirnov:
     def test_pvalue_near_scipy_asymptotic_at_large_n(self):
         for seed in range(3):
             a, b = oracle_samples(10**5, seed, 1.0)
-            _, p_value = stochastic_module._ks_two_sample(a, b)
+            _, p_value = ks_two_sample(a, b)
             assert abs(p_value - stats.ks_2samp(a, b).pvalue) <= 2e-3
 
     @pytest.mark.parametrize("n", [50, 1000, 10**5])
     def test_statistic_is_a_count_over_n(self, n):
         a, b = oracle_samples(n, 4, 1.1)
-        statistic, _ = stochastic_module._ks_two_sample(a, b)
+        statistic, _ = ks_two_sample(a, b)
         k = round(statistic * n)
         assert statistic == k / n
         assert abs(statistic - stats.ks_2samp(a, b).statistic) <= 4 * math.ulp(statistic)
 
     def test_equal_samples_give_p_one(self):
         a = sample_sech(RandomStream(3), 1000)
-        assert stochastic_module._ks_two_sample(a, a[::-1].copy()) == (0.0, 1.0)
+        assert ks_two_sample(a, a[::-1].copy()) == (0.0, 1.0)
 
     def test_unequal_sizes_rejected(self):
         a = sample_sech(RandomStream(3), 1000)
         with pytest.raises(ValueError, match="one size"):
-            stochastic_module._ks_two_sample(a, a[:999])
+            ks_two_sample(a, a[:999])
+        with pytest.raises(ValueError, match="one size"):
+            stochastic_module._ks_two_sample(np.empty(0))
