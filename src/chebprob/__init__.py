@@ -37,16 +37,12 @@ from .exactnum import (
     format_rational,
 )
 from .identities import (
-    CatalanGFReport,
     CatalanPrefixReport,
     ConvergenceError,
-    QSequence,
     ReconstructionResult,
     asymptotic_ratio,
-    catalan_gf_check,
     catalan_prefix_check,
     expectation_form_check,
-    q_sequence,
     reconstruct_euler,
 )
 from .probnum import (
@@ -70,8 +66,8 @@ __version__ = "0.1.0"
 # stochastic name is first used.
 _STOCHASTIC = (
     "RandomStream", "MomentEntry", "MomentReport", "sample_sech", "sample_mu",
-    "sech_cdf", "sech_density", "mc_euler_poly", "mc_gen_euler",
-    "mc_klebanov", "moment_integral_check",
+    "sech_cdf", "mc_euler_poly", "mc_gen_euler", "mc_klebanov",
+    "moment_integral_check",
 )
 
 __all__ = [
@@ -90,10 +86,9 @@ __all__ = [
     "EulerTable", "PolyInX", "euler_numbers", "euler_poly",
     "gen_euler_zero", "gen_euler_recursive", "gen_euler_series", "eval_poly",
     # identities
-    "ConvergenceError", "ReconstructionResult", "QSequence",
-    "CatalanPrefixReport", "CatalanGFReport", "reconstruct_euler",
-    "expectation_form_check", "asymptotic_ratio", "q_sequence",
-    "catalan_prefix_check", "catalan_gf_check",
+    "ConvergenceError", "ReconstructionResult", "CatalanPrefixReport",
+    "reconstruct_euler", "expectation_form_check", "asymptotic_ratio",
+    "catalan_prefix_check",
     # stochastic
     *_STOCHASTIC,
 ]

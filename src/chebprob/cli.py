@@ -25,7 +25,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -34,7 +33,6 @@ from .exactnum import DomainError, format_rational
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 12345
-SEED_ENV_VAR = "CHEBPROB_SEED"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -61,8 +59,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def positive_float(text: str) -> float:
-    """argparse type of the tolerance and band flags: a finite float > 0
-    (a NaN would make every comparison against it vacuous)."""
+    """argparse type of the tolerance flags: a finite float > 0 (a NaN would
+    make every comparison against it vacuous)."""
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
@@ -92,16 +90,6 @@ def _write(text: str, out: str | None) -> None:
         raise UsageError(f"--out {out!r} cannot be opened: {exc.strerror}") from exc
     with handle:
         handle.write(text)
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
 def cmd_probnums(args: argparse.Namespace) -> int:
@@ -176,32 +164,13 @@ def cmd_identity(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _montecarlo_report(args: argparse.Namespace) -> tuple:
-    from . import stochastic
-
-    stream = stochastic.RandomStream(args.seed)
-    if args.kind == "rep":
-        x = parse_rational(args.x)
-        report = stochastic.mc_euler_poly(stream, args.n, x, args.samples)
-        params = {"n": args.n, "x": format_rational(x)}
-    elif args.kind == "gen":
-        x = parse_rational(args.x)
-        report = stochastic.mc_gen_euler(stream, args.n, args.p, x, args.samples)
-        params = {"n": args.n, "p": args.p, "x": format_rational(x)}
-    else:
-        report = stochastic.mc_klebanov(stream, args.N, args.samples)
-        params = {"N": args.N}
-    return report, params
-
-
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     # numpy loads here, so the exact subcommands never pay for it.
     from . import stochastic
 
     if args.kind == "integral":
         deviation = stochastic.moment_integral_check(args.k)
-        # Odd moments vanish identically; hold the quadrature to 1e-12 there.
-        tolerance = 1e-12 if args.k % 2 else args.quad_tol
+        tolerance = stochastic.INTEGRAL_TOL[args.k % 2]
         passed = deviation <= tolerance
         if args.format == "json":
             document = {
@@ -222,14 +191,26 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 
     if args.kind in ("rep", "gen") and args.x is None:
         raise UsageError(f"--x is required for kind {args.kind!r}")
-    report, params = _montecarlo_report(args)
-    passed = report.ok(band=args.band)
+    stream = stochastic.RandomStream(args.seed)
+    if args.kind == "rep":
+        x = parse_rational(args.x)
+        report = stochastic.mc_euler_poly(stream, args.n, x, args.samples)
+        params = {"n": args.n, "x": format_rational(x)}
+    elif args.kind == "gen":
+        x = parse_rational(args.x)
+        report = stochastic.mc_gen_euler(stream, args.n, args.p, x, args.samples)
+        params = {"n": args.n, "p": args.p, "x": format_rational(x)}
+    else:
+        report = stochastic.mc_klebanov(stream, args.N, args.samples)
+        params = {"N": args.N}
+    band = stochastic.DEFAULT_BAND
+    passed = report.ok()
     if args.format == "json":
         document = {
             "kind": args.kind,
             "params": params,
             "seed": args.seed,
-            "band": args.band,
+            "band": band,
             "passed": passed,
             **report.json_dict(),
         }
@@ -247,7 +228,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
             )
         for key, value in report.extras.items():
             lines.append(f"  {key}: {value:.6g}")
-        lines.append(f"  band: {args.band} SE -> {'ok' if passed else 'FAIL'}")
+        lines.append(f"  band: {band} SE -> {'ok' if passed else 'FAIL'}")
         _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
@@ -298,13 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--x", default=None, help="rational evaluation point")
     p_mc.add_argument("--k", type=int, default=0,
                       help="moment order for 'integral'; orders beyond the "
-                           "reach of the 1e-10 contract are refused")
+                           "reach of its 1e-10 bound are refused")
     p_mc.add_argument("--samples", type=int, default=10**5)
-    p_mc.add_argument("--seed", type=int, default=None)
-    p_mc.add_argument("--band", type=positive_float, default=identities.DEFAULT_BAND,
-                      help="acceptance band in standard errors")
-    p_mc.add_argument("--quad-tol", dest="quad_tol", type=positive_float,
-                      default=1e-10)
+    p_mc.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_mc.add_argument("--format", choices=["json", "pretty"], default="pretty")
     p_mc.add_argument("--out", default=None)
     p_mc.set_defaults(handler=cmd_montecarlo)
@@ -338,8 +315,6 @@ def main(argv: list[str] | None = None) -> int:
     # Only a DomainError means a usage error, and exit 1 only a failed check:
     # any other exception is a fault of the program and must pass for neither.
     try:
-        if getattr(args, "seed", None) is None and args.command == "montecarlo":
-            args.seed = _default_seed()
         return args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

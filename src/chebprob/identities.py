@@ -16,9 +16,6 @@
 * ``catalan_prefix_check`` verifies that the normalized coefficients
   q_ell = 2^{ell-1} p_ell start out as the N-th convolution power of the
   Catalan numbers and first disagree exactly at ell = 3N.
-* ``catalan_gf_check`` verifies the Catalan generating-function quadratic
-  z S(z)^2 - S(z) + 1 = 0 through a given order (the algebraic form of
-  S(z) = 2 / (1 + sqrt(1 - 4z)), avoiding float square roots).
 """
 
 from __future__ import annotations
@@ -34,24 +31,19 @@ from .exactnum import (
     binomial,
     catalan_sequence,
     convolution_power,
-    convolve,
     format_rational,
     horner,
 )
-from .probnum import _check_table_args, _law
+from .probnum import _law
 
 __all__ = [
     "ConvergenceError",
     "ReconstructionResult",
-    "QSequence",
     "CatalanPrefixReport",
-    "CatalanGFReport",
     "reconstruct_euler",
     "expectation_form_check",
     "asymptotic_ratio",
-    "q_sequence",
     "catalan_prefix_check",
-    "catalan_gf_check",
 ]
 
 # The least term budget; the default budget grows from here (_default_max_k).
@@ -61,9 +53,12 @@ DEFAULT_MAX_K = 2000
 # and the law memo through k holds about k^2 / 2 bits, so the default budget
 # of n = 8, N = 10, x = 10^400 (606995) would hold about 23 GB.
 MAX_K = 2**16
-# Band, in standard errors, of the Monte Carlo checks; here, not in the numpy
-# module ``stochastic``, so that the command line reads it without numpy.
-DEFAULT_BAND = 4.0
+# Largest n and N of the identity.  A sum to the end of a budget of MAX_K
+# builds the zero rows of every order below it, O(n^2) operations and about
+# n^2 log2(k) bits each, and the law of mu_N through it; at n = MAX_DEGREE
+# and N = MAX_N that takes the time and memory given in README "Cost".
+MAX_DEGREE = 32
+MAX_N = 2**7
 
 
 class ConvergenceError(RuntimeError):
@@ -152,10 +147,10 @@ def _reconstruct(
     (off-parity weights vanish), S_k = sum_{j <= k} p_j E_n^{(j)}(j/2 +
     N(x - 1/2)), until it is within ``tol`` of N^n E_n(x) / scale.
 
-    The domain: n >= 0, N >= 1, a finite tol > 0 and a budget
-    N <= max_k <= MAX_K (below N it admits no term), given or by default;
-    ``caller`` names the entry point in the DomainError, ``what`` the sum in
-    the ConvergenceError.
+    The domain: 0 <= n <= MAX_DEGREE, 1 <= N <= MAX_N, a finite tol > 0 and
+    a budget N <= max_k <= MAX_K (below N it admits no term), given or by
+    default; ``caller`` names the entry point in the DomainError, ``what``
+    the sum in the ConvergenceError.
 
     With x = u/q, the argument is Y_j / 2q for Y_j = jq + N(2u - q).  The law
     gives a_j = 2^j p_j and the zero rows b_m = 2^m E_m^{(j)}(0), both
@@ -165,10 +160,10 @@ def _reconstruct(
     With target = g / h and tol = e / f, the stop test and the small-term
     test are multiplied through by scale den h f > 0.
     """
-    if n < 0:
-        raise DomainError(f"{caller} requires n >= 0, got n={n}")
-    if N < 1:
-        raise DomainError(f"{caller} requires N >= 1, got N={N}")
+    if not 0 <= n <= MAX_DEGREE:
+        raise DomainError(f"{caller} requires 0 <= n <= {MAX_DEGREE}, got n={n}")
+    if not 1 <= N <= MAX_N:
+        raise DomainError(f"{caller} requires 1 <= N <= {MAX_N}, got N={N}")
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"{caller}: tol must be positive and finite, got {tol}")
     if max_k is not None and max_k < N:
@@ -281,21 +276,6 @@ def asymptotic_ratio(N: int, z: float) -> float:
 
 
 @dataclass(frozen=True)
-class QSequence:
-    """Normalized coefficients q_ell = 2^{ell-1} p_ell for ell = 0..max."""
-
-    N: int
-    values: tuple[Fraction, ...]
-
-
-def q_sequence(N: int, max_ell: int) -> QSequence:
-    _check_table_args("q_sequence", N, max_ell)
-    # q_ell = a_ell / 2 with a_ell = 2^ell p_ell the integers of the law memo.
-    values = tuple(Fraction(a, 2) for a in _law(N, max_ell)[: max_ell + 1])
-    return QSequence(N, values)
-
-
-@dataclass(frozen=True)
 class CatalanPrefixReport:
     """Comparison of q_{N+2k} against the Catalan convolution power entries
     for k = 0..N, with the first disagreement pinned at ell = 3N."""
@@ -323,7 +303,8 @@ def catalan_prefix_check(N: int) -> CatalanPrefixReport:
     """
     if N < 1:
         raise ValueError(f"catalan_prefix_check requires N >= 1, got N={N}")
-    q = q_sequence(N, 3 * N).values
+    # q_ell = a_ell / 2 with a_ell = 2^ell p_ell the integers of the law memo.
+    q = [Fraction(a, 2) for a in _law(N, 3 * N)[: 3 * N + 1]]
     conv = convolution_power(catalan_sequence(N + 1), N, length=N + 1)
     q_prefix = tuple(q[N + 2 * k] for k in range(N))
     conv_prefix = tuple(int(c) for c in conv[:N])
@@ -339,21 +320,3 @@ def catalan_prefix_check(N: int) -> CatalanPrefixReport:
         convolution_at_mismatch=int(conv[N]),
         leading_difference=difference,
     )
-
-
-@dataclass(frozen=True)
-class CatalanGFReport:
-    order: int
-    ok: bool
-    residual: tuple[int, ...]
-
-
-def catalan_gf_check(order: int) -> CatalanGFReport:
-    """Check z S^2 - S + 1 = 0 through z^order for the Catalan series S."""
-    if order < 1:
-        raise ValueError(f"catalan_gf_check requires order >= 1, got {order}")
-    s = catalan_sequence(order + 1)
-    # 1 + z S^2 through z^order, from S^2 through z^(order - 1).
-    one_plus_z_square = [1] + convolve(s, s, order)
-    residual = tuple(a - b for a, b in zip(one_plus_z_square, s))
-    return CatalanGFReport(order, not any(residual), residual)

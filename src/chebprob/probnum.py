@@ -82,6 +82,19 @@ __all__ = [
 
 Method = Literal["series", "trig", "catalan"]
 
+# Bounds of a table of the law through max_ell, which set its time and memory
+# (README "Cost" gives the worst tables they admit).  The memo holds about
+# max_ell^2 / 2 bits, 64 MiB at MAX_ELL; the sampling table of mu_30 reaches
+# 28800.
+MAX_ELL = 2**15
+# A series term costs about N/2 products of taps of up to N bits by terms of
+# ell bits, so a table at most about (N max_ell)^2 bit operations, and a trig
+# table N max_ell float operations.  As max_ell >= N, this bounds N by 2^12.
+MAX_LAW_WORK = 2**24
+# The ballot route (catalan_table, cross_validate) costs about max_ell^3 / N
+# bit operations, so its tables stop sooner.
+MAX_BALLOT_ELL = 2**13
+
 _LAW_LOCK = threading.Lock()
 # N -> (nonzero taps (i, 2^i c_i), i >= 1, of the reversed T_N; c_0; a_0, a_1,
 # ...) with a_ell = 2^ell p_ell
@@ -131,24 +144,6 @@ class ProbTable:
         """(ell, value) pairs over the support indices N, N+2, ..."""
         for ell in range(self.N, self.max_ell + 1, 2):
             yield ell, self.values[ell]
-
-    def validate(self, float_tol: float = 0.0) -> None:
-        """Check the structural invariants: vanishing below N and off-parity,
-        nonnegativity, and partial sum <= 1.  Exact tables are checked
-        exactly; pass ``float_tol`` for float-valued tables."""
-        for ell, v in enumerate(self.values):
-            off_support = ell < self.N or (ell - self.N) % 2 != 0
-            if off_support and abs(v) > float_tol:
-                raise AssertionError(
-                    f"N={self.N}: nonzero value {v} at off-support ell={ell}"
-                )
-            if not off_support and v < -float_tol:
-                raise AssertionError(
-                    f"N={self.N}: negative value {v} at ell={ell}"
-                )
-        total = sum(self.values)
-        if total > 1 + float_tol * max(1, len(self.values)):
-            raise AssertionError(f"N={self.N}: partial sum {total} exceeds 1")
 
     def rows(self) -> list[tuple[int, str | None, float]]:
         """Support rows (ell, exact-string-or-None, float value)."""
@@ -304,7 +299,7 @@ def _ballot_numerators(N: int, max_ell: int) -> list[int]:
 def catalan_table(N: int, max_ell: int) -> ProbTable:
     """Exact table from the ballot kernel :func:`_ballot_numerators`
     (method tag "catalan"); off-support entries are zero."""
-    _check_table_args("catalan_table", N, max_ell)
+    _check_table_args("catalan_table", N, max_ell, MAX_BALLOT_ELL)
     numerators = _ballot_numerators(N, max_ell)
     values = tuple(dyadic(a, ell) for ell, a in enumerate(numerators))
     tail = _round_up(_gap(numerators, max_ell))
@@ -340,7 +335,7 @@ def cross_validate(N: int, max_ell: int, tol: float) -> CrossValidationReport:
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"cross_validate: tol must be positive and finite, got {tol}")
-    _check_table_args("cross_validate", N, max_ell)
+    _check_table_args("cross_validate", N, max_ell, MAX_BALLOT_ELL)
     law = _law(N, max_ell)
     ballot = _ballot_numerators(N, max_ell)
     worst = 0.0
@@ -384,13 +379,21 @@ def geometric_tail_bound(N: int, max_ell: int) -> float:
     return c**max_ell / (1.0 - c)
 
 
-def _check_table_args(caller: str, N: int, max_ell: int) -> None:
-    """The domain of a table of the law: N >= 1 and max_ell >= N."""
+def _check_table_args(
+    caller: str, N: int, max_ell: int, longest: int = MAX_ELL
+) -> None:
+    """The domain of a table of the law: N >= 1, N <= max_ell <= longest and
+    N max_ell <= MAX_LAW_WORK, which bound its time and memory."""
     if N < 1:
         raise DomainError(f"{caller} requires N >= 1, got N={N}")
-    if max_ell < N:
+    if not N <= max_ell <= longest:
         raise DomainError(
-            f"{caller} requires max_ell >= N, got max_ell={max_ell} < N={N}"
+            f"{caller} requires N <= max_ell <= {longest}, got max_ell={max_ell}, N={N}"
+        )
+    if N * max_ell > MAX_LAW_WORK:
+        raise DomainError(
+            f"{caller} requires N * max_ell <= {MAX_LAW_WORK}, "
+            f"got N={N}, max_ell={max_ell}"
         )
 
 

@@ -42,7 +42,6 @@ from .eulerpoly import (
     PolyInX, euler_numbers, euler_poly, eval_poly, gen_euler_recursive,
 )
 from .exactnum import DomainError, Rational
-from .identities import DEFAULT_BAND
 from .probnum import _gap, _law, probnum_series
 
 __all__ = [
@@ -50,7 +49,7 @@ __all__ = [
     "MomentEntry",
     "MomentReport",
     "DEFAULT_BAND",
-    "sech_density",
+    "INTEGRAL_TOL",
     "sech_cdf",
     "sample_sech",
     "sample_mu",
@@ -64,6 +63,7 @@ __all__ = [
     "MAX_GEN_P",
     "MIN_SAMPLES",
     "MIN_KLEBANOV_SAMPLES",
+    "MAX_SAMPLES",
     "MAX_KLEBANOV_N",
 ]
 
@@ -72,9 +72,14 @@ _MU_TABLE_GAP = Fraction(1, 10**15)
 # to stay in cache, large enough that the per-chunk Python overhead is small.
 _CHUNK = 2**16
 
-# moment_integral_check is held to an absolute 1e-10, and the moment
-# |E_k| / 2^k grows fast (1.2e4 at k = 14), so the rounding of the sum alone
-# exceeds the contract past this order (k = 14 gives 7e-12, k = 16 2e-10).
+# Band, in standard errors, of the Monte Carlo checks (MomentReport.ok).
+DEFAULT_BAND = 4.0
+# Bounds of moment_integral_check's deviation, by k % 2: an absolute 1e-10
+# for even k, and 1e-12 for odd k, whose moments vanish identically.
+INTEGRAL_TOL = (1e-10, 1e-12)
+# The moment |E_k| / 2^k grows fast (1.2e4 at k = 14), so the rounding of the
+# sum alone exceeds the 1e-10 bound past this order (k = 14 gives 7e-12,
+# k = 16 2e-10).
 MAX_MOMENT_ORDER = 14
 # Input limits of the Monte Carlo checks.  Above these orders the integrands'
 # variance grows too fast for the standard-error bands to mean anything at
@@ -85,6 +90,11 @@ MAX_GEN_ORDER = 6
 MAX_GEN_P = 10
 MIN_SAMPLES = 10**4
 MIN_KLEBANOV_SAMPLES = 10**5
+# Largest count of the Monte Carlo checks, refused before any allocation.
+# Memory grows linearly with it: at 10^7 a montecarlo command peaks at about
+# 420 MB for rep (n = 8), gen (n = 6, p = 10) and klebanov (N = 2), and at
+# 500 MB for klebanov at N = 30, whose law table adds its own (Python 3.11).
+MAX_SAMPLES = 10**7
 # Largest N of sample_mu and mc_klebanov.  The sampling table of mu_N runs to
 # about 28 N^2 terms and the law memo behind it holds about N^4 bits, so
 # memory grows like N^4: at MIN_KLEBANOV_SAMPLES, N = 30 peaks at 118 MiB and
@@ -152,10 +162,6 @@ class RandomStream:
         return tuple(
             RandomStream(self.seed, base + i + 1) for i in range(count)
         )
-
-
-def sech_density(x):
-    return 1.0 / np.cosh(np.pi * x)
 
 
 def sech_cdf(x):
@@ -281,6 +287,15 @@ def _check_mu_N(caller: str, N: int) -> None:
     if not 2 <= N <= MAX_KLEBANOV_N:
         raise DomainError(
             f"{caller} requires 2 <= N <= {MAX_KLEBANOV_N}, got N={N}"
+        )
+
+
+def _check_count(caller: str, count: int, least: int) -> None:
+    """The sample size of a Monte Carlo check: least <= count <= MAX_SAMPLES,
+    which bounds its memory."""
+    if not least <= count <= MAX_SAMPLES:
+        raise DomainError(
+            f"{caller} requires {least} <= count <= {MAX_SAMPLES}, got count={count}"
         )
 
 
@@ -448,8 +463,7 @@ def mc_euler_poly(
         raise DomainError(
             f"mc_euler_poly requires 0 <= n <= {MAX_REP_ORDER}, got n={n}"
         )
-    if count < MIN_SAMPLES:
-        raise DomainError(f"mc_euler_poly requires count >= {MIN_SAMPLES}, got {count}")
+    _check_count("mc_euler_poly", count, MIN_SAMPLES)
     shift, reference = _point("mc_euler_poly", euler_poly(n), x)
     return _power_report(shift - 0.5, sample_sech(stream, count), n, reference)
 
@@ -463,8 +477,7 @@ def mc_gen_euler(
         raise DomainError(f"mc_gen_euler requires 0 <= n <= {MAX_GEN_ORDER}, got n={n}")
     if not 1 <= p <= MAX_GEN_P:
         raise DomainError(f"mc_gen_euler requires 1 <= p <= {MAX_GEN_P}, got p={p}")
-    if count < MIN_SAMPLES:
-        raise DomainError(f"mc_gen_euler requires count >= {MIN_SAMPLES}, got {count}")
+    _check_count("mc_gen_euler", count, MIN_SAMPLES)
     shift, reference = _point("mc_gen_euler", gen_euler_recursive(n, p), x)
     total = np.zeros(count)
     for child in stream.split(p):
@@ -477,36 +490,38 @@ def _random_sums(stream: RandomStream, mu: np.ndarray, out: np.ndarray) -> np.nd
     ``stream``, mu[i] of them for sum i, and return it.
 
     Byte for byte they are ``np.add.reduceat(sample_sech(stream, mu.sum()),
-    starts)``, ``starts`` the offsets of the segments: each sum adds the draws
-    at its own stream positions, in order, within one reduceat.  An exact-zero
-    uniform is replaced by a draw keyed by its position alone
-    (:func:`_redraw`), so it changes only the sum that holds it.
+    offsets[:-1])``, segment i running from offsets[i] to offsets[i + 1]:
+    each sum adds the draws at its own stream positions, in order, within one
+    reduceat.  An exact-zero uniform is replaced by a draw keyed by its
+    position alone (:func:`_redraw`), so it changes only the sum that holds
+    it.
 
     The segments are cut into runs that end on segment boundaries, one per
     worker, with near-equal numbers of draws (:func:`_in_runs`).  A run reads
     the stream from its first position through its own reused buffer, in
     chunks of about ``_CHUNK`` that end on segment boundaries, so memory
-    beyond ``out`` is O(len(mu) + runs (_CHUNK + max(mu))).
+    beyond ``out`` is one offsets array of len(mu) + 1 integers and
+    O(runs (_CHUNK + max(mu))).
     """
-    ends = np.cumsum(mu)
-    starts = ends - mu
+    offsets = np.zeros(len(mu) + 1, dtype=np.int64)
+    np.cumsum(mu, out=offsets[1:])
 
     def run(lo, hi):
         buffer = np.empty(_CHUNK + int(mu[lo:hi].max()))
-        rng = stream.generator(int(starts[lo]))
+        rng = stream.generator(int(offsets[lo]))
         k = lo
         while k < hi:
-            start = int(starts[k])
+            start = int(offsets[k])
             # The first segment ending at or past start + _CHUNK closes the chunk.
-            j = min(int(np.searchsorted(ends, start + _CHUNK)) + 1, hi)
-            draws = _sech_fill(stream, start, rng, buffer[: int(ends[j - 1]) - start])
-            np.add.reduceat(draws, starts[k:j] - start, out=out[k:j])
+            j = min(int(np.searchsorted(offsets[1:], start + _CHUNK)) + 1, hi)
+            draws = _sech_fill(stream, start, rng, buffer[: int(offsets[j]) - start])
+            np.add.reduceat(draws, offsets[k:j] - start, out=out[k:j])
             k = j
 
     # Run r starts at the first segment starting at or past its share of the
     # draws; a segment longer than a share leaves a run empty, and it goes.
-    bounds = np.searchsorted(starts, _cuts(int(ends[-1]))).tolist()
-    _in_runs(run, sorted(set(bounds)))
+    cuts = np.searchsorted(offsets[:-1], _cuts(int(offsets[-1]))).tolist()
+    _in_runs(run, sorted(set(cuts)))
     return out
 
 
@@ -583,10 +598,7 @@ def mc_klebanov(stream: RandomStream, N: int, count: int) -> MomentReport:
     KS test, with its exact p-value, against as many direct sech draws.
     """
     _check_mu_N("mc_klebanov", N)
-    if count < MIN_KLEBANOV_SAMPLES:
-        raise DomainError(
-            f"mc_klebanov requires count >= {MIN_KLEBANOV_SAMPLES}, got {count}"
-        )
+    _check_count("mc_klebanov", count, MIN_KLEBANOV_SAMPLES)
     mu_stream, sech_stream, reference_stream = stream.split(3)
     pooled = np.empty(2 * count)
     sums = _random_sums(sech_stream, sample_mu(mu_stream, N, count), pooled[:count])
@@ -617,8 +629,9 @@ def moment_integral_check(k: int) -> float:
     odd k.
 
     Returns the absolute deviation of the trapezoid rule (step ``_QUAD_STEP``)
-    from the exact value.  Orders above ``MAX_MOMENT_ORDER``, where rounding
-    alone exceeds the 1e-10 contract, are refused.
+    from the exact value; the check passes when it is at most
+    ``INTEGRAL_TOL[k % 2]``.  Orders above ``MAX_MOMENT_ORDER``, where
+    rounding alone exceeds that bound, are refused.
     """
     if not 0 <= k <= MAX_MOMENT_ORDER:
         raise DomainError(
@@ -635,9 +648,9 @@ def _trapezoid_moment(k: int, h: float) -> float:
     """Trapezoid rule of step h for the integral of t^k sech(pi t) over
     [-c, c], c = 14 + 2k, summed exactly by ``math.fsum``.
 
-    The cutoff grows with k so the discarded tail stays far below the
-    contract (the integrand at the cutoff is below 1e-18); the rule has
-    2c/h + 1 nodes.
+    The cutoff grows with k so the discarded tail stays far below
+    ``INTEGRAL_TOL`` (the integrand at the cutoff is below 1e-18); the rule
+    has 2c/h + 1 nodes.
     """
     cutoff = 14.0 + 2.0 * k
     nodes = np.arange(-round(cutoff / h), round(cutoff / h) + 1) * h

@@ -207,14 +207,12 @@ class TestIdentity:
 
 
 class TestFloatFlags:
-    # A NaN tolerance or band made every comparison against it vacuous, so
-    # the check it guards passed untested; inf crashed in Fraction(tol).
+    # A NaN tolerance made every comparison against it vacuous, so the check
+    # it guards passed untested; inf crashed in Fraction(tol).
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
     @pytest.mark.parametrize("argv, flag", [
         (("probnums", "--N", "3", "--max-ell", "20", "--method", "all"), "--tol"),
         (("identity", "--n", "2", "--N", "3", "--x", "1/3"), "--tol"),
-        (("montecarlo", "rep", "--n", "1", "--x", "0"), "--band"),
-        (("montecarlo", "integral", "--k", "4"), "--quad-tol"),
     ])
     def test_non_finite_or_non_positive_is_a_usage_error(
         self, capsys, argv, flag, value
@@ -324,20 +322,24 @@ class TestMonteCarlo:
         assert (code, out) == (3, "")
         assert "Traceback" in err and "ValueError: internal fault" in err
 
-    def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHEBPROB_SEED", "abc")
-        code, _, err = run(capsys, "montecarlo", "rep", "--n", "0", "--x", "0")
-        assert code == 2
-        assert "CHEBPROB_SEED must be an integer" in err
-
-    def test_env_seed_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHEBPROB_SEED", "99")
+    def test_default_seed(self, capsys):
         code, out, _ = run(
             capsys, "montecarlo", "rep", "--n", "0", "--x", "0",
             "--samples", "10000", "--format", "json",
         )
         assert code == 0
-        assert json.loads(out)["seed"] == 99
+        assert json.loads(out)["seed"] == 12345
+
+    @pytest.mark.parametrize("argv", [
+        ("rep", "--n", "1", "--x", "0", "--band", "8"),
+        ("integral", "--k", "4", "--quad-tol", "1"),
+    ], ids=["band", "quad-tol"])
+    def test_bounds_are_not_flags(self, capsys, argv):
+        # A check's bound is the library's: no flag moves it.
+        with pytest.raises(SystemExit) as exc:
+            main(["montecarlo", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # (id, CLI arguments, the library call they reach with the CLI's defaults).
@@ -358,10 +360,27 @@ REFUSED = [
      lambda: probnum.catalan_table(4, 3)),
     ("all-N", ("probnums", "--N", "-3", "--max-ell", "5", "--method", "all"),
      lambda: probnum.cross_validate(-3, 5, 1e-10)),
+    ("probnums-work-cap", ("probnums", "--N", "4097", "--max-ell", "4097"),
+     lambda: probnum.probnum_series(4097, 4097)),
+    ("probnums-max-ell-cap",
+     ("probnums", "--N", "2", "--max-ell", str(probnum.MAX_ELL + 1)),
+     lambda: probnum.probnum_series(2, probnum.MAX_ELL + 1)),
+    ("catalan-max-ell-cap",
+     ("probnums", "--N", "2", "--max-ell", str(probnum.MAX_BALLOT_ELL + 1),
+      "--method", "catalan"),
+     lambda: probnum.catalan_table(2, probnum.MAX_BALLOT_ELL + 1)),
     ("identity-N", ("identity", "--n", "2", "--N", "0", "--x", "1/3"),
      lambda: identities.reconstruct_euler(2, 0, Fraction(1, 3), 1e-9)),
     ("identity-n", ("identity", "--n", "-1", "--N", "3", "--x", "1/3"),
      lambda: identities.reconstruct_euler(-1, 3, Fraction(1, 3), 1e-9)),
+    ("identity-n-cap",
+     ("identity", "--n", str(identities.MAX_DEGREE + 1), "--N", "3", "--x", "1/3"),
+     lambda: identities.reconstruct_euler(
+         identities.MAX_DEGREE + 1, 3, Fraction(1, 3), 1e-9)),
+    ("identity-N-cap",
+     ("identity", "--n", "2", "--N", str(identities.MAX_N + 1), "--x", "1/3"),
+     lambda: identities.reconstruct_euler(
+         2, identities.MAX_N + 1, Fraction(1, 3), 1e-9)),
     ("max-terms-negative",
      ("identity", "--n", "2", "--N", "3", "--x", "1/3", "--max-terms", "-5"),
      lambda: identities.reconstruct_euler(2, 3, Fraction(1, 3), 1e-9, max_k=-5)),
@@ -391,6 +410,14 @@ REFUSED = [
      lambda: stochastic.mc_gen_euler(STREAM, 1, 1, 0, 9999)),
     ("klebanov-samples", ("montecarlo", "klebanov", "--samples", "20000"),
      lambda: stochastic.mc_klebanov(STREAM, 2, 20000)),
+    # Above MAX_SAMPLES: refused before any array is allocated.
+    ("rep-samples-cap", ("montecarlo", "rep", "--x", "0", "--samples", str(10**11)),
+     lambda: stochastic.mc_euler_poly(STREAM, 1, 0, 10**11)),
+    ("gen-samples-cap",
+     ("montecarlo", "gen", "--x", "0", "--samples", str(stochastic.MAX_SAMPLES + 1)),
+     lambda: stochastic.mc_gen_euler(STREAM, 1, 1, 0, stochastic.MAX_SAMPLES + 1)),
+    ("klebanov-samples-cap", ("montecarlo", "klebanov", "--samples", str(10**11)),
+     lambda: stochastic.mc_klebanov(STREAM, 2, 10**11)),
     ("klebanov-N", ("montecarlo", "klebanov", "--N", "1"),
      lambda: stochastic.mc_klebanov(STREAM, 1, 10**5)),
     ("klebanov-N-cap",
@@ -432,7 +459,6 @@ class TestDomain:
 
         monkeypatch.setattr(stochastic, "sample_sech", no_draws)
         monkeypatch.setattr(stochastic, "sample_mu", no_draws)
-        monkeypatch.delenv("CHEBPROB_SEED", raising=False)
         with pytest.raises(DomainError) as info:
             call()
         code, out, err = run(capsys, *argv)

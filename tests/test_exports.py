@@ -1,9 +1,12 @@
-"""Every exported name resolves.
+"""Every exported name resolves, and is used.
 
 A name left in ``__all__`` after its definition is deleted breaks
-``from chebprob import *``, which no other test imports.
+``from chebprob import *``, which no other test imports.  A name that only
+tests call is surface without a purpose: it is wired into a check, deleted,
+or kept for a reason stated below.
 """
 
+import ast
 import importlib
 import os
 import pathlib
@@ -17,6 +20,13 @@ import chebprob
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = sorted(info.name for info in pkgutil.iter_modules(chebprob.__path__))
+# Exported names that no code in src/ or bench/ refers to, and why they stay.
+UNUSED_BY_DESIGN = {
+    "__version__": "package metadata",
+    "asymptotic_ratio": "acceptance criterion 9, the large-N ratio of 1/T_N(1/z)",
+    "chebyshev_U": "the Bernoulli companion through U_(N-1) (ROADMAP item 5)",
+    "sech_cdf": "the distribution function the sech sampler is tested against",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -29,6 +39,29 @@ def test_module_all_resolves(name):
 def test_package_all_resolves():
     missing = [n for n in chebprob.__all__ if not hasattr(chebprob, n)]
     assert missing == []
+
+
+def _referenced_names(paths) -> set:
+    """Names read as a variable or an attribute in ``paths``: a definition,
+    an import and an ``__all__`` string are not references."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_export_is_used():
+    package = ROOT / "src" / "chebprob"
+    code = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    used = _referenced_names(code + sorted((ROOT / "bench").glob("*.py")))
+    unused = sorted(set(chebprob.__all__) - used - set(UNUSED_BY_DESIGN))
+    assert unused == []
+    # An allowed name that gains a caller leaves the list.
+    assert sorted(set(UNUSED_BY_DESIGN) & used) == []
 
 
 def test_benchmark_tracer_installs():

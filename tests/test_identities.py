@@ -18,11 +18,9 @@ from chebprob.identities import (
     ConvergenceError,
     ReconstructionResult,
     asymptotic_ratio,
-    catalan_gf_check,
     _default_max_k,
     catalan_prefix_check,
     expectation_form_check,
-    q_sequence,
     reconstruct_euler,
 )
 from chebprob.probnum import probnum_series
@@ -323,15 +321,15 @@ class TestAsymptoticRatio:
 
 
 class TestQSequence:
+    # q_ell = 2^{ell-1} p_ell, as catalan_prefix_check reports it.
     def test_leading_value_is_one(self):
         for N in range(1, 9):
-            seq = q_sequence(N, N + 4)
-            assert seq.values[N] == 1
+            assert catalan_prefix_check(N).q_prefix[0] == 1
 
     def test_n2_values(self):
         # q_ell = 2^{ell-1} 2^{-ell/2} on the even support.
-        seq = q_sequence(2, 10)
-        assert [seq.values[i] for i in (2, 4, 6, 8)] == [1, 2, 4, 8]
+        report = catalan_prefix_check(2)
+        assert [*report.q_prefix, report.q_at_mismatch] == [1, 2, 4]
 
 
 class TestCatalanPrefix:
@@ -358,17 +356,3 @@ class TestCatalanPrefix:
             assert report.prefix_equal, N
             assert report.leading_difference != 0, N
 
-
-class TestCatalanGF:
-    def test_small_orders(self):
-        assert catalan_gf_check(1).ok
-        assert catalan_gf_check(5).ok
-
-    def test_large_order(self):
-        report = catalan_gf_check(30)
-        assert report.ok
-        assert all(c == 0 for c in report.residual)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            catalan_gf_check(0)

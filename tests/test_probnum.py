@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from chebprob import probnum
 from chebprob.chebyshev import reversed_T
-from chebprob.exactnum import ballot_number
+from chebprob.exactnum import DomainError, ballot_number
 from chebprob.probnum import (
     CrossValidationError,
     catalan_table,
@@ -76,10 +76,33 @@ class TestSeries:
         with pytest.raises(ValueError):
             probnum_series(0, 5)
 
+    def test_caps_refused_before_any_work(self):
+        # Past a cap, a table is refused before T_N or the memo is touched.
+        N = math.isqrt(probnum.MAX_LAW_WORK) + 1
+        work = f"N \\* max_ell <= {probnum.MAX_LAW_WORK}, got N={N}"
+        with pytest.raises(DomainError, match=work):
+            probnum_series(N, N)
+        assert N not in probnum._LAW
+        for route, longest in ((probnum_series, probnum.MAX_ELL),
+                               (probnum_trig, probnum.MAX_ELL),
+                               (tail_mass, probnum.MAX_ELL),
+                               (catalan_table, probnum.MAX_BALLOT_ELL)):
+            L = longest + 1
+            message = f"max_ell <= {longest}, got max_ell={L}"
+            with pytest.raises(DomainError, match=message):
+                route(2, L)
+        with pytest.raises(DomainError, match=f"max_ell <= {probnum.MAX_BALLOT_ELL},"):
+            cross_validate(2, probnum.MAX_BALLOT_ELL + 1, 1e-10)
+
     def test_invariants_to_n12(self):
         for N in range(1, 13):
             table = probnum_series(N, 3 * N + 24)
-            table.validate()
+            # Zero below N and off parity, nonnegative on the support, and a
+            # partial sum of at most 1, all exactly.
+            for ell, v in enumerate(table.values):
+                on_support = ell >= N and (ell - N) % 2 == 0
+                assert v >= 0 if on_support else v == 0, (N, ell, v)
+            assert sum(table.values) <= 1, N
             for ell, v in table.support():
                 # Denominator always divides 2^ell.
                 assert 2**ell % v.denominator == 0, (N, ell, v)
@@ -186,7 +209,11 @@ class TestTrig:
     def test_table(self):
         table = probnum_trig(3, 15)
         assert table.method == "trig"
-        table.validate(float_tol=1e-12)
+        # The exact invariants up to the formula's rounding residue.
+        for ell, v in enumerate(table.values):
+            on_support = ell >= 3 and (ell - 3) % 2 == 0
+            assert v >= -1e-12 if on_support else abs(v) <= 1e-12, (ell, v)
+        assert sum(table.values) <= 1 + 1e-12 * len(table.values)
         exact = probnum_series(3, 15)
         for ell in range(16):
             assert table.values[ell] == pytest.approx(

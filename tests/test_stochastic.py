@@ -23,7 +23,7 @@ from scipy import stats
 import chebprob.stochastic as stochastic_module
 from chebprob.eulerpoly import euler_numbers, euler_poly, eval_poly, gen_euler_recursive
 from chebprob.exactnum import DomainError
-from chebprob.probnum import probnum_series
+from chebprob.probnum import MAX_ELL, probnum_series
 from chebprob.stochastic import (
     _CHUNK,
     _QUAD_STEP,
@@ -38,7 +38,6 @@ from chebprob.stochastic import (
     sample_mu,
     sample_sech,
     sech_cdf,
-    sech_density,
 )
 
 
@@ -80,7 +79,7 @@ class TestSechSampling:
         for x in (-2.0, -0.5, 0.0, 0.7, 1.9):
             h = 1e-6
             derivative = (sech_cdf(x + h) - sech_cdf(x - h)) / (2 * h)
-            assert derivative == pytest.approx(sech_density(x), rel=1e-8)
+            assert derivative == pytest.approx(1 / math.cosh(math.pi * x), rel=1e-8)
 
     def test_first_two_moments(self):
         draws = sample_sech(RandomStream(2024), 10**6)
@@ -140,6 +139,11 @@ class TestMuSampling:
         for count in (0, -1):
             with pytest.raises(DomainError, match="sample_mu requires count >= 1"):
                 sample_mu(RandomStream(1), 3, count)
+
+    def test_table_of_the_largest_N_is_within_the_law_caps(self):
+        # The table of mu_30 runs through ell = 28800, below probnum.MAX_ELL.
+        support, _ = stochastic_module._mu_table(stochastic_module.MAX_KLEBANOV_N)
+        assert support[-1] == 28800 <= MAX_ELL
 
     def test_tables_equal_the_fraction_doubling_loop(self):
         # The sampling tables fix every pinned-seed draw, so they must match,
