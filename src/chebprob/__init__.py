@@ -12,14 +12,11 @@ where not.
 """
 
 from .chebyshev import (
-    DensePolynomial,
     chebyshev_T,
     chebyshev_U,
     reversed_T,
 )
 from .eulerpoly import (
-    EulerTable,
-    PolyInX,
     euler_numbers,
     euler_poly,
     eval_poly,
@@ -28,6 +25,7 @@ from .eulerpoly import (
     gen_euler_zero,
 )
 from .exactnum import (
+    DensePolynomial,
     DomainError,
     ballot_number,
     binomial,
@@ -74,17 +72,17 @@ __all__ = [
     "__version__",
     # exactnum
     "DomainError", "binomial", "catalan_sequence", "ballot_number",
-    "convolve", "convolution_power", "format_rational",
+    "convolve", "convolution_power", "format_rational", "DensePolynomial",
     # chebyshev
-    "DensePolynomial", "chebyshev_T", "chebyshev_U", "reversed_T",
+    "chebyshev_T", "chebyshev_U", "reversed_T",
     # probnum
     "ProbTable", "CrossValidationError", "CrossValidationReport",
     "probnum_series", "probnum_trig", "probnum_catalan", "catalan_table",
     "trig_value", "cross_validate", "tail_mass",
     "geometric_tail_bound", "root_angles",
     # eulerpoly
-    "EulerTable", "PolyInX", "euler_numbers", "euler_poly",
-    "gen_euler_zero", "gen_euler_recursive", "gen_euler_series", "eval_poly",
+    "euler_numbers", "euler_poly", "gen_euler_zero", "gen_euler_recursive",
+    "gen_euler_series", "eval_poly",
     # identities
     "ConvergenceError", "ReconstructionResult", "CatalanPrefixReport",
     "reconstruct_euler", "expectation_form_check", "asymptotic_ratio",

@@ -12,41 +12,14 @@ so its reciprocal power series exists.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactnum import Rational, eval_exact
+from .exactnum import DensePolynomial
 
 __all__ = [
-    "DensePolynomial",
     "chebyshev_T",
     "chebyshev_U",
     "reversed_T",
 ]
-
-
-@dataclass(frozen=True)
-class DensePolynomial:
-    """Polynomial as a dense coefficient tuple, index = degree.
-
-    The trailing coefficient is nonzero except for the zero polynomial,
-    which is stored as the single coefficient 0.
-    """
-
-    coefficients: tuple[Rational, ...]
-
-    @classmethod
-    def of(cls, values) -> "DensePolynomial":
-        coeffs = list(values)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            coeffs = [0]
-        return cls(tuple(coeffs))
-
-    def eval_exact(self, x: Rational) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
-        return eval_exact(self.coefficients, x)
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,11 +2,11 @@
 all exact, by two independent routes.
 
 Conventions.  The Euler numbers E_n are the coefficients of z^n/n! in
-1/cosh z (zero for odd n).  E_n(x) denotes the Euler polynomial, with
-E_n(x) = sum_k binom(n, k) (E_k / 2^k) (x - 1/2)^{n-k}, and E_n^{(p)}(x) the
-order-p polynomial whose exponential generating function is
-(2 / (1 + e^z))^p e^{xz}; order p = 1 recovers E_n(x).  All of these are
-monic of degree n.
+1/cosh z (zero for odd n).  E_n(x) denotes the Euler polynomial and
+E_n^{(p)}(x) the order-p polynomial whose exponential generating function is
+(2 / (1 + e^z))^p e^{xz}; order p = 1 recovers E_n(x), so ``euler_poly(n)``
+is ``gen_euler_recursive(n, 1)``.  All of these are monic of degree n and
+returned as :class:`~.exactnum.DensePolynomial`.
 
 Two construction routes are provided for the generalized polynomials and are
 required to agree coefficient-for-coefficient:
@@ -28,6 +28,10 @@ required to agree coefficient-for-coefficient:
   binomial convolutions of values at zero, so each route stays an oracle
   for the other.
 
+The Euler numbers come from their own recurrence, the one of 1/cosh z, which
+shares nothing with the values at zero of either route; E_n = 2^n E_n(1/2)
+therefore compares two independent recurrences (acceptance criterion 6).
+
 The value-at-zero rows of the recursive route are memoized per order behind
 a lock; the identity sweeps downstream touch hundreds of orders and reuse
 them heavily.  The values at zero are dyadic (2^n E_n^{(p)}(0) is an
@@ -39,10 +43,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (
+    DensePolynomial,
     Rational,
     binomial,
     convolution_power,
@@ -52,8 +56,6 @@ from .exactnum import (
 )
 
 __all__ = [
-    "EulerTable",
-    "PolyInX",
     "euler_numbers",
     "euler_poly",
     "gen_euler_zero",
@@ -67,27 +69,6 @@ _EULER_NUMBERS: list[int] = [1]
 # Value-at-zero rows by order, as integers: row p holds 2^n E_n^{(p)}(0) for
 # n = 0, 1, ...
 _ZERO_ROWS: dict[int, list[int]] = {0: [1], 1: [1]}
-
-
-@dataclass(frozen=True)
-class EulerTable:
-    """Euler numbers E_n for n = 0..max_n."""
-
-    max_n: int
-    euler_numbers: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PolyInX:
-    """Monic degree-n polynomial in x with exact coefficients (index = power)
-    and the order p it was built at (p = 1 for the classical case)."""
-
-    coefficients: tuple[Fraction, ...]
-    order: int
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
 
 def _euler_numbers_upto(max_n: int) -> list[int]:
@@ -138,13 +119,12 @@ def _zero_rows_upto(p: int, max_n: int) -> list[int]:
     return _ZERO_ROWS[p]
 
 
-def euler_numbers(max_n: int) -> EulerTable:
-    """Euler numbers through max_n, exact."""
+def euler_numbers(max_n: int) -> tuple[int, ...]:
+    """Euler numbers E_0..E_max_n, exact."""
     if max_n < 0:
         raise ValueError(f"euler_numbers requires max_n >= 0, got {max_n}")
     with _CACHE_LOCK:
-        numbers = tuple(_euler_numbers_upto(max_n))
-    return EulerTable(max_n, numbers)
+        return tuple(_euler_numbers_upto(max_n))
 
 
 def gen_euler_zero(p: int, max_n: int) -> tuple[Fraction, ...]:
@@ -166,24 +146,14 @@ def _zero_row(p: int, max_n: int) -> list[int]:
         return _zero_rows_upto(p, max_n)
 
 
-def euler_poly(n: int) -> PolyInX:
-    """Euler polynomial E_n(x) via the half-shift binomial expansion from the
-    Euler numbers."""
+def euler_poly(n: int) -> DensePolynomial:
+    """Euler polynomial E_n(x), the order-1 case of the recursive route."""
     if n < 0:
         raise ValueError(f"euler_poly requires n >= 0, got n={n}")
-    numbers = euler_numbers(n).euler_numbers
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        if numbers[k] == 0:
-            continue
-        weight = Fraction(binomial(n, k) * numbers[k], 2**k)
-        m = n - k
-        for j in range(m + 1):
-            coeffs[j] += weight * binomial(m, j) * Fraction(-1, 2) ** (m - j)
-    return PolyInX(tuple(coeffs), order=1)
+    return gen_euler_recursive(n, 1)
 
 
-def gen_euler_recursive(n: int, p: int) -> PolyInX:
+def gen_euler_recursive(n: int, p: int) -> DensePolynomial:
     """E_n^{(p)}(x) built from the order-raised values at zero.
 
     Order p = 0 is admitted as the empty product, E_n^{(0)}(x) = x^n.
@@ -194,10 +164,10 @@ def gen_euler_recursive(n: int, p: int) -> PolyInX:
         raise ValueError(f"gen_euler_recursive requires p >= 0, got p={p}")
     row = gen_euler_zero(p, n)
     coeffs = tuple(binomial(n, k) * row[n - k] for k in range(n + 1))
-    return PolyInX(coeffs, order=p)
+    return DensePolynomial(coeffs)
 
 
-def gen_euler_series(n: int, p: int) -> PolyInX:
+def gen_euler_series(n: int, p: int) -> DensePolynomial:
     """E_n^{(p)}(x) from the generating function directly; independent of the
     recursive route and required to match it exactly."""
     if n < 0:
@@ -217,9 +187,9 @@ def gen_euler_series(n: int, p: int) -> PolyInX:
     coeffs = tuple(
         Fraction(math.perm(n, n - k) * powered[n - k], K**p) for k in range(n + 1)
     )
-    return PolyInX(coeffs, order=p)
+    return DensePolynomial(coeffs)
 
 
-def eval_poly(poly: PolyInX, x: Rational) -> Fraction:
+def eval_poly(poly: DensePolynomial, x: Rational) -> Fraction:
     """Exact Horner evaluation."""
     return eval_exact(poly.coefficients, x)

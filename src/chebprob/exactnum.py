@@ -1,6 +1,6 @@
 """Exact combinatorial primitives: binomials, Catalan and ballot numbers,
-sequence convolution, integer series long division, dyadic rationals and
-exact Horner evaluation.
+sequence convolution, integer series long division, dyadic rationals, the
+dense polynomial type and exact Horner evaluation.
 
 All arithmetic here is exact.  Plain ``int`` is the arbitrary-precision
 integer and :class:`fractions.Fraction` the exact rational (always stored
@@ -12,6 +12,7 @@ to share between threads.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -28,6 +29,7 @@ __all__ = [
     "extend_quotient",
     "dyadic",
     "horner",
+    "DensePolynomial",
     "eval_exact",
     "format_rational",
 ]
@@ -180,6 +182,31 @@ def horner(coefficients: Sequence[int], u: int, q: int) -> int:
         acc = acc * u + c * q_power
         q_power *= q
     return acc
+
+
+@dataclass(frozen=True)
+class DensePolynomial:
+    """Polynomial as a dense coefficient tuple, index = degree; evaluate it
+    with :func:`eval_exact` on its coefficients.
+
+    The trailing coefficient is nonzero except for the zero polynomial,
+    which is stored as the single coefficient 0.
+    """
+
+    coefficients: tuple[Rational, ...]
+
+    @classmethod
+    def of(cls, values) -> "DensePolynomial":
+        coeffs = list(values)
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
+        if not coeffs:
+            coeffs = [0]
+        return cls(tuple(coeffs))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coefficients) - 1
 
 
 def eval_exact(coefficients: Sequence[Rational], x: Rational) -> Fraction:

@@ -107,15 +107,18 @@ class ReconstructionResult:
 
 def _default_max_k(n: int, N: int, tol: float, x: Rational = Fraction(1, 2)) -> int:
     """Default term budget of the weighted series: the least k >= 2000 with
-    k^n (1 + 2N|x - 1/2|)^n cos(pi/2N)^k <= tol.
+    k^n (1 + 2N|x - 1/2|)^n c^k / (1 - c) <= tol, c = cos(pi/2N).
 
-    The weights decay like cos(pi/2N)^k, and E_n^{(k)} at the series' point
-    y = k/2 + N(x - 1/2) grows like y^n, |y| <= (k/2)(1 + 2N|x - 1/2|); the
+    The weights decay like c^k, so the tail of the series past k is at most
+    the geometric sum 1/(1 - c) times its first term (the factor that
+    ``probnum.geometric_tail_bound`` carries); E_n^{(k)} at the series' point
+    y = k/2 + N(x - 1/2) grows like y^n, |y| <= (k/2)(1 + 2N|x - 1/2|).  The
     log of that spread is taken from its integer terms, so no float overflows."""
     u, q = Fraction(x).as_integer_ratio()
     log_spread = math.log(q + N * abs(2 * u - q)) - math.log(q)
-    log_decay = math.log(math.cos(math.pi / (2 * N)))
-    log_tol = math.log(tol)
+    decay = math.cos(math.pi / (2 * N))
+    log_decay = math.log(decay)
+    log_tol = math.log(tol) + math.log1p(-decay)
 
     def reached(k: int) -> bool:
         return n * (math.log(k) + log_spread) + k * log_decay <= log_tol

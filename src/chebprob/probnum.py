@@ -62,7 +62,13 @@ from fractions import Fraction
 from typing import Iterator, Literal
 
 from .chebyshev import reversed_T
-from .exactnum import DomainError, dyadic, extend_quotient, format_rational
+from .exactnum import (
+    DomainError,
+    ballot_number,
+    dyadic,
+    extend_quotient,
+    format_rational,
+)
 
 __all__ = [
     "Method",
@@ -235,13 +241,16 @@ def probnum_trig(N: int, max_ell: int) -> ProbTable:
 
 def probnum_catalan(N: int, ell: int) -> Fraction:
     """p_ell as the folded ballot sum, exactly (the closed form, one
-    ``math.comb`` per binomial; the per-index oracle of :func:`catalan_table`).
+    :func:`~.exactnum.ballot_number` per term; the per-index oracle of
+    :func:`catalan_table`).
 
     With n = ell - 1 and B(n, d) = binom(n, (n - d)/2), zero for d > n:
 
         2^ell p_ell = 2 sum_{t >= 0} (-1)^t [B(n, (2t+1)N - 1) - B(n, (2t+1)N + 1)]
 
-    ell must equal N mod 2; below N the sum is empty and the value is zero.
+    Each bracket is the ballot number binom(n, k) - binom(n, k - 1) with
+    k = (ell - (2t+1)N)/2.  ell must equal N mod 2; below N the sum is empty
+    and the value is zero.
     """
     if N < 1:
         raise ValueError(f"probnum_catalan requires N >= 1, got N={N}")
@@ -255,9 +264,7 @@ def probnum_catalan(N: int, ell: int) -> Fraction:
     n = ell - 1
     acc = 0
     for t, centre in enumerate(range(N, ell + 1, 2 * N)):
-        term = math.comb(n, (n - centre + 1) // 2)
-        if centre < ell:
-            term -= math.comb(n, (n - centre - 1) // 2)
+        term = ballot_number(n, (ell - centre) // 2)
         acc += -term if t % 2 else term
     return dyadic(2 * acc, ell)
 

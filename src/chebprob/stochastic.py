@@ -39,10 +39,10 @@ from fractions import Fraction
 import numpy as np
 
 from .eulerpoly import (
-    PolyInX, euler_numbers, euler_poly, eval_poly, gen_euler_recursive,
+    euler_numbers, euler_poly, eval_poly, gen_euler_recursive,
 )
-from .exactnum import DomainError, Rational
-from .probnum import _gap, _law, probnum_series
+from .exactnum import DensePolynomial, DomainError, Rational
+from .probnum import probnum_series, tail_mass
 
 __all__ = [
     "RandomStream",
@@ -67,7 +67,7 @@ __all__ = [
     "MAX_KLEBANOV_N",
 ]
 
-_MU_TABLE_GAP = Fraction(1, 10**15)
+_MU_TABLE_GAP = 1e-15
 # Draws per chunk of sample_mu and of the random sums: 0.5 MiB, small enough
 # to stay in cache, large enough that the per-chunk Python overhead is small.
 _CHUNK = 2**16
@@ -266,13 +266,14 @@ def _redraw(stream: RandomStream, position: int) -> float:
 
 def _mu_table(N: int) -> tuple[np.ndarray, np.ndarray]:
     """(support values, cumulative probabilities) for mu_N, cached; the
-    table length doubles until the exact untabled mass drops below 1e-15."""
+    table length doubles until the untabled mass, rounded up by
+    :func:`~.probnum.tail_mass`, drops below 1e-15."""
     with _MU_LOCK:
         cached = _MU_TABLES.get(N)
         if cached is not None:
             return cached
         max_ell = max(4 * N * N, 64)
-        while _gap(_law(N, max_ell), max_ell) >= _MU_TABLE_GAP:
+        while tail_mass(N, max_ell) >= _MU_TABLE_GAP:
             max_ell *= 2
         table = probnum_series(N, max_ell)
         support = np.arange(N, table.max_ell + 1, 2, dtype=np.int64)
@@ -422,7 +423,7 @@ def _complex_base(real: float, imag: np.ndarray) -> np.ndarray:
     return base
 
 
-def _point(caller: str, poly: PolyInX, x: Rational) -> tuple[float, float]:
+def _point(caller: str, poly: DensePolynomial, x: Rational) -> tuple[float, float]:
     """x as the float the samples are shifted by, and the float of the
     reference value poly(x); a DomainError, before any sampling, when either
     would not be finite."""
@@ -604,7 +605,7 @@ def mc_klebanov(stream: RandomStream, N: int, count: int) -> MomentReport:
     sums = _random_sums(sech_stream, sample_mu(mu_stream, N, count), pooled[:count])
     sums /= N
 
-    numbers = euler_numbers(6).euler_numbers
+    numbers = euler_numbers(6)
     entries = [_entry("mean", sums, 0.0)]
     squared = sums * sums
     power = np.ones(count)  # then squared, squared^2, squared^2 * squared
@@ -640,7 +641,7 @@ def moment_integral_check(k: int) -> float:
     value = _trapezoid_moment(k, _QUAD_STEP)
     if k % 2 == 1:
         return abs(value)
-    reference = Fraction(abs(euler_numbers(k).euler_numbers[k]), 2**k)
+    reference = Fraction(abs(euler_numbers(k)[k]), 2**k)
     return abs(value - float(reference))
 
 

@@ -181,7 +181,7 @@ def test_criterion_05_vanishing_nonneg_normalization():
 def test_criterion_06_euler_machinery():
     table = euler_numbers(30)
     half_ok = all(
-        2**n * eval_poly(euler_poly(n), Fraction(1, 2)) == table.euler_numbers[n]
+        2**n * eval_poly(euler_poly(n), Fraction(1, 2)) == table[n]
         for n in range(31)
     )
     dual_ok = all(

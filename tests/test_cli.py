@@ -184,6 +184,18 @@ class TestIdentity:
         document = json.loads(out)
         assert int(argv[3]) + 2 * (document["terms_used"] - 1) == k
 
+    @pytest.mark.parametrize("N", [12, 20, 30])
+    def test_constant_within_the_default_budget(self, capsys, N):
+        # The weights sum to one, so E_0 = 1 holds for every N; a budget
+        # blind to the geometric tail's factor 1/(1 - cos(pi/2N)) stopped
+        # these sums just short of the tolerance and exited 1.
+        code, out, _ = run(
+            capsys, "identity", "--n", "0", "--N", str(N), "--x", "1/2",
+            "--tol", "1e-9", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["abs_error"] <= 1e-9
+
     def test_values_past_the_int_str_limit(self, capsys):
         # The partial value's denominator is 2^(n+k) q^n, k = 26844: past the
         # interpreter's 4300-digit int-to-str limit.

@@ -28,6 +28,12 @@ UNUSED_BY_DESIGN = {
     "sech_cdf": "the distribution function the sech sampler is tested against",
 }
 
+# Private names one src module may import from another: the identity's
+# summation reads the integer law and zero-row memos directly.
+PRIVATE_IMPORTS = {
+    ("identities", "probnum", "_law"),
+    ("identities", "eulerpoly", "_zero_row"),
+}
 
 @pytest.mark.parametrize("name", MODULES)
 def test_module_all_resolves(name):
@@ -63,6 +69,22 @@ def test_every_export_is_used():
     # An allowed name that gains a caller leaves the list.
     assert sorted(set(UNUSED_BY_DESIGN) & used) == []
 
+
+def test_no_private_imports_between_modules():
+    # A module that needs another's private name either gets a public one
+    # or is listed above.
+    found = set()
+    for path in (ROOT / "src" / "chebprob").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                found.update(
+                    (path.stem, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                )
+    assert sorted(found - PRIVATE_IMPORTS) == []
+    # An allowed import that is gone leaves the list.
+    assert sorted(PRIVATE_IMPORTS - found) == []
 
 def test_benchmark_tracer_installs():
     # bench/tracer.py wraps chebprob functions, methods and modules by name;

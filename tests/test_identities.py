@@ -41,6 +41,15 @@ class TestReconstruction:
             assert result.target == 1
             assert result.abs_error <= 1e-9
 
+    def test_constant_case_within_the_default_budget(self):
+        # For n = 0 the tail past k is at most c^k / (1 - c), c = cos(pi/2N),
+        # so the default budget is enough; without the factor 1/(1 - c) it
+        # ended at k = 3561, with the error at 1.27e-30.
+        for x in (Fraction(1, 2), Fraction(1, 3), 0, 2):
+            result = reconstruct_euler(0, 8, x, 1e-30)
+            assert result.abs_error <= 1e-30
+        assert expectation_form_check(0, 12, 1e-9) <= Fraction(1e-9)
+
     def test_higher_degree(self):
         result = reconstruct_euler(4, 3, Fraction(3, 7), 1e-9)
         assert result.target == eval_poly(euler_poly(4), Fraction(3, 7))
@@ -72,9 +81,10 @@ class TestReconstruction:
                 for tol in (1e-3, 1e-9, 1e-15):
                     c = math.cos(math.pi / (2 * N))
                     k = _default_max_k(n, N, tol)
-                    assert k >= DEFAULT_MAX_K and k**n * c**k <= tol, (n, N, tol)
+                    assert k >= DEFAULT_MAX_K, (n, N, tol)
+                    assert k**n * c**k / (1 - c) <= tol, (n, N, tol)
                     if k > DEFAULT_MAX_K:
-                        assert (k - 1) ** n * c ** (k - 1) > tol, (n, N, tol)
+                        assert (k - 1) ** n * c ** (k - 1) / (1 - c) > tol, (n, N, tol)
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
@@ -233,16 +243,16 @@ class TestIntegerLoop:
 
     def test_budget_above_MAX_K_refused_before_any_work(self, monkeypatch):
         # The law memo through k holds about k^2 / 2 bits: the default budget
-        # of the first call, 606995, would hold about 23 GB.
+        # of the first call, 607350, would hold about 23 GB.
         def no_work(*args):
             raise AssertionError("a refused budget reached the sum")
 
         monkeypatch.setattr(identities_module, "_law", no_work)
         monkeypatch.setattr(identities_module, "euler_poly", no_work)
         default = f"requires max_k <= {MAX_K}; the default term budget for"
-        with pytest.raises(DomainError, match=f"{default} n=8, N=10, .* is 606995$"):
+        with pytest.raises(DomainError, match=f"{default} n=8, N=10, .* is 607350$"):
             reconstruct_euler(8, 10, 10**400, 1e-9)
-        with pytest.raises(DomainError, match=f"{default} n=1, N=2, .* is 66535$"):
+        with pytest.raises(DomainError, match=f"{default} n=1, N=2, .* is 66538$"):
             reconstruct_euler(1, 2, 10**10000, 1e-9)
         with pytest.raises(DomainError, match=f"expectation_form_check {default}"):
             expectation_form_check(1, 100, 1e-300)
@@ -298,7 +308,7 @@ class TestAsymptoticRatio:
         for N in range(1, 11):
             for z in (0.3, 0.5, 0.7):
                 a = (1.0 + math.sqrt(1.0 - z * z)) / z
-                direct = a**N / float(chebyshev_T(N).eval_exact(1.0 / z))
+                direct = a**N / float(eval_poly(chebyshev_T(N), 1.0 / z))
                 assert asymptotic_ratio(N, z) == pytest.approx(direct, rel=1e-10)
 
     def test_limit_is_two(self):

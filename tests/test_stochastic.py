@@ -248,7 +248,7 @@ class TestMomentReports:
 
     def test_klebanov_references_computed_from_euler_numbers(self):
         report = mc_klebanov(RandomStream(1), 3, 10**5)
-        numbers = euler_numbers(6).euler_numbers
+        numbers = euler_numbers(6)
         for entry, k in zip(report.entries[1:], (2, 4, 6)):
             assert entry.reference == float(Fraction(abs(numbers[k]), 2**k))
 
@@ -316,7 +316,7 @@ def reference_klebanov(stream, N, count):
     test by binary-search counting against separately drawn sech values."""
     mu_stream, sech_stream, reference_stream = stream.split(3)
     sums = reference_sums(sech_stream, reference_mu(mu_stream, N, count)) / N
-    numbers = euler_numbers(6).euler_numbers
+    numbers = euler_numbers(6)
     squared = sums * sums
     moments = {2: squared, 4: squared * squared, 6: squared * squared * squared}
     entries = [stochastic_module._entry("mean", sums, 0.0)]
