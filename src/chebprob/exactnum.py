@@ -32,6 +32,7 @@ __all__ = [
     "DensePolynomial",
     "eval_exact",
     "format_rational",
+    "float_or_inf",
 ]
 
 
@@ -231,3 +232,12 @@ def format_rational(x: Rational) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def float_or_inf(x: Rational) -> float:
+    """The float of an exact value, or an infinity of its sign beyond the
+    float range, where ``float`` raises OverflowError."""
+    try:
+        return float(x)
+    except OverflowError:
+        return -math.inf if x < 0 else math.inf

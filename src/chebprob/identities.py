@@ -31,6 +31,7 @@ from .exactnum import (
     binomial,
     catalan_sequence,
     convolution_power,
+    float_or_inf,
     format_rational,
     horner,
 )
@@ -46,12 +47,12 @@ __all__ = [
     "catalan_prefix_check",
 ]
 
-# The least term budget; the default budget grows from here (_default_max_k).
+# The least term budget; the budget grows from here (_default_max_k).
 DEFAULT_MAX_K = 2000
-# The largest term budget, default or given.  A sum that runs to the end of it
-# (n = 8, N = 10, x = 10^6, tol 1e-300) takes 6.5 s and 186 MB on a 2-vCPU VM,
-# and the law memo through k holds about k^2 / 2 bits, so the default budget
-# of n = 8, N = 10, x = 10^400 (606995) would hold about 23 GB.
+# The largest term budget.  A sum forced to the end of it (n = 8, N = 10,
+# x = 10^6) took 6.5 s and 186 MB on a 2-vCPU VM, and the law memo through k
+# holds about k^2 / 2 bits, so the budget of n = 8, N = 10, x = 10^400
+# (607350) would hold about 23 GB.
 MAX_K = 2**16
 # Largest n and N of the identity.  A sum to the end of a budget of MAX_K
 # builds the zero rows of every order below it, O(n^2) operations and about
@@ -144,16 +145,15 @@ def _reconstruct(
     x: Rational,
     scale: int,
     tol: float,
-    max_k: int | None,
 ) -> ReconstructionResult:
     """The one summation of the identity: sum S_k / scale for k = N, N+2, ...
     (off-parity weights vanish), S_k = sum_{j <= k} p_j E_n^{(j)}(j/2 +
-    N(x - 1/2)), until it is within ``tol`` of N^n E_n(x) / scale.
+    N(x - 1/2)), until it is within ``tol`` of N^n E_n(x) / scale, with k at
+    most the term budget ``_default_max_k(n, N, tol, x)``.
 
     The domain: 0 <= n <= MAX_DEGREE, 1 <= N <= MAX_N, a finite tol > 0 and
-    a budget N <= max_k <= MAX_K (below N it admits no term), given or by
-    default; ``caller`` names the entry point in the DomainError, ``what``
-    the sum in the ConvergenceError.
+    a term budget of at most MAX_K; ``caller`` names the entry point in the
+    DomainError, ``what`` the sum in the ConvergenceError.
 
     With x = u/q, the argument is Y_j / 2q for Y_j = jq + N(2u - q).  The law
     gives a_j = 2^j p_j and the zero rows b_m = 2^m E_m^{(j)}(0), both
@@ -169,18 +169,13 @@ def _reconstruct(
         raise DomainError(f"{caller} requires 1 <= N <= {MAX_N}, got N={N}")
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"{caller}: tol must be positive and finite, got {tol}")
-    if max_k is not None and max_k < N:
-        raise DomainError(f"{caller} requires max_k >= N, got max_k={max_k} < N={N}")
     x = Fraction(x)
-    if max_k is None:
-        max_k = _default_max_k(n, N, tol, x)
-        if max_k > MAX_K:
-            raise DomainError(
-                f"{caller} requires max_k <= {MAX_K}; the default term budget "
-                f"for n={n}, N={N}, this x and tol={tol} is {max_k}"
-            )
-    elif max_k > MAX_K:
-        raise DomainError(f"{caller} requires max_k <= {MAX_K}, got max_k={max_k}")
+    budget = _default_max_k(n, N, tol, x)
+    if budget > MAX_K:
+        raise DomainError(
+            f"{caller} requires a term budget of at most {MAX_K}; "
+            f"n={n}, N={N}, this x and tol={tol} need {budget}"
+        )
     target = eval_poly(euler_poly(n), x) * Fraction(N**n, scale)
     tol_exact = Fraction(tol)
 
@@ -193,7 +188,7 @@ def _reconstruct(
     terms_used = 0
     first_small: int | None = None
     total = 0
-    for k in range(N, max_k + 1, 2):
+    for k in range(N, budget + 1, 2):
         row = _zero_row(k, n)
         coefficients = [binomials[i] * row[n - i] for i in range(n + 1)]
         term = _law(N, k)[k] * horner(coefficients, k * q + offset, q)
@@ -207,7 +202,7 @@ def _reconstruct(
             partial = Fraction(total, scale * den)
             # In floats cos(pi/2N) > 0 for every N >= 1 (6.1e-17 at N = 1).
             decay = math.cos(math.pi / (2 * N))
-            last_term = float(Fraction(abs(term), scale * den))
+            last_term = float_or_inf(Fraction(abs(term), scale * den))
             return ReconstructionResult(
                 n=n,
                 N=N,
@@ -220,8 +215,8 @@ def _reconstruct(
                 first_small_term_k=first_small,
             )
     raise ConvergenceError(
-        f"{what} not within {tol} by k={max_k}, the end of the term budget",
-        achieved_error=float(abs(Fraction(total, scale * den) - target)),
+        f"{what} not within {tol} by k={budget}, the end of the term budget",
+        achieved_error=float_or_inf(abs(Fraction(total, scale * den) - target)),
     )
 
 
@@ -230,19 +225,20 @@ def reconstruct_euler(
     N: int,
     x: Rational,
     tol: float,
-    max_k: int | None = None,
 ) -> ReconstructionResult:
     """Sum the weighted generalized-polynomial series for E_n(x) until the
     exact difference from the exact target drops to ``tol``.
 
     Terms run over k = N, N+2, ... (off-parity weights vanish); everything is
-    accumulated exactly, floats appear only in the report.  Raises
-    :class:`ConvergenceError` when the budget ``max_k`` is exhausted first;
-    by default it grows from 2000 with n, N, |x - 1/2| and 1/tol.
+    accumulated exactly, floats appear only in the report.  The term budget
+    is the library's: it grows from 2000 with n, N, |x - 1/2| and 1/tol, and
+    a call whose budget would pass MAX_K is refused with DomainError before
+    any term is summed.  Raises :class:`ConvergenceError` when the budget is
+    exhausted first, which on a true identity means the library is wrong.
     """
     return _reconstruct(
         "reconstruct_euler", f"series for E_{n}(x) with N={N}",
-        n, N, x, N**n, tol, max_k,
+        n, N, x, N**n, tol,
     )
 
 
@@ -250,15 +246,14 @@ def expectation_form_check(
     n: int,
     N: int,
     tol: float = 1e-12,
-    max_k: int | None = None,
 ) -> Fraction:
     """Truncate sum_k p_k E_n^{(k)}(k/2) against N^n E_n(1/2) and return the
-    exact absolute difference once it is within ``tol``, summing at most to
-    ``max_k`` (by default, as in :func:`reconstruct_euler`).  It is the sum
-    of :func:`reconstruct_euler` at x = 1/2, not divided by N^n."""
+    exact absolute difference once it is within ``tol``, under the term
+    budget of :func:`reconstruct_euler`.  It is the sum of
+    :func:`reconstruct_euler` at x = 1/2, not divided by N^n."""
     result = _reconstruct(
         "expectation_form_check", f"expectation identity for n={n}, N={N}",
-        n, N, Fraction(1, 2), 1, tol, max_k,
+        n, N, Fraction(1, 2), 1, tol,
     )
     return abs(result.partial_value - result.target)
 

@@ -1,7 +1,9 @@
 """CLI contract: flags, formats, exit codes, and output determinism."""
 
+import argparse
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,8 +13,10 @@ import pytest
 import chebprob
 
 from chebprob import identities, probnum, stochastic
-from chebprob.cli import main, parse_rational, UsageError
-from chebprob.exactnum import DomainError
+from chebprob.cli import build_parser, main, parse_rational, UsageError
+from chebprob.exactnum import DomainError, format_rational
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -153,22 +157,26 @@ class TestIdentity:
         assert code == 0
         assert json.loads(out)["abs_error"] <= 1e-9
 
-    def test_budget_failure_exit_code(self, capsys):
+    def test_budget_failure_exit_code(self, capsys, monkeypatch):
+        # Exit 1 is a wrong library: here, a term budget too small for a true
+        # identity.
+        monkeypatch.setattr(identities, "_default_max_k", lambda *args: 25)
         code, _, err = run(
             capsys, "identity", "--n", "4", "--N", "5", "--x", "1/3",
-            "--tol", "1e-9", "--max-terms", "25",
+            "--tol", "1e-9",
         )
         assert code == 1
         assert "achieved error" in err
 
-    def test_default_budget_follows_the_inputs(self, capsys):
+    def test_default_budget_follows_the_inputs(self, capsys, monkeypatch):
         # The fixed 2000-term budget reported this true identity as a failure;
-        # an explicit --max-terms still caps the sum.
+        # a budget short of k = 3316 still ends the sum as a failed check.
         argv = ("identity", "--n", "8", "--N", "10", "--x", "3/7", "--tol", "1e-12")
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert "terms used        : 1654" in out
-        code, _, err = run(capsys, *argv, "--max-terms", "100")
+        monkeypatch.setattr(identities, "_default_max_k", lambda *args: 100)
+        code, _, err = run(capsys, *argv)
         assert code == 1
         assert "by k=100, the end of the term budget" in err
 
@@ -210,6 +218,31 @@ class TestIdentity:
         assert document["target"] == "-2/9"
         assert abs(Fraction(partial) - Fraction(-2, 9)) <= Fraction(1e-15)
 
+    @pytest.mark.parametrize("n, N, x, fmt", [
+        (32, 1, 10**20, "json"),
+        (8, 2, 10**49, "pretty"),
+    ], ids=["N-1-json", "pretty"])
+    def test_values_beyond_the_float_range(self, capsys, n, N, x, fmt):
+        # The exact fields print in full; a float image past the float range
+        # is an infinity.  Both ended in an OverflowError (exit 3): the
+        # N = 1 sum's one term in the tail estimate, and the pretty line's
+        # float of the partial value and of the target.
+        code, out, _ = run(
+            capsys, "identity", "--n", str(n), "--N", str(N), "--x", str(x),
+            "--format", fmt,
+        )
+        assert code == 0
+        result = identities.reconstruct_euler(n, N, x, 1e-9)
+        partial, target = (format_rational(result.partial_value),
+                           format_rational(result.target))
+        if fmt == "json":
+            document = json.loads(out)
+            assert (document["partial_value"], document["target"]) == (partial, target)
+            assert document["tail_estimate"] == float("inf")
+        else:
+            assert f"  partial value     : {partial} (inf)\n" in out
+            assert f"  target            : {target} (inf)\n" in out
+
     def test_decimal_rejected(self, capsys):
         code, _, err = run(
             capsys, "identity", "--n", "1", "--N", "2", "--x", "0.25",
@@ -218,22 +251,28 @@ class TestIdentity:
         assert "invalid rational" in err
 
 
-class TestFloatFlags:
-    # A NaN tolerance made every comparison against it vacuous, so the check
-    # it guards passed untested; inf crashed in Fraction(tol).
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
-    @pytest.mark.parametrize("argv, flag", [
-        (("probnums", "--N", "3", "--max-ell", "20", "--method", "all"), "--tol"),
-        (("identity", "--n", "2", "--N", "3", "--x", "1/3"), "--tol"),
-    ])
-    def test_non_finite_or_non_positive_is_a_usage_error(
-        self, capsys, argv, flag, value
-    ):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, f"{flag}={value}"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert f"argument {flag}: must be positive and finite" in err
+# The four exact README commands; their expected stdout is kept in golden/.
+# The montecarlo commands are left out: numpy's vectorised tan and log may
+# round differently from one CPU to another.
+README_COMMANDS = [
+    ("probnums_N2_csv",
+     ("probnums", "--N", "2", "--max-ell", "10", "--method", "all", "--format", "csv")),
+    ("probnums_N7_all", ("probnums", "--N", "7", "--max-ell", "60", "--method", "all")),
+    ("identity_n1_N2", ("identity", "--n", "1", "--N", "2", "--x", "1/4", "--tol", "1e-9")),
+    ("identity_n6_N5_json",
+     ("identity", "--n", "6", "--N", "5", "--x", "-2/3", "--tol", "1e-9",
+      "--format", "json")),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize(
+        "name, argv", README_COMMANDS, ids=[row[0] for row in README_COMMANDS]
+    )
+    def test_readme_command_stdout(self, capsys, name, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
 
 
 class TestInternalFault:
@@ -343,13 +382,15 @@ class TestMonteCarlo:
         assert json.loads(out)["seed"] == 12345
 
     @pytest.mark.parametrize("argv", [
-        ("rep", "--n", "1", "--x", "0", "--band", "8"),
-        ("integral", "--k", "4", "--quad-tol", "1"),
-    ], ids=["band", "quad-tol"])
+        ("montecarlo", "rep", "--n", "1", "--x", "0", "--band", "8"),
+        ("montecarlo", "integral", "--k", "4", "--quad-tol", "1"),
+        ("identity", "--n", "4", "--N", "5", "--x", "1/3", "--max-terms", "25"),
+        ("probnums", "--N", "7", "--max-ell", "60", "--method", "all", "--tol", "1e-3"),
+    ], ids=["band", "quad-tol", "max-terms", "probnums-tol"])
     def test_bounds_are_not_flags(self, capsys, argv):
-        # A check's bound is the library's: no flag moves it.
+        # A check's bound is the library's, for every command: no flag moves it.
         with pytest.raises(SystemExit) as exc:
-            main(["montecarlo", *argv])
+            main(list(argv))
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -371,7 +412,7 @@ REFUSED = [
      ("probnums", "--N", "4", "--max-ell", "3", "--method", "catalan"),
      lambda: probnum.catalan_table(4, 3)),
     ("all-N", ("probnums", "--N", "-3", "--max-ell", "5", "--method", "all"),
-     lambda: probnum.cross_validate(-3, 5, 1e-10)),
+     lambda: probnum.cross_validate(-3, 5)),
     ("probnums-work-cap", ("probnums", "--N", "4097", "--max-ell", "4097"),
      lambda: probnum.probnum_series(4097, 4097)),
     ("probnums-max-ell-cap",
@@ -393,23 +434,19 @@ REFUSED = [
      ("identity", "--n", "2", "--N", str(identities.MAX_N + 1), "--x", "1/3"),
      lambda: identities.reconstruct_euler(
          2, identities.MAX_N + 1, Fraction(1, 3), 1e-9)),
-    ("max-terms-negative",
-     ("identity", "--n", "2", "--N", "3", "--x", "1/3", "--max-terms", "-5"),
-     lambda: identities.reconstruct_euler(2, 3, Fraction(1, 3), 1e-9, max_k=-5)),
+    # A NaN tolerance made every comparison against it vacuous, so the check
+    # it guards passed untested; inf crashed in Fraction(tol).
+    *[(f"identity-tol-{value}",
+       ("identity", "--n", "2", "--N", "3", "--x", "1/3", f"--tol={value}"),
+       lambda value=value: identities.reconstruct_euler(
+           2, 3, Fraction(1, 3), float(value)))
+      for value in ("nan", "inf", "-inf", "0", "-1e-9")],
     ("identity-default-budget",
      ("identity", "--n", "8", "--N", "10", "--x", str(10**400)),
      lambda: identities.reconstruct_euler(8, 10, 10**400, 1e-9)),
     ("identity-default-budget-past-the-int-str-limit",
      ("identity", "--n", "1", "--N", "2", "--x", "1" + "0" * 10000),
      lambda: identities.reconstruct_euler(1, 2, 10**10000, 1e-9)),
-    ("max-terms-above-MAX_K",
-     ("identity", "--n", "2", "--N", "3", "--x", "1/3",
-      "--max-terms", str(identities.MAX_K + 1)),
-     lambda: identities.reconstruct_euler(
-         2, 3, Fraction(1, 3), 1e-9, max_k=identities.MAX_K + 1)),
-    ("max-terms-below-N",
-     ("identity", "--n", "2", "--N", "3", "--x", "1/3", "--max-terms", "2"),
-     lambda: identities.reconstruct_euler(2, 3, Fraction(1, 3), 1e-9, max_k=2)),
     ("integral-k-15", ("montecarlo", "integral", "--k", "15"),
      lambda: stochastic.moment_integral_check(15)),
     ("integral-k-150", ("montecarlo", "integral", "--k", "150"),
@@ -476,6 +513,25 @@ class TestDomain:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {info.value}\n"
+
+
+class TestParser:
+    def test_flags_check_syntax_only(self):
+        # A flag's type parses it; its range is the library's.  A type that
+        # also checks a range (as a positive_float once did) is refused here.
+        parser = build_parser()
+        commands = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert len(commands) == 1
+        flags = [
+            (name, action.dest, action.type)
+            for name, sub in commands[0].choices.items()
+            for action in sub._actions
+        ]
+        assert len(flags) > 20
+        assert [f for f in flags if f[2] not in (None, int, float)] == []
 
 
 class TestDeterminism:

