@@ -76,7 +76,7 @@ class ReconstructionResult:
 
     ``abs_error`` is the float image of the exact difference between
     ``partial_value`` and ``target``; ``tail_estimate`` extrapolates the last
-    term geometrically (heuristic, for reporting only).
+    term geometrically (heuristic, for reporting only; 0 at N = 1).
     ``first_small_term_k`` records where added terms first dropped below a
     tenth of the tolerance: the stopping rule available when no exact target
     exists.
@@ -200,9 +200,14 @@ def _reconstruct(
             first_small = k
         if abs(total * h - g * den) * f <= bound * h:
             partial = Fraction(total, scale * den)
-            # In floats cos(pi/2N) > 0 for every N >= 1 (6.1e-17 at N = 1).
-            decay = math.cos(math.pi / (2 * N))
-            last_term = float_or_inf(Fraction(abs(term), scale * den))
+            # mu_1 = 1 is a point mass, so nothing lies past its one term.
+            # In floats cos(pi/2) is 6.1e-17, not 0, and a zero decay times
+            # an infinite last term would be NaN, so N = 1 skips the formula.
+            tail = 0.0
+            if N > 1:
+                decay = math.cos(math.pi / (2 * N))
+                last_term = float_or_inf(Fraction(abs(term), scale * den))
+                tail = last_term * decay**2 / (1.0 - decay**2)
             return ReconstructionResult(
                 n=n,
                 N=N,
@@ -211,7 +216,7 @@ def _reconstruct(
                 partial_value=partial,
                 target=target,
                 abs_error=float(abs(partial - target)),
-                tail_estimate=last_term * decay**2 / (1.0 - decay**2),
+                tail_estimate=tail,
                 first_small_term_k=first_small,
             )
     raise ConvergenceError(

@@ -30,7 +30,10 @@ t < 0 repeat those with t >= 0 and
 
     2^ell p_ell = 2 sum_{t >= 0} (-1)^t [B(n, (2t+1)N - 1) - B(n, (2t+1)N + 1)],
 
-about ell/N terms.  Along the support n grows by 2, and B(n, d) at a fixed
+about ell/N terms.  It is the method-of-images count of the +-1 paths from
+0 that first reach -N or N at step ell, so mu_N is the exit time of simple
+random walk from (-N, N) (Feller, *An Introduction to Probability Theory*,
+Vol. 1, Ch. XIV).  Along the support n grows by 2, and B(n, d) at a fixed
 offset d moves from n - 2 to n by one multiply and one exact division, so a
 table through L costs about L^2/(4N) such steps on numbers of about L bits and
 no fresh binomial.  This route shares nothing with the recurrence below.

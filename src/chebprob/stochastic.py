@@ -33,7 +33,7 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -123,7 +123,7 @@ _MIN_RUN = 2**17
 _BLOCK = 4
 
 _MU_LOCK = threading.Lock()
-_MU_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_MU_TABLES: dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -240,9 +240,8 @@ def _sech_fill(
     ``offset``), and return it.  The generator never returns 1, and an
     exact 0 (about 2^-53 per draw) is replaced by :func:`_redraw` rather than
     remapped, keeping it unbiased."""
-    zeros = rng.random(out=out) == 0.0
-    if zeros.any():
-        for i in np.flatnonzero(zeros):
+    if not rng.random(out=out).all():
+        for i in np.flatnonzero(out == 0.0):
             out[i] = _redraw(stream, offset + int(i))
     np.multiply(out, 0.5 * np.pi, out=out)
     np.tan(out, out=out)
@@ -264,9 +263,9 @@ def _redraw(stream: RandomStream, position: int) -> float:
     return u
 
 
-def _mu_table(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(support values, cumulative probabilities) for mu_N, cached; the
-    table length doubles until the untabled mass, rounded up by
+def _mu_table(N: int) -> np.ndarray:
+    """Cumulative probabilities of mu_N at its support N, N + 2, ...,
+    cached; the table length doubles until the untabled mass, rounded up by
     :func:`~.probnum.tail_mass`, drops below 1e-15."""
     with _MU_LOCK:
         cached = _MU_TABLES.get(N)
@@ -276,10 +275,9 @@ def _mu_table(N: int) -> tuple[np.ndarray, np.ndarray]:
         while tail_mass(N, max_ell) >= _MU_TABLE_GAP:
             max_ell *= 2
         table = probnum_series(N, max_ell)
-        support = np.arange(N, table.max_ell + 1, 2, dtype=np.int64)
-        cumulative = np.cumsum([float(table.values[v]) for v in support])
-        _MU_TABLES[N] = (support, cumulative)
-        return support, cumulative
+        cumulative = np.cumsum([float(v) for v in table.values[N::2]])
+        _MU_TABLES[N] = cumulative
+        return cumulative
 
 
 def _check_mu_N(caller: str, N: int) -> None:
@@ -307,14 +305,15 @@ def sample_mu(stream: RandomStream, N: int, count: int) -> np.ndarray:
     N + 2 i, written straight into the output from the search result of each
     chunk of ``_CHUNK`` uniforms, so no array of all the uniforms is held;
     large calls are cut into runs (:func:`_in_runs`).  The index one past
-    the table is the first untabled support point.  Draws beyond the tabled
-    mass (total probability below 1e-15) land there; such events are counted
-    and reported through a RuntimeWarning rather than silently clamped.
+    the table gives N + 2 len(table), the first untabled support point.
+    Draws beyond the tabled mass (total probability below 1e-15) land there;
+    they are counted and reported through a RuntimeWarning, never clamped.
     """
     _check_mu_N("sample_mu", N)
     if count < 1:
         raise DomainError(f"sample_mu requires count >= 1, got {count}")
-    support, cumulative = _mu_table(N)
+    cumulative = _mu_table(N)
+    untabled = N + 2 * len(cumulative)
     out = np.empty(count, dtype=np.int64)
 
     def run(lo, hi):
@@ -327,12 +326,12 @@ def sample_mu(stream: RandomStream, N: int, count: int) -> np.ndarray:
             out[a:b] += N
 
     _in_runs(run, _cuts(count))
-    n_overflow = int(np.count_nonzero(out == N + 2 * len(support)))
+    n_overflow = int(np.count_nonzero(out == untabled))
     if n_overflow:
         warnings.warn(
             f"sample_mu(N={N}): {n_overflow} of {count} draws fell beyond the "
             f"tabled mass; assigned to the first untabled support point "
-            f"{N + 2 * len(support)}",
+            f"{untabled}",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -357,13 +356,7 @@ class MomentEntry:
         return gap / max(self.std_error, floor)
 
     def json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "reference": self.reference,
-            "standardized": self.standardized,
-        }
+        return {**asdict(self), "standardized": self.standardized}
 
 
 @dataclass(frozen=True)
@@ -399,28 +392,8 @@ class MomentReport:
 
 
 def _entry(label: str, data: np.ndarray, reference: float) -> MomentEntry:
-    n = len(data)
-    std_err = float(np.std(data, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    std_err = float(np.std(data, ddof=1) / math.sqrt(len(data)))
     return MomentEntry(label, float(np.mean(data)), std_err, reference)
-
-
-def _complex_power(base: np.ndarray, n: int) -> np.ndarray:
-    # Repeated multiplication: exact for small integer powers, no branch cuts.
-    # In place, as out * base: numpy's complex product of (a, b) and (b, a)
-    # can differ in the last bit, so the operand order is kept.
-    out = np.ones_like(base)
-    for _ in range(n):
-        out *= base
-    return out
-
-
-def _complex_base(real: float, imag: np.ndarray) -> np.ndarray:
-    """real + i imag as one complex array, without the temporaries of
-    ``real + 1j * imag`` (whose values it equals)."""
-    base = np.empty(len(imag), dtype=complex)
-    base.real = real
-    base.imag = imag
-    return base
 
 
 def _point(caller: str, poly: DensePolynomial, x: Rational) -> tuple[float, float]:
@@ -439,8 +412,18 @@ def _point(caller: str, poly: DensePolynomial, x: Rational) -> tuple[float, floa
 def _power_report(
     real: float, imag: np.ndarray, n: int, reference: float
 ) -> MomentReport:
-    """The mean of (real + i imag)^n against reference + 0 i."""
-    powers = _complex_power(_complex_base(real, imag), n)
+    """The mean of (real + i imag)^n against reference + 0 i, by repeated
+    multiplication: exact for small integer powers, no branch cuts."""
+    # One complex array, without the temporaries of real + 1j * imag (whose
+    # values it equals).
+    base = np.empty(len(imag), dtype=complex)
+    base.real = real
+    base.imag = imag
+    # In place, as powers * base: numpy's complex product of (a, b) and
+    # (b, a) can differ in the last bit, so the operand order is kept.
+    powers = np.ones_like(base)
+    for _ in range(n):
+        powers *= base
     return MomentReport(
         sample_size=len(imag),
         entries=(
@@ -607,14 +590,15 @@ def mc_klebanov(stream: RandomStream, N: int, count: int) -> MomentReport:
 
     numbers = euler_numbers(6)
     entries = [_entry("mean", sums, 0.0)]
-    squared = sums * sums
+    # The reference half of pooled is free until the KS draws fill it.
+    squared = np.multiply(sums, sums, out=pooled[count:])
     power = np.ones(count)  # then squared, squared^2, squared^2 * squared
     for k in (2, 4, 6):
         np.multiply(power, squared, out=power)
         reference = float(Fraction(abs(numbers[k]), 2**k))
         entries.append(_entry(f"moment{k}", power, reference))
 
-    del squared, power  # free their memory for the KS test's merge
+    del power  # free its memory for the KS test's merge
     _sech_draws(reference_stream, pooled[count:])
     statistic, p_value = _ks_two_sample(pooled)
     return MomentReport(

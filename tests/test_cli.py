@@ -226,7 +226,8 @@ class TestIdentity:
         # The exact fields print in full; a float image past the float range
         # is an infinity.  Both ended in an OverflowError (exit 3): the
         # N = 1 sum's one term in the tail estimate, and the pretty line's
-        # float of the partial value and of the target.
+        # float of the partial value and of the target.  The N = 1 sum has
+        # no tail (mu_1 is a point mass), so its estimate is 0, not inf.
         code, out, _ = run(
             capsys, "identity", "--n", str(n), "--N", str(N), "--x", str(x),
             "--format", fmt,
@@ -238,7 +239,7 @@ class TestIdentity:
         if fmt == "json":
             document = json.loads(out)
             assert (document["partial_value"], document["target"]) == (partial, target)
-            assert document["tail_estimate"] == float("inf")
+            assert document["tail_estimate"] == 0.0
         else:
             assert f"  partial value     : {partial} (inf)\n" in out
             assert f"  target            : {target} (inf)\n" in out

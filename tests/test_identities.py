@@ -56,6 +56,16 @@ class TestReconstruction:
         assert result.target == eval_poly(euler_poly(4), Fraction(3, 7))
         assert result.abs_error <= 1e-9
 
+    def test_no_tail_at_N_1(self):
+        # mu_1 = 1 is a point mass, so the one term is the whole sum.  The
+        # float decay cos(pi/2) = 6.1e-17 gave 6.2e-34 here, and an infinite
+        # estimate once the term passed the float range.
+        for n, x in ((1, Fraction(1, 3)), (32, Fraction(10**20))):
+            result = reconstruct_euler(n, 1, x, 1e-9)
+            assert result.terms_used == 1
+            assert result.partial_value == result.target
+            assert result.tail_estimate == 0.0
+
     def test_exact_bookkeeping(self):
         result = reconstruct_euler(2, 2, Fraction(0), 1e-6)
         # abs_error is the float image of the exact difference.
@@ -174,7 +184,8 @@ def reference_reconstruct(n, N, x, tol, max_k):
             first_small = k
         error = abs(partial - target)
         if error <= tol_exact:
-            tail = float(abs(term)) * decay**2 / (1.0 - decay**2) if decay else 0.0
+            # mu_1 is a point mass: nothing lies past its one term.
+            tail = float(abs(term)) * decay**2 / (1.0 - decay**2) if N > 1 else 0.0
             return ReconstructionResult(
                 n, N, x, terms_used, partial, target, float(error), tail, first_small
             )

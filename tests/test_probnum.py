@@ -329,6 +329,25 @@ class TestBallotKernel:
         assert (info.value.N, info.value.ell) == (5, 15)
 
 
+def exit_path_counts(N: int, L: int) -> list[int]:
+    """counts[ell] for ell <= L: the +-1 paths from 0 that first reach -N or
+    N at step ell, by stepping the path counts at positions -(N-1)..N-1."""
+    paths = [0] * (N - 1) + [1] + [0] * (N - 1)  # index i: position i - N + 1
+    counts = [0] * (L + 1)
+    for ell in range(1, L + 1):
+        counts[ell] = paths[0] + paths[-1]  # the end positions step out
+        paths = [left + right for left, right in zip([0] + paths[:-1], paths[1:] + [0])]
+    return counts
+
+
+class TestWalkReading:
+    def test_law_is_the_exit_time_of_simple_random_walk(self):
+        # a_ell = 2^ell p_ell counts the paths of simple random walk from 0
+        # that first leave (-N, N) at step ell (Feller, Vol. 1, Ch. XIV).
+        for N in range(1, 16):
+            assert probnum._law(N, 300)[:301] == exit_path_counts(N, 300), N
+
+
 class TestCrossValidation:
     def test_n2(self):
         report = cross_validate(2, 40, 1e-10)

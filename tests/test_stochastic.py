@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import chebprob.stochastic as stochastic_module
+from chebprob import probnum
 from chebprob.eulerpoly import euler_numbers, euler_poly, eval_poly, gen_euler_recursive
 from chebprob.exactnum import DomainError
 from chebprob.probnum import MAX_ELL, probnum_series
@@ -126,6 +127,25 @@ class TestMuSampling:
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - exact_mean) < 4 * se
 
+    @pytest.mark.parametrize("N", range(2, 11))
+    def test_moments_against_the_exact_law(self, N):
+        # E[mu_N] = N^2 and Var = 2 N^2 (N^2 - 1) / 3, each in a 4-SE band of
+        # exact SEs: the variance's from the exact fourth central moment.
+        m = law_moments(N, 4)
+        L = 64 * N * N  # the law's mass past L is below 1e-30
+        a = probnum._law(N, L)
+        for k in range(5):
+            memo = Fraction(sum(a[ell] * ell**k << (L - ell) for ell in range(L + 1)), 1 << L)
+            assert abs(memo - m[k]) <= m[k] / 10**20, (N, k)
+        mean, var = m[1], m[2] - m[1] ** 2
+        assert (mean, var) == (N * N, Fraction(2 * N * N * (N * N - 1), 3))
+        central4 = m[4] - 4 * m[3] * mean + 6 * m[2] * mean**2 - 3 * mean**4
+        count = 10**5
+        draws = sample_mu(RandomStream(2024, N), N, count).astype(float)
+        assert abs(draws.mean() - float(mean)) < 4 * math.sqrt(float(var) / count)
+        var_se = math.sqrt((central4 - var**2 * Fraction(count - 3, count - 1)) / count)
+        assert abs(draws.var(ddof=1) - float(var)) < 4 * var_se
+
     def test_reproducible(self):
         a = sample_mu(RandomStream(88), 3, 4096)
         b = sample_mu(RandomStream(88), 3, 4096)
@@ -142,8 +162,9 @@ class TestMuSampling:
 
     def test_table_of_the_largest_N_is_within_the_law_caps(self):
         # The table of mu_30 runs through ell = 28800, below probnum.MAX_ELL.
-        support, _ = stochastic_module._mu_table(stochastic_module.MAX_KLEBANOV_N)
-        assert support[-1] == 28800 <= MAX_ELL
+        N = stochastic_module.MAX_KLEBANOV_N
+        cumulative = stochastic_module._mu_table(N)
+        assert N + 2 * (len(cumulative) - 1) == 28800 <= MAX_ELL
 
     def test_tables_equal_the_fraction_doubling_loop(self):
         # The sampling tables fix every pinned-seed draw, so they must match,
@@ -162,9 +183,7 @@ class TestMuSampling:
                 max_ell *= 2
             support = np.arange(N, max_ell + 1, 2, dtype=np.int64)
             cumulative = np.cumsum([float(table.values[v]) for v in support])
-            got_support, got_cumulative = stochastic_module._mu_table(N)
-            assert got_support.dtype == support.dtype, N
-            assert got_support.tobytes() == support.tobytes(), N
+            got_cumulative = stochastic_module._mu_table(N)
             assert got_cumulative.dtype == cumulative.dtype, N
             assert got_cumulative.tobytes() == cumulative.tobytes(), N
 
@@ -173,9 +192,8 @@ class TestMuSampling:
         # untabled support point and be announced, never silently clamped.
         import chebprob.stochastic as stochastic_module
 
-        support = np.array([2, 4], dtype=np.int64)
-        cumulative = np.array([0.5, 0.75])
-        monkeypatch.setitem(stochastic_module._MU_TABLES, 2, (support, cumulative))
+        cumulative = np.array([0.5, 0.75])  # at the support points 2 and 4
+        monkeypatch.setitem(stochastic_module._MU_TABLES, 2, cumulative)
         with pytest.warns(RuntimeWarning, match="untabled support point 6"):
             draws = sample_mu(RandomStream(13), 2, 10**4)
         beyond = (draws == 6).mean()
@@ -193,12 +211,35 @@ class TestMuSampling:
             assert draws.tobytes() == reference_mu(stream, N, 10**5).tobytes(), N
 
 
+def law_moments(N, order):
+    """E[mu_N^j] for j <= order, exactly, from the Taylor coefficients of T_N
+    at 1 (Rivlin): T_N(1 + h) = sum_j c_j h^j, c_j = 2^j / (2j)!
+    prod_{i<j} (N^2 - i^2).  The pgf 1/T_N(1/z) at z = 1/(1 + h) is
+    E[(1 + h)^-mu_N], so [h^j] 1/T_N(1 + h) is (-1)^j / j! times the rising
+    factorial moment E[mu_N (mu_N + 1) ... (mu_N + j - 1)]."""
+    c = [
+        Fraction(2**j * math.prod(N * N - i * i for i in range(j)), math.factorial(2 * j))
+        for j in range(order + 1)
+    ]
+    reciprocal = [Fraction(1)]
+    for j in range(1, order + 1):
+        reciprocal.append(-sum(c[i] * reciprocal[j - i] for i in range(1, j + 1)))
+    moments = [Fraction(1)]
+    for j in range(1, order + 1):
+        rising = [1]  # x (x + 1) ... (x + j - 1), lowest degree first
+        for i in range(j):
+            rising = [i * a + b for a, b in zip(rising + [0], [0] + rising)]
+        moments.append((-1) ** j * math.factorial(j) * reciprocal[j]
+                       - sum(a * m for a, m in zip(rising, moments)))
+    return moments
+
+
 def reference_mu(stream, N, count):
     """sample_mu as a gather: support[i] for table index i, and the first
     untabled support point past the table."""
-    support, cumulative = stochastic_module._mu_table(N)
+    cumulative = stochastic_module._mu_table(N)
     idx = np.searchsorted(cumulative, stream.generator().random(count), side="right")
-    extended = np.append(support, support[-1] + 2)
+    extended = np.arange(N, N + 2 * len(cumulative) + 1, 2, dtype=np.int64)
     return extended[idx]
 
 
@@ -473,15 +514,17 @@ class TestRandomSums:
 
     def test_klebanov_peak_at_a_million_samples(self):
         # Separate random sums and reference draws, their pooled copy and
-        # three moment arrays made the peak about 48 MiB; one pooled array and
-        # one running power make it about 40 MiB.
+        # three moment arrays made the peak about 48 MiB, and a separate
+        # squared array beside one running power about 39 MiB.  With the
+        # squares in the pooled array's free half the peak is about 33 MiB,
+        # set by the random sums and the KS merge.
         tracemalloc.start()
         try:
             mc_klebanov(RandomStream(42), 2, 10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 44 * 2**20
+        assert peak < 36 * 2**20
 
     @pytest.mark.parametrize("seed, N, count", [(42, 2, 10**6), (1, 7, 10**5)])
     def test_klebanov_equals_the_expressions(self, seed, N, count):
