@@ -51,8 +51,8 @@ from .exactnum import (
     binomial,
     convolution_power,
     dyadic,
-    eval_exact,
     extend_quotient,
+    horner,
 )
 
 __all__ = [
@@ -191,5 +191,15 @@ def gen_euler_series(n: int, p: int) -> DensePolynomial:
 
 
 def eval_poly(poly: DensePolynomial, x: Rational) -> Fraction:
-    """Exact Horner evaluation."""
-    return eval_exact(poly.coefficients, x)
+    """Exact value of the polynomial at a rational point.
+
+    The coefficients are put over one common denominator and summed by
+    :func:`~.exactnum.horner`, so the result is normalized once instead of
+    at every step.
+    """
+    coefficients = poly.coefficients
+    x = Fraction(x)
+    den = math.lcm(*(c.denominator for c in coefficients))
+    scaled = [c.numerator * (den // c.denominator) for c in coefficients]
+    value = horner(scaled, x.numerator, x.denominator)
+    return Fraction(value, den * x.denominator ** (len(coefficients) - 1))

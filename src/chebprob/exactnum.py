@@ -1,6 +1,6 @@
 """Exact combinatorial primitives: binomials, Catalan and ballot numbers,
 sequence convolution, integer series long division, dyadic rationals, the
-dense polynomial type and exact Horner evaluation.
+dense polynomial type and integer Horner evaluation.
 
 All arithmetic here is exact.  Plain ``int`` is the arbitrary-precision
 integer and :class:`fractions.Fraction` the exact rational (always stored
@@ -30,7 +30,6 @@ __all__ = [
     "dyadic",
     "horner",
     "DensePolynomial",
-    "eval_exact",
     "format_rational",
     "float_or_inf",
 ]
@@ -188,7 +187,7 @@ def horner(coefficients: Sequence[int], u: int, q: int) -> int:
 @dataclass(frozen=True)
 class DensePolynomial:
     """Polynomial as a dense coefficient tuple, index = degree; evaluate it
-    with :func:`eval_exact` on its coefficients.
+    with :func:`~.eulerpoly.eval_poly`.
 
     The trailing coefficient is nonzero except for the zero polynomial,
     which is stored as the single coefficient 0.
@@ -208,20 +207,6 @@ class DensePolynomial:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-
-def eval_exact(coefficients: Sequence[Rational], x: Rational) -> Fraction:
-    """Exact value of the polynomial (index = power) at a rational point.
-
-    The coefficients are put over one common denominator and summed by
-    :func:`horner`, so the result is normalized once instead of at every
-    step.
-    """
-    x = Fraction(x)
-    den = math.lcm(*(c.denominator for c in coefficients))
-    scaled = [c.numerator * (den // c.denominator) for c in coefficients]
-    value = horner(scaled, x.numerator, x.denominator)
-    return Fraction(value, den * x.denominator ** (len(coefficients) - 1))
 
 
 def format_rational(x: Rational) -> str:

@@ -4,8 +4,9 @@ The continuous ingredient is the hyperbolic secant law with density
 sech(pi x) on the real line (normalization constant 1 in this convention;
 checked numerically by :func:`moment_integral_check`).  Its distribution
 function is F(x) = (2/pi) arctan(e^{pi x}), so exact inverse-CDF sampling
-uses x = ln(tan(pi u / 2)) / pi; differentiating F recovers sech(pi x), so
-the sampler is unbiased.
+uses x = ln(tan(pi u / 2)) / pi, evaluated as -ln(tan(pi (1 - u) / 2)) / pi
+(see :func:`_sech_fill`); differentiating F recovers sech(pi x), so the
+sampler is unbiased.
 
 The discrete ingredient is the random index mu_N sampled by inverse CDF over
 its exact table, extended on demand until the untabled mass is below 1e-15.
@@ -155,9 +156,12 @@ class RandomStream:
         return np.random.Generator(bits)
 
     def split(self, count: int) -> tuple["RandomStream", ...]:
-        """``count`` child streams with ids derived from this one."""
-        if count < 1:
-            raise ValueError(f"split requires count >= 1, got {count}")
+        """``count`` child streams, with ids ``stream_id * 2^16 + 1`` to
+        ``stream_id * 2^16 + count``: ``RandomStream(s).split(3)[0] ==
+        RandomStream(s, 1)``.  A count above 2^16 is refused, since its last
+        ids would be those of the next stream's children."""
+        if not 1 <= count <= 2**16:
+            raise ValueError(f"split requires 1 <= count <= {2**16}, got {count}")
         base = self.stream_id * 2**16
         return tuple(
             RandomStream(self.seed, base + i + 1) for i in range(count)
@@ -214,11 +218,9 @@ def _in_runs(job, bounds) -> None:
 
 
 def sample_sech(stream: RandomStream, count: int) -> np.ndarray:
-    """i.i.d. draws from the sech(pi x) law by exact CDF inversion: the
-    values of ln(tan(pi u / 2)) / pi at the uniforms of ``stream``, except
-    where a uniform is an exact 0 (see :func:`_sech_fill`)."""
-    if count < 1:
-        raise DomainError(f"sample_sech requires count >= 1, got {count}")
+    """i.i.d. draws from the sech(pi x) law by exact CDF inversion at the
+    uniforms of ``stream`` (see :func:`_sech_fill`)."""
+    _check_count("sample_sech", count, 1)
     return _sech_draws(stream, np.empty(count))
 
 
@@ -226,41 +228,26 @@ def _sech_draws(stream: RandomStream, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` in place with the first sech draws of ``stream``, in runs."""
 
     def run(lo, hi):
-        _sech_fill(stream, lo, stream.generator(lo), out[lo:hi])
+        _sech_fill(stream.generator(lo), out[lo:hi])
 
     _in_runs(run, _cuts(len(out)))
     return out
 
 
-def _sech_fill(
-    stream: RandomStream, offset: int, rng: np.random.Generator, out: np.ndarray
-) -> np.ndarray:
-    """Fill ``out`` in place with the sech draws at positions ``offset``,
-    ``offset + 1``, ... of ``stream``, read from ``rng`` (positioned at
-    ``offset``), and return it.  The generator never returns 1, and an
-    exact 0 (about 2^-53 per draw) is replaced by :func:`_redraw` rather than
-    remapped, keeping it unbiased."""
-    if not rng.random(out=out).all():
-        for i in np.flatnonzero(out == 0.0):
-            out[i] = _redraw(stream, offset + int(i))
+def _sech_fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` in place with sech draws read from ``rng`` and return it.
+
+    A uniform u maps to -ln(tan(pi v / 2)) / pi at v = 1 - u, which is exact
+    and in (0, 1] for every u the generator returns; by the law's symmetry
+    this is F^-1(u).  At u = 0, tan(fl(pi/2)) is finite, so the draw is
+    -11.88, inside that uniform's own cell [0, 2^-53)."""
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
     np.multiply(out, 0.5 * np.pi, out=out)
     np.tan(out, out=out)
     np.log(out, out=out)
-    np.divide(out, np.pi, out=out)
+    np.divide(out, -np.pi, out=out)
     return out
-
-
-def _redraw(stream: RandomStream, position: int) -> float:
-    """The uniform that replaces an exact 0 at ``position`` of ``stream``:
-    the first nonzero draw from the counter words (0, position, 0, 1), lowest
-    word first.  The stream's own draws use counters below 2^64 and never
-    reach them, so the replacement depends only on the stream and the
-    position, and moves no other draw."""
-    rng = stream.generator(_BLOCK * (2**192 + position * 2**64))
-    u = rng.random()
-    while u == 0.0:
-        u = rng.random()
-    return u
 
 
 def _mu_table(N: int) -> np.ndarray:
@@ -310,8 +297,7 @@ def sample_mu(stream: RandomStream, N: int, count: int) -> np.ndarray:
     they are counted and reported through a RuntimeWarning, never clamped.
     """
     _check_mu_N("sample_mu", N)
-    if count < 1:
-        raise DomainError(f"sample_mu requires count >= 1, got {count}")
+    _check_count("sample_mu", count, 1)
     cumulative = _mu_table(N)
     untabled = N + 2 * len(cumulative)
     out = np.empty(count, dtype=np.int64)
@@ -476,9 +462,7 @@ def _random_sums(stream: RandomStream, mu: np.ndarray, out: np.ndarray) -> np.nd
     Byte for byte they are ``np.add.reduceat(sample_sech(stream, mu.sum()),
     offsets[:-1])``, segment i running from offsets[i] to offsets[i + 1]:
     each sum adds the draws at its own stream positions, in order, within one
-    reduceat.  An exact-zero uniform is replaced by a draw keyed by its
-    position alone (:func:`_redraw`), so it changes only the sum that holds
-    it.
+    reduceat.
 
     The segments are cut into runs that end on segment boundaries, one per
     worker, with near-equal numbers of draws (:func:`_in_runs`).  A run reads
@@ -498,7 +482,7 @@ def _random_sums(stream: RandomStream, mu: np.ndarray, out: np.ndarray) -> np.nd
             start = int(offsets[k])
             # The first segment ending at or past start + _CHUNK closes the chunk.
             j = min(int(np.searchsorted(offsets[1:], start + _CHUNK)) + 1, hi)
-            draws = _sech_fill(stream, start, rng, buffer[: int(offsets[j]) - start])
+            draws = _sech_fill(rng, buffer[: int(offsets[j]) - start])
             np.add.reduceat(draws, offsets[k:j] - start, out=out[k:j])
             k = j
 

@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from chebprob.chebyshev import chebyshev_T, chebyshev_U, reversed_T
-from chebprob.exactnum import DensePolynomial, eval_exact
+from chebprob.eulerpoly import eval_poly
+from chebprob.exactnum import DensePolynomial
 
 
 def coeffs(p: DensePolynomial) -> tuple:
@@ -21,7 +22,7 @@ def coeffs(p: DensePolynomial) -> tuple:
 
 
 def value(p: DensePolynomial, x) -> Fraction:
-    return eval_exact(p.coefficients, x)
+    return eval_poly(p, x)
 
 
 class TestFirstKind:

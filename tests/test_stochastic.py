@@ -29,6 +29,7 @@ from chebprob.stochastic import (
     _CHUNK,
     _QUAD_STEP,
     MAX_MOMENT_ORDER,
+    MAX_SAMPLES,
     MomentEntry,
     MomentReport,
     RandomStream,
@@ -69,9 +70,18 @@ class TestRandomStream:
             for j in range(i + 1, 4):
                 assert not np.array_equal(draws[i], draws[j])
 
+    def test_split_ids(self):
+        assert RandomStream(9).split(3) == tuple(RandomStream(9, i) for i in (1, 2, 3))
+        children = RandomStream(9, 2).split(2**16)
+        assert children[0] == RandomStream(9, 2 * 2**16 + 1)
+        assert children[-1] == RandomStream(9, 3 * 2**16)
+        # The next stream's first child takes the first id past the cap.
+        assert RandomStream(9, 3).split(1)[0] == RandomStream(9, 3 * 2**16 + 1)
+
     def test_split_validates(self):
-        with pytest.raises(ValueError):
-            RandomStream(1).split(0)
+        for count in (0, -1, 2**16 + 1):
+            with pytest.raises(ValueError, match="split requires 1 <= count <= 65536"):
+                RandomStream(1).split(count)
 
 
 class TestSechSampling:
@@ -104,8 +114,18 @@ class TestSechSampling:
 
     def test_count_validated(self):
         for count in (0, -1):
-            with pytest.raises(DomainError, match="sample_sech requires count >= 1"):
+            with pytest.raises(DomainError, match="sample_sech requires 1 <= count <= 10000000"):
                 sample_sech(RandomStream(1), count)
+
+    def test_count_above_the_cap_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="sample_sech requires 1 <= count <= 10000000"):
+                sample_sech(RandomStream(1), MAX_SAMPLES + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestMuSampling:
@@ -157,8 +177,18 @@ class TestMuSampling:
 
     def test_count_validated(self):
         for count in (0, -1):
-            with pytest.raises(DomainError, match="sample_mu requires count >= 1"):
+            with pytest.raises(DomainError, match="sample_mu requires 1 <= count <= 10000000"):
                 sample_mu(RandomStream(1), 3, count)
+
+    def test_count_above_the_cap_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="sample_mu requires 1 <= count <= 10000000"):
+                sample_mu(RandomStream(1), 3, MAX_SAMPLES + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_table_of_the_largest_N_is_within_the_law_caps(self):
         # The table of mu_30 runs through ell = 28800, below probnum.MAX_ELL.
@@ -332,17 +362,9 @@ class TestMomentReports:
 
 
 def reference_sech(stream, count):
-    """sample_sech as the whole-array expression: draw, replace an exact zero
-    at position p by the first nonzero uniform of the Philox counter words
-    (0, p, 0, 1), then transform with temporaries."""
+    """sample_sech as the whole-array expression, with temporaries."""
     u = stream.generator().random(count)
-    key = np.array([stream.seed % 2**64, stream.stream_id % 2**64], dtype=np.uint64)
-    for p in np.flatnonzero(u == 0.0):
-        rng = np.random.Generator(np.random.Philox(key=key, counter=[0, int(p), 0, 1]))
-        u[p] = rng.random()
-        while u[p] == 0.0:
-            u[p] = rng.random()
-    return np.log(np.tan(0.5 * np.pi * u)) / np.pi
+    return -np.log(np.tan(0.5 * np.pi * (1.0 - u))) / np.pi
 
 
 def reference_sums(stream, mu):
@@ -398,7 +420,6 @@ class PlantedZeroStream:
 
     def __init__(self, stream, positions):
         self.stream, self.positions = stream, positions
-        self.seed, self.stream_id = stream.seed, stream.stream_id
 
     def generator(self, offset=0):
         return PlantedZeroGenerator(self.stream.generator(offset), self.positions, offset)
@@ -469,10 +490,16 @@ class TestRandomSums:
     # last draw.
     @pytest.mark.parametrize("position", [0, 5, 150_000, 199_999, 2_450_000, 4_899_999])
     def test_planted_zero_is_redrawn_in_its_chunk(self, monkeypatch, position, zero_free_sums):
-        # A zero uniform must be redrawn, never mapped to ln(tan(0)) = -inf,
-        # inside its chunk: no whole-array draw of sum(mu) variates (37 MiB
-        # here) is made.  Its replacement is keyed by its position alone, so
-        # every other sum is untouched and no worker count changes anything.
+        # A zero uniform is mapped like any other, inside its chunk, to a
+        # finite draw in its own cell [0, 2^-53) of the law, never to
+        # ln(tan(0)) = -inf, and no whole-array draw of sum(mu) variates
+        # (37 MiB here) is made.  Every other sum is untouched and no worker
+        # count changes anything.
+        stream = PlantedZeroStream(RandomStream(17), [position])
+        with np.errstate(divide="raise", invalid="raise"):
+            draw = stochastic_module._sech_fill(stream.generator(position), np.empty(1))[0]
+        assert np.isfinite(draw) and draw < 0
+        assert sech_cdf(draw) < 2**-53
         calls = []
 
         def spy(stream, count):
@@ -481,13 +508,13 @@ class TestRandomSums:
 
         monkeypatch.setattr(stochastic_module, "sample_sech", spy)
         mu = np.full(10**5, 49, dtype=np.int64)
-        stream = PlantedZeroStream(RandomStream(17), [position])
         results = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(stochastic_module, "_WORKERS", workers)
             tracemalloc.start()
             try:
-                got = stochastic_module._random_sums(stream, mu, np.empty(len(mu)))
+                with np.errstate(divide="raise", invalid="raise"):
+                    got = stochastic_module._random_sums(stream, mu, np.empty(len(mu)))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -618,23 +645,27 @@ class TestRuns:
 
     def test_a_failing_run_raises_on_the_calling_thread(self, monkeypatch):
         real = stochastic_module._sech_fill
+        caller = threading.get_ident()
+        failed = []
 
-        def fails_past_the_first_run(stream, offset, rng, out):
-            if offset > 0:
-                raise RuntimeError(f"run at {offset} failed")
-            return real(stream, offset, rng, out)
+        def fails_off_the_calling_thread(rng, out):
+            if threading.get_ident() != caller:
+                failed.append(threading.get_ident())
+                raise RuntimeError("a worker's run failed")
+            return real(rng, out)
 
         monkeypatch.setattr(stochastic_module, "_WORKERS", 2)
-        monkeypatch.setattr(stochastic_module, "_sech_fill", fails_past_the_first_run)
+        monkeypatch.setattr(stochastic_module, "_sech_fill", fails_off_the_calling_thread)
         before = threading.enumerate()
         monkeypatch.setattr(stochastic_module, "_MIN_RUN", 2**10)
-        with pytest.raises(RuntimeError, match="run at 5000 failed"):
+        with pytest.raises(RuntimeError, match="a worker's run failed"):
             sample_sech(RandomStream(1), 10**4)
         assert threading.enumerate() == before
-        with pytest.raises(RuntimeError, match="run at 4500 failed"):
+        with pytest.raises(RuntimeError, match="a worker's run failed"):
             mu = np.full(10**3, 9, dtype=np.int64)
             stochastic_module._random_sums(RandomStream(1), mu, np.empty(len(mu)))
         assert threading.enumerate() == before
+        assert len(failed) == 2
 
     def test_public_entry_points_stay_on_the_calling_thread(self, monkeypatch):
         # The benchmark's tracer wraps these names and keeps one span stack:
