@@ -9,11 +9,14 @@ Three subcommands wrap the library:
 * ``montecarlo`` -- seeded statistical checks (rep | gen | klebanov |
   integral).
 
-Exit codes are a stable contract: 0 success, 1 check failure, 2 usage error,
-3 internal fault (any other exception; its traceback goes to stderr).  Flags
-are checked for syntax only (``int``, ``float`` or a string): their ranges are
-the library's (DomainError), and so is every pass/fail bound, which no flag
-moves.
+Exit codes are a stable contract: 0 success, 1 check failure (a failed
+cross-validation, an identity sum out of budget, a Monte Carlo report that
+fails), 2 usage error (a DomainError), 3 internal fault (any other
+exception; its traceback goes to stderr).  A handler only computes its
+result, writes it through ``_emit`` and returns whether its check passed;
+``main`` is the one place that maps outcomes to exit codes.  Flags are
+checked for syntax only (``int``, ``float`` or a string): their ranges are
+the library's, and so is every pass/fail bound, which no flag moves.
 Every JSON document carries a ``schema_version`` field and is emitted with
 sorted keys, so identical flags and seed produce byte-identical output.
 Rational inputs are written "a/b" or as integer literals; decimal literals
@@ -84,61 +87,53 @@ def _write(text: str, out: str | None) -> None:
         handle.write(text)
 
 
-def cmd_probnums(args: argparse.Namespace) -> int:
+def _emit(args: argparse.Namespace, document, lines, rows=None) -> None:
+    """Write a result in the one format asked for.  ``document``, ``lines``
+    and ``rows`` build the JSON document, the pretty lines and the CSV rows
+    on call, so the formats not asked for are never built."""
+    if args.format == "csv":
+        text = _csv_text(rows())
+    elif args.format == "json":
+        text = _json_text(document())
+    else:
+        text = "\n".join(lines()) + "\n"
+    _write(text, args.out)
+
+
+def cmd_probnums(args: argparse.Namespace) -> bool:
     report = None
     if args.method == "all":
-        try:
-            report = probnum.cross_validate(args.N, args.max_ell)
-        except probnum.CrossValidationError as exc:
-            print(f"cross-validation failed: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        table = probnum.probnum_series(args.N, args.max_ell)
-    elif args.method == "series":
-        table = probnum.probnum_series(args.N, args.max_ell)
-    elif args.method == "trig":
-        table = probnum.probnum_trig(args.N, args.max_ell)
-    else:
-        table = probnum.catalan_table(args.N, args.max_ell)
+        report = probnum.cross_validate(args.N, args.max_ell)
+    build = {"trig": probnum.probnum_trig, "catalan": probnum.catalan_table}
+    table = build.get(args.method, probnum.probnum_series)(args.N, args.max_ell)
 
-    if args.format == "csv":
-        _write(_csv_text(table.csv_rows()), args.out)
-        if report is not None:
-            print(
-                f"max trig deviation: {report.max_trig_deviation:.6e}",
-                file=sys.stderr,
-            )
-    elif args.format == "json":
+    def document():
         document = table.json_dict()
         if report is not None:
             document["cross_validation"] = report.json_dict()
-        _write(_json_text(document), args.out)
-    else:
-        lines = [f"probability numbers  N={table.N}  method={table.method}"]
+        return document
+
+    def lines():
+        yield f"probability numbers  N={table.N}  method={table.method}"
         for ell, exact, value in table.rows():
             exact_text = exact if exact is not None else "-"
-            lines.append(f"  ell={ell:<4d} exact={exact_text:<24s} float={value:.12g}")
-        lines.append(f"  tail bound beyond ell={table.max_ell}: {table.tail_bound:.6e}")
+            yield f"  ell={ell:<4d} exact={exact_text:<24s} float={value:.12g}"
+        yield f"  tail bound beyond ell={table.max_ell}: {table.tail_bound:.6e}"
         if report is not None:
-            lines.append(f"  max trig deviation: {report.max_trig_deviation:.6e}")
-        _write("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+            yield f"  max trig deviation: {report.max_trig_deviation:.6e}"
+
+    _emit(args, document, lines, table.csv_rows)
+    if args.format == "csv" and report is not None:
+        print(f"max trig deviation: {report.max_trig_deviation:.6e}", file=sys.stderr)
+    return True
 
 
-def cmd_identity(args: argparse.Namespace) -> int:
+def cmd_identity(args: argparse.Namespace) -> bool:
     x = parse_rational(args.x)
-    try:
-        result = identities.reconstruct_euler(args.n, args.N, x, args.tol)
-    except identities.ConvergenceError as exc:
-        print(f"identity check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    result = identities.reconstruct_euler(args.n, args.N, x, args.tol)
 
-    if args.format == "json":
-        document = result.json_dict()
-        document["tol"] = args.tol
-        document["converged"] = True
-        _write(_json_text(document), args.out)
-    else:
-        lines = [
+    def lines():
+        return [
             f"reconstruction of E_{result.n}(x) at x={format_rational(result.x)} "
             f"with N={result.N}",
             f"  terms used        : {result.terms_used}",
@@ -150,11 +145,14 @@ def cmd_identity(args: argparse.Namespace) -> int:
             f"  tail estimate     : {result.tail_estimate:.6e}",
             f"  first small term  : {result.first_small_term_k}",
         ]
-        _write("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+
+    _emit(
+        args, lambda: {**result.json_dict(), "tol": args.tol, "converged": True}, lines
+    )
+    return True
 
 
-def cmd_montecarlo(args: argparse.Namespace) -> int:
+def cmd_montecarlo(args: argparse.Namespace) -> bool:
     # numpy loads here, so the exact subcommands never pay for it.
     from . import stochastic
 
@@ -162,65 +160,48 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         deviation = stochastic.moment_integral_check(args.k)
         tolerance = stochastic.INTEGRAL_TOL[args.k % 2]
         passed = deviation <= tolerance
-        if args.format == "json":
-            document = {
-                "kind": "integral",
-                "k": args.k,
-                "deviation": deviation,
-                "tolerance": tolerance,
-                "passed": passed,
-            }
-            _write(_json_text(document), args.out)
-        else:
-            _write(
-                f"moment integral k={args.k}: deviation {deviation:.3e} "
-                f"(tolerance {tolerance:.1e}) -> {'ok' if passed else 'FAIL'}\n",
-                args.out,
-            )
-        return EXIT_OK if passed else EXIT_CHECK_FAILED
 
-    if args.kind in ("rep", "gen") and args.x is None:
-        raise UsageError(f"--x is required for kind {args.kind!r}")
-    stream = stochastic.RandomStream(args.seed)
-    if args.kind == "rep":
-        x = parse_rational(args.x)
-        report = stochastic.mc_euler_poly(stream, args.n, x, args.samples)
-        params = {"n": args.n, "x": format_rational(x)}
-    elif args.kind == "gen":
-        x = parse_rational(args.x)
-        report = stochastic.mc_gen_euler(stream, args.n, args.p, x, args.samples)
-        params = {"n": args.n, "p": args.p, "x": format_rational(x)}
+        def fields():
+            return {"k": args.k, "deviation": deviation, "tolerance": tolerance}
+
+        def lines():
+            yield (f"moment integral k={args.k}: deviation {deviation:.3e} "
+                   f"(tolerance {tolerance:.1e}) -> {'ok' if passed else 'FAIL'}")
     else:
-        report = stochastic.mc_klebanov(stream, args.N, args.samples)
-        params = {"N": args.N}
-    band = stochastic.DEFAULT_BAND
-    passed = report.ok()
-    if args.format == "json":
-        document = {
-            "kind": args.kind,
-            "params": params,
-            "seed": args.seed,
-            "band": band,
-            "passed": passed,
-            **report.json_dict(),
-        }
-        _write(_json_text(document), args.out)
-    else:
-        lines = [
-            f"monte carlo {args.kind}  params={params}  samples={report.sample_size}"
-            f"  seed={args.seed}"
-        ]
-        for entry in report.entries:
-            lines.append(
-                f"  {entry.label:<8s} estimate={entry.estimate: .8f}"
-                f"  reference={entry.reference: .8f}"
-                f"  SE={entry.std_error:.3e}  deviation={entry.standardized:.2f} SE"
-            )
-        for key, value in report.extras.items():
-            lines.append(f"  {key}: {value:.6g}")
-        lines.append(f"  band: {band} SE -> {'ok' if passed else 'FAIL'}")
-        _write("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+        if args.kind != "klebanov" and args.x is None:
+            raise UsageError(f"--x is required for kind {args.kind!r}")
+        stream = stochastic.RandomStream(args.seed)
+        if args.kind == "rep":
+            x = parse_rational(args.x)
+            report = stochastic.mc_euler_poly(stream, args.n, x, args.samples)
+            params = {"n": args.n, "x": format_rational(x)}
+        elif args.kind == "gen":
+            x = parse_rational(args.x)
+            report = stochastic.mc_gen_euler(stream, args.n, args.p, x, args.samples)
+            params = {"n": args.n, "p": args.p, "x": format_rational(x)}
+        else:
+            report = stochastic.mc_klebanov(stream, args.N, args.samples)
+            params = {"N": args.N}
+        band = stochastic.DEFAULT_BAND
+        passed = report.ok()
+
+        def fields():
+            return {"params": params, "seed": args.seed, "band": band,
+                    **report.json_dict()}
+
+        def lines():
+            yield (f"monte carlo {args.kind}  params={params}"
+                   f"  samples={report.sample_size}  seed={args.seed}")
+            for entry in report.entries:
+                yield (f"  {entry.label:<8s} estimate={entry.estimate: .8f}"
+                       f"  reference={entry.reference: .8f}  SE={entry.std_error:.3e}"
+                       f"  deviation={entry.standardized:.2f} SE")
+            for key, value in report.extras.items():
+                yield f"  {key}: {value:.6g}"
+            yield f"  band: {band} SE -> {'ok' if passed else 'FAIL'}"
+
+    _emit(args, lambda: {"kind": args.kind, "passed": passed, **fields()}, lines)
+    return passed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,10 +277,14 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_rational_flags(list(argv)))
-    # Only a DomainError means a usage error, and exit 1 only a failed check:
-    # any other exception is a fault of the program and must pass for neither.
+    # The one map from outcomes to exit codes.  Exit 1 means only a failed
+    # check and exit 2 only a DomainError: any other exception is a fault of
+    # the program and must pass for neither.
     try:
-        return args.handler(args)
+        return EXIT_OK if args.handler(args) else EXIT_CHECK_FAILED
+    except (probnum.CrossValidationError, identities.ConvergenceError) as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

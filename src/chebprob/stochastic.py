@@ -134,11 +134,20 @@ class RandomStream:
     Drawing does not mutate the stream: two calls that consume the same
     stream see the same numbers, and any position can be read directly
     (:meth:`generator`).  Use :meth:`split` to hand independent sub-streams
-    to independent consumers.
+    to independent consumers.  The seed and the stream id are the two 64-bit
+    words of the generator's key, so each is refused outside [0, 2^64),
+    where it would wrap onto another stream.
     """
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
+            if not 0 <= value < 2**64:
+                raise DomainError(
+                    f"RandomStream requires 0 <= {name} < 2^64, got {name}={value}"
+                )
 
     def generator(self, offset: int = 0) -> np.random.Generator:
         """A generator whose next draw is draw ``offset`` of the stream.
@@ -147,9 +156,7 @@ class RandomStream:
         so the generator starts at counter offset // 4 and skips offset % 4
         draws.
         """
-        key = np.array(
-            [self.seed % 2**64, self.stream_id % 2**64], dtype=np.uint64
-        )
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         block, skip = divmod(offset, _BLOCK)
         bits = np.random.Philox(key=key, counter=block)
         bits.random_raw(skip)
@@ -159,10 +166,16 @@ class RandomStream:
         """``count`` child streams, with ids ``stream_id * 2^16 + 1`` to
         ``stream_id * 2^16 + count``: ``RandomStream(s).split(3)[0] ==
         RandomStream(s, 1)``.  A count above 2^16 is refused, since its last
-        ids would be those of the next stream's children."""
+        ids would be those of the next stream's children, and so is a count
+        whose last id would reach 2^64."""
         if not 1 <= count <= 2**16:
             raise ValueError(f"split requires 1 <= count <= {2**16}, got {count}")
         base = self.stream_id * 2**16
+        if base + count >= 2**64:
+            raise ValueError(
+                f"split requires child ids below 2^64, got stream_id={self.stream_id}"
+                f" and count={count}"
+            )
         return tuple(
             RandomStream(self.seed, base + i + 1) for i in range(count)
         )
@@ -355,18 +368,20 @@ class MomentReport:
 
     @property
     def max_standardized_deviation(self) -> float:
-        return max(entry.standardized for entry in self.entries)
+        # np.max, unlike Python's max, keeps a NaN wherever it sits.
+        return float(np.max([entry.standardized for entry in self.entries]))
 
     def ok(self, band: float = DEFAULT_BAND) -> bool:
-        # A NaN compares false with everything, so it would pass every check.
+        # A NaN compares false with everything, so every test is written to
+        # pass only on finite figures inside their bounds.
         if not (math.isfinite(band) and band > 0):
             raise ValueError(f"band must be finite and positive, got {band}")
-        if self.max_standardized_deviation > band:
-            return False
+        for entry in self.entries:
+            if not (math.isfinite(entry.estimate) and math.isfinite(entry.std_error)
+                    and entry.standardized <= band):
+                return False
         p_value = self.extras.get("ks_pvalue")
-        if p_value is not None and p_value < _KS_ALPHA:
-            return False
-        return True
+        return p_value is None or p_value >= _KS_ALPHA
 
     def json_dict(self) -> dict:
         return {

@@ -293,6 +293,39 @@ class TestInternalFault:
         assert err.endswith("ValueError: handler fault\n")
 
 
+class TestCheckFailure:
+    """A failed check is an exception that the handler lets through: main
+    alone turns it into exit 1, its message on stderr and nothing on
+    stdout."""
+
+    def test_failed_cross_validation(self, capsys, monkeypatch):
+        import chebprob.cli as cli_module
+
+        error = probnum.CrossValidationError(7, 9, "series/trig", "deviation 1e-03")
+
+        def disagree(*args):
+            raise error
+
+        monkeypatch.setattr(probnum, "cross_validate", disagree)
+        argv = ("probnums", "--N", "7", "--max-ell", "60", "--method", "all")
+        with pytest.raises(probnum.CrossValidationError):
+            cli_module.cmd_probnums(build_parser().parse_args(argv))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"check failed: {error}\n"
+
+    def test_identity_sum_out_of_budget(self, capsys, monkeypatch):
+        import chebprob.cli as cli_module
+
+        monkeypatch.setattr(identities, "_default_max_k", lambda *args: 25)
+        argv = ("identity", "--n", "4", "--N", "5", "--x", "1/3")
+        with pytest.raises(identities.ConvergenceError) as info:
+            cli_module.cmd_identity(build_parser().parse_args(argv))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"check failed: {info.value}\n"
+
+
 class TestMonteCarlo:
     def test_rep(self, capsys):
         code, out, _ = run(
@@ -335,6 +368,17 @@ class TestMonteCarlo:
         document = json.loads(out)
         assert document["passed"] is True
         assert document["extras"]["ks_pvalue"] > 0.01
+
+    @pytest.mark.parametrize("x", [10**38, 10**36], ids=["estimate-inf", "se-inf"])
+    def test_non_finite_report_fails(self, capsys, x):
+        # An infinite estimate gave a NaN deviation and an infinite SE a zero
+        # one, and both reports passed the band.
+        code, out, _ = run(
+            capsys, "montecarlo", "rep", "--n", "8", "--x", str(x),
+            "--samples", "100000",
+        )
+        assert code == 1
+        assert out.endswith("  band: 4.0 SE -> FAIL\n")
 
     def test_klebanov_N_beyond_the_cap_builds_no_table(self, capsys):
         N = stochastic.MAX_KLEBANOV_N + 1
@@ -468,6 +512,11 @@ REFUSED = [
      lambda: stochastic.mc_gen_euler(STREAM, 1, 1, 0, stochastic.MAX_SAMPLES + 1)),
     ("klebanov-samples-cap", ("montecarlo", "klebanov", "--samples", str(10**11)),
      lambda: stochastic.mc_klebanov(STREAM, 2, 10**11)),
+    # The generator's key took the seed mod 2^64, so -1 ran as 2^64 - 1.
+    ("seed-negative", ("montecarlo", "rep", "--x", "0", "--seed", "-1"),
+     lambda: stochastic.RandomStream(-1)),
+    ("seed-2^64", ("montecarlo", "klebanov", "--seed", str(2**64)),
+     lambda: stochastic.RandomStream(2**64)),
     ("klebanov-N", ("montecarlo", "klebanov", "--N", "1"),
      lambda: stochastic.mc_klebanov(STREAM, 1, 10**5)),
     ("klebanov-N-cap",

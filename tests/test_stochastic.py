@@ -83,6 +83,28 @@ class TestRandomStream:
             with pytest.raises(ValueError, match="split requires 1 <= count <= 65536"):
                 RandomStream(1).split(count)
 
+    @pytest.mark.parametrize(
+        "seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)],
+        ids=["seed-negative", "seed-2^64", "id-negative", "id-2^64"],
+    )
+    def test_key_words_outside_64_bits_refused(self, seed, stream_id):
+        # The key took them mod 2^64: seed -1 drew what seed 2^64 - 1 draws.
+        with pytest.raises(DomainError, match="RandomStream requires 0 <= "):
+            RandomStream(seed, stream_id)
+
+    def test_key_words_at_the_top_of_64_bits(self):
+        top = RandomStream(2**64 - 1, 2**64 - 1)
+        assert np.array_equal(sample_sech(top, 16), sample_sech(top, 16))
+        assert not np.array_equal(sample_sech(top, 16), sample_sech(RandomStream(0), 16))
+
+    def test_split_stops_below_2_64(self):
+        # RandomStream(0, 2^48).split(1)[0] had id 2^64 + 1 and drew exactly
+        # what RandomStream(0, 1) draws.
+        assert RandomStream(0, 2**48 - 1).split(2**16 - 1)[-1].stream_id == 2**64 - 1
+        for stream_id, count in ((2**48 - 1, 2**16), (2**48, 1)):
+            with pytest.raises(ValueError, match="split requires child ids below 2\\^64"):
+                RandomStream(0, stream_id).split(count)
+
 
 class TestSechSampling:
     def test_inverse_cdf_is_consistent_with_density(self):
@@ -343,6 +365,30 @@ class TestMomentReports:
         report = mc_euler_poly(RandomStream(7), 1, 0, 10**4)
         with pytest.raises(ValueError, match="band"):
             report.ok(band=band)
+
+    @pytest.mark.parametrize("bad_first", [False, True], ids=["nan-second", "nan-first"])
+    def test_nan_entry_fails_wherever_it_sits(self, bad_first):
+        # A NaN deviation compares false with the band, and Python's max kept
+        # or dropped it by position: both orders passed.
+        good = MomentEntry("good", 0.0, 1.0, 0.0)
+        bad = MomentEntry("bad", math.nan, math.nan, 0.0)
+        report = MomentReport(10, (bad, good) if bad_first else (good, bad))
+        assert not report.ok()
+        assert math.isnan(report.max_standardized_deviation)
+
+    @pytest.mark.parametrize("estimate, std_error, p_value", [
+        (3e263, math.inf, None),
+        (math.inf, 1.0, None),
+        (0.0, 1.0, math.nan),
+    ], ids=["se-inf", "estimate-inf", "ks-nan"])
+    def test_non_finite_figures_fail(self, estimate, std_error, p_value):
+        # An infinite SE made the deviation 0, and a NaN p-value passed the KS
+        # test, so both reports passed.
+        entries = (MomentEntry("good", 0.0, 1.0, 0.0),
+                   MomentEntry("bad", estimate, std_error, 0.0))
+        extras = {} if p_value is None else {"ks_pvalue": p_value}
+        assert not MomentReport(10, entries, extras).ok()
+        assert MomentReport(10, entries[:1], {"ks_pvalue": 0.5}).ok()
 
     @pytest.mark.parametrize("x", [10**310, Fraction(-(10**400), 3), float("inf")])
     def test_x_beyond_the_float_range_rejected(self, x):
