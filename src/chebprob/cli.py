@@ -18,7 +18,8 @@ result, writes it through ``_emit`` and returns whether its check passed;
 checked for syntax only (``int``, ``float`` or a string): their ranges are
 the library's, and so is every pass/fail bound, which no flag moves.
 Every JSON document carries a ``schema_version`` field and is emitted with
-sorted keys, so identical flags and seed produce byte-identical output.
+sorted keys, so identical flags and seed produce byte-identical output; a
+non-finite float is written as the string "Infinity", "-Infinity" or "NaN".
 Rational inputs are written "a/b" or as integer literals; decimal literals
 are rejected rather than silently rounded.
 """
@@ -29,6 +30,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -70,8 +72,20 @@ def _csv_text(rows: list[list[str]]) -> str:
 
 
 def _json_text(document: dict) -> str:
-    document = {"schema_version": SCHEMA_VERSION, **document}
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    document = {"schema_version": SCHEMA_VERSION, **_finite_json(document)}
+    return json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _finite_json(value):
+    """``value`` with every non-finite float written as the string
+    "Infinity", "-Infinity" or "NaN", which RFC 8259 JSON can hold."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, dict):
+        return {key: _finite_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(item) for item in value]
+    return value
 
 
 def _write(text: str, out: str | None) -> None:

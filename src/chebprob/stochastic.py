@@ -22,10 +22,16 @@ of which can be read directly, and independence between consumers is
 obtained by splitting.  Identical (seed, stream id, draw count) therefore
 reproduce identical arrays on any platform.
 
-A large call is cut into contiguous runs of draws, one per CPU this process
-may use, each filled on its own thread (see :func:`_in_runs`).  Every draw
-is read at its own stream position, so the output does not depend on the
-number of runs.
+A large call is cut into contiguous runs, one per CPU this process may use,
+each filled on its own thread (see :func:`_in_runs`).  A call is cut by the
+draws it makes, not by its sample count (p per sample for mc_gen_euler),
+into runs of at least 2^15 draws.  Every draw is read at its own stream
+position, so the output does not depend on the number of runs.
+
+mc_euler_poly and mc_gen_euler share one kernel (:func:`_power_report`):
+each run draws, sums and raises its samples chunk by chunk in reused
+buffers and keeps only the real and imaginary parts of the powers, so a
+call holds 16 bytes a sample, 24 at the peak of the report's reductions.
 """
 
 from __future__ import annotations
@@ -72,6 +78,10 @@ _MU_TABLE_GAP = 1e-15
 # Draws per chunk of sample_mu and of the random sums: 0.5 MiB, small enough
 # to stay in cache, large enough that the per-chunk Python overhead is small.
 _CHUNK = 2**16
+# Samples per chunk of the rep and gen kernel (_power_report): its buffers
+# hold 48 bytes a sample, 1.5 MiB a run, inside a 2 MiB L2 cache.  At 10^6
+# samples, chunks of 2^13 made gen (n = 6, p = 10) about 25% slower.
+_POWER_CHUNK = 2**15
 
 # Band, in standard errors, of the Monte Carlo checks (MomentReport.ok).
 DEFAULT_BAND = 4.0
@@ -93,8 +103,9 @@ MIN_SAMPLES = 10**4
 MIN_KLEBANOV_SAMPLES = 10**5
 # Largest count of the Monte Carlo checks, refused before any allocation.
 # Memory grows linearly with it: at 10^7 a montecarlo command peaks at about
-# 420 MB for rep (n = 8), gen (n = 6, p = 10) and klebanov (N = 2), and at
-# 500 MB for klebanov at N = 30, whose law table adds its own (Python 3.11).
+# 265 MiB for rep (n = 8) and gen (n = 6, p = 10), 24 bytes a sample, at
+# 420 MiB for klebanov (N = 2), and at 500 MB for klebanov at N = 30, whose
+# law table adds its own (Python 3.11).
 MAX_SAMPLES = 10**7
 # Largest N of sample_mu and mc_klebanov.  The sampling table of mu_N runs to
 # about 28 N^2 terms and the law memo behind it holds about N^4 bits, so
@@ -110,15 +121,17 @@ _KS_ALPHA = 0.01
 _QUAD_STEP = 1 / 16
 
 # Threads of one Monte Carlo call: the CPUs this process may run on, read
-# once.  A run has at least _MIN_RUN draws (about 1.3 ms of sech draws), so a
-# call of fewer than 2 _MIN_RUN stays on the calling thread.  Starting,
-# waking and joining a thread cost more than the split saved at 10^5 draws:
-# on a 2-vCPU VM, runs of 2^15 draws made 10^5-draw calls about 20% slower.
+# once.  A call is cut by the draws it makes, not by its sample count: a run
+# has at least _MIN_RUN draws (about 0.25 ms of sech draws), so a call of
+# fewer than 2 _MIN_RUN draws stays on the calling thread.  On a 2-vCPU VM,
+# sample_sech(10^5) took a median 0.82, 0.69, 0.89 and 0.86 ms at runs of
+# 2^14, 2^15, 2^16 and 2^17 draws, and mc_euler_poly(n = 1, 10^5) 1.42, 1.30,
+# 1.50 and 1.49 ms.
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
     else os.cpu_count() or 1
 )
-_MIN_RUN = 2**17
+_MIN_RUN = 2**15
 # Draws per Philox counter value: a run that starts on a multiple of it
 # shares no counter block with the run before it.
 _BLOCK = 4
@@ -188,15 +201,16 @@ def sech_cdf(x):
 
 
 def _run_count(draws: int) -> int:
-    """How many runs a call of ``draws`` draws is cut into: one per worker,
-    each of at least ``_MIN_RUN`` draws."""
+    """How many runs a call of ``draws`` draws (or values sorted) is cut
+    into: one per worker, each of at least ``_MIN_RUN`` draws."""
     return max(1, min(_WORKERS, draws // _MIN_RUN))
 
 
-def _cuts(total: int) -> list[int]:
-    """Bounds of the ``_run_count(total)`` near-equal runs of ``total``
-    draws, cut on multiples of ``_BLOCK``."""
-    runs = _run_count(total)
+def _cuts(total: int, draws: int = 1) -> list[int]:
+    """Bounds of the ``_run_count(total * draws)`` near-equal runs of
+    ``total`` items of ``draws`` draws each, cut on multiples of
+    ``_BLOCK``."""
+    runs = _run_count(total * draws)
     return [total * r // runs // _BLOCK * _BLOCK for r in range(runs)] + [total]
 
 
@@ -411,27 +425,62 @@ def _point(caller: str, poly: DensePolynomial, x: Rational) -> tuple[float, floa
 
 
 def _power_report(
-    real: float, imag: np.ndarray, n: int, reference: float
+    streams: tuple[RandomStream, ...], summed: bool, real: float, n: int,
+    reference: float, count: int,
 ) -> MomentReport:
-    """The mean of (real + i imag)^n against reference + 0 i, by repeated
-    multiplication: exact for small integer powers, no branch cuts."""
-    # One complex array, without the temporaries of real + 1j * imag (whose
-    # values it equals).
-    base = np.empty(len(imag), dtype=complex)
-    base.real = real
-    base.imag = imag
-    # In place, as powers * base: numpy's complex product of (a, b) and
-    # (b, a) can differ in the last bit, so the operand order is kept.
-    powers = np.ones_like(base)
-    for _ in range(n):
-        powers *= base
-    return MomentReport(
-        sample_size=len(imag),
-        entries=(
-            _entry("real", powers.real, reference),
-            _entry("imag", powers.imag, 0.0),
-        ),
-    )
+    """The mean over ``count`` samples of (real + i imag)^n against
+    reference + 0 i, by repeated multiplication: exact for small integer
+    powers, no branch cuts.  A sample's imag is the sech draw of streams[0]
+    at its position, or, when ``summed``, the draws of every stream there
+    added from 0.0 in order.
+
+    The samples are cut into runs by their draws, len(streams) each
+    (:func:`_in_runs`); the n complex products of a sample are not counted,
+    since each costs about 1/15 of a draw.  A run draws, sums and raises
+    chunk by chunk through its own reused buffers of ``_POWER_CHUNK``
+    samples and writes only the real and imaginary parts of the powers, the
+    two arrays the report reduces, so memory beyond them is
+    O(runs _POWER_CHUNK).
+    """
+    real_parts = np.empty(count)
+    imag_parts = np.empty(count)
+
+    def run(lo, hi):
+        rngs = [stream.generator(lo) for stream in streams]
+        draws = np.empty(_POWER_CHUNK)
+        total = np.empty(_POWER_CHUNK) if summed else draws
+        base = np.empty(_POWER_CHUNK, dtype=complex)
+        base.real = real
+        powers = np.empty_like(base)
+        # numpy's error state is per thread; a report of overflowed powers
+        # says so itself.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in range(lo, hi, _POWER_CHUNK):
+                m = min(_POWER_CHUNK, hi - a)
+                if summed:
+                    total[:m] = 0.0
+                for rng in rngs:
+                    _sech_fill(rng, draws[:m])
+                    if summed:
+                        total[:m] += draws[:m]
+                base.imag[:m] = total[:m]
+                # In place, as powers * base: numpy's complex product of
+                # (a, b) and (b, a) can differ in the last bit, so the
+                # operand order is kept.
+                chunk = powers[:m]
+                chunk.fill(1.0)
+                for _ in range(n):
+                    chunk *= base[:m]
+                real_parts[a:a + m] = chunk.real
+                imag_parts[a:a + m] = chunk.imag
+
+    _in_runs(run, _cuts(count, len(streams)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = (
+            _entry("real", real_parts, reference),
+            _entry("imag", imag_parts, 0.0),
+        )
+    return MomentReport(sample_size=count, entries=entries)
 
 
 def mc_euler_poly(
@@ -450,24 +499,22 @@ def mc_euler_poly(
         )
     _check_count("mc_euler_poly", count, MIN_SAMPLES)
     shift, reference = _point("mc_euler_poly", euler_poly(n), x)
-    return _power_report(shift - 0.5, sample_sech(stream, count), n, reference)
+    return _power_report((stream,), False, shift - 0.5, n, reference, count)
 
 
 def mc_gen_euler(
     stream: RandomStream, n: int, p: int, x: Rational, count: int
 ) -> MomentReport:
     """Monte Carlo estimate of E_n^{(p)}(x) as the mean of
-    (x - p/2 + i (L_1 + ... + L_p))^n over independent sech draws."""
+    (x - p/2 + i (L_1 + ... + L_p))^n over independent sech draws, L_j
+    drawn from child j of ``stream.split(p)``."""
     if not 0 <= n <= MAX_GEN_ORDER:
         raise DomainError(f"mc_gen_euler requires 0 <= n <= {MAX_GEN_ORDER}, got n={n}")
     if not 1 <= p <= MAX_GEN_P:
         raise DomainError(f"mc_gen_euler requires 1 <= p <= {MAX_GEN_P}, got p={p}")
     _check_count("mc_gen_euler", count, MIN_SAMPLES)
     shift, reference = _point("mc_gen_euler", gen_euler_recursive(n, p), x)
-    total = np.zeros(count)
-    for child in stream.split(p):
-        total += sample_sech(child, count)
-    return _power_report(shift - 0.5 * p, total, n, reference)
+    return _power_report(stream.split(p), True, shift - 0.5 * p, n, reference, count)
 
 
 def _random_sums(stream: RandomStream, mu: np.ndarray, out: np.ndarray) -> np.ndarray:

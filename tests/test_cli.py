@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 import chebprob
 
 from chebprob import identities, probnum, stochastic
-from chebprob.cli import build_parser, main, parse_rational, UsageError
+from chebprob.cli import _json_text, build_parser, main, parse_rational, UsageError
 from chebprob.exactnum import DomainError, format_rational
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -379,6 +380,44 @@ class TestMonteCarlo:
         )
         assert code == 1
         assert out.endswith("  band: 4.0 SE -> FAIL\n")
+
+    def test_non_finite_figures_are_json_strings(self, capsys):
+        # json.dumps wrote the bare tokens Infinity and NaN, which RFC 8259
+        # JSON does not allow.
+        code, out, _ = run(
+            capsys, "montecarlo", "rep", "--n", "8", "--x", str(10**38),
+            "--samples", "10000", "--format", "json",
+        )
+        assert code == 1
+
+        def bare_token(token):
+            raise AssertionError(f"bare {token} in the JSON output")
+
+        document = json.loads(out, parse_constant=bare_token)
+        assert [entry["std_error"] for entry in document["entries"]] == ["Infinity"] * 2
+        assert document["passed"] is False
+
+    def test_json_text_names_every_non_finite_float(self):
+        text = _json_text({"a": [math.inf, (-math.inf, 0.5)], "b": {"c": math.nan}})
+        assert json.loads(text) == {
+            "schema_version": 1, "a": ["Infinity", ["-Infinity", 0.5]], "b": {"c": "NaN"},
+        }
+
+    def test_overflowing_reports_print_no_numpy_warnings(self):
+        # Overflowing powers and reductions printed numpy's RuntimeWarning
+        # lines, with numpy source paths, before the report's own FAIL line.
+        proc = run_fresh(
+            "import sys\n"
+            "from chebprob.cli import main\n"
+            f"codes = [main(['montecarlo', 'rep', '--n', '8', '--x', '{10**38}',\n"
+            "                '--samples', '100000']),\n"
+            f"         main(['montecarlo', 'gen', '--n', '6', '--p', '10', '--x', '{10**50}',\n"
+            "                '--samples', '100000'])]\n"
+            "assert codes == [1, 1], codes\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.count("band: 4.0 SE -> FAIL\n") == 2
 
     def test_klebanov_N_beyond_the_cap_builds_no_table(self, capsys):
         N = stochastic.MAX_KLEBANOV_N + 1

@@ -5,6 +5,7 @@ deterministic.  Statistical assertions use a 4-standard-error band; with
 these seeds all of them hold with margin.
 """
 
+import inspect
 import json
 import math
 import os
@@ -28,7 +29,9 @@ from chebprob.probnum import MAX_ELL, probnum_series
 from chebprob.stochastic import (
     _CHUNK,
     _QUAD_STEP,
+    MAX_GEN_ORDER,
     MAX_MOMENT_ORDER,
+    MAX_REP_ORDER,
     MAX_SAMPLES,
     MomentEntry,
     MomentReport,
@@ -639,6 +642,92 @@ class TestRandomSums:
             assert same_json(mc_gen_euler(stream, n, p, x, 10**4), expected)
 
 
+def whole_array_report(imag, real, n, reference):
+    """The rep/gen report as the whole-array path computed it: one complex
+    base of ``real`` and ``imag``, powers *= base, then _entry on the
+    strided real and imaginary parts."""
+    base = np.empty(len(imag), dtype=complex)
+    base.real = real
+    base.imag = imag
+    powers = np.ones_like(base)
+    for _ in range(n):
+        powers *= base
+    return MomentReport(
+        sample_size=len(imag),
+        entries=(
+            stochastic_module._entry("real", powers.real, reference),
+            stochastic_module._entry("imag", powers.imag, 0.0),
+        ),
+    )
+
+
+def whole_array_rep(stream, n, x, count):
+    reference = float(eval_poly(euler_poly(n), x))
+    return whole_array_report(sample_sech(stream, count), float(x) - 0.5, n, reference)
+
+
+def whole_array_gen(stream, n, p, x, count):
+    total = np.zeros(count)
+    for child in stream.split(p):
+        total += sample_sech(child, count)
+    reference = float(eval_poly(gen_euler_recursive(n, p), x))
+    return whole_array_report(total, float(x) - 0.5 * p, n, reference)
+
+
+class TestPowerKernel:
+    """The chunked rep and gen kernel against the whole-array path it
+    replaced, byte for byte, for every worker count; runs of at least 2^10
+    draws cut even the smallest calls, and the counts are no multiples of
+    the chunk."""
+
+    @pytest.mark.parametrize("count", [10**4 + 3, 10**5 + 1])
+    def test_rep_equals_the_whole_array_path(self, monkeypatch, count):
+        monkeypatch.setattr(stochastic_module, "_MIN_RUN", 2**10)
+        # At x = 1/2 the real part is 0.0, where a product's signed zeros show.
+        x = Fraction(1, 2)
+        for n in range(MAX_REP_ORDER + 1):
+            stream = RandomStream(31, n)
+            expected = json.dumps(whole_array_rep(stream, n, x, count).json_dict())
+            for workers in WORKER_COUNTS:
+                monkeypatch.setattr(stochastic_module, "_WORKERS", workers)
+                got = json.dumps(mc_euler_poly(stream, n, x, count).json_dict())
+                assert got == expected, (n, workers)
+
+    @pytest.mark.parametrize("count", [10**4 + 3, 10**5 + 1])
+    @pytest.mark.parametrize("p", [1, 2, 5, 10])
+    def test_gen_equals_the_whole_array_path(self, monkeypatch, p, count):
+        monkeypatch.setattr(stochastic_module, "_MIN_RUN", 2**10)
+        x = Fraction(1, 3)
+        for n in range(MAX_GEN_ORDER + 1):
+            stream = RandomStream(37, n)
+            expected = json.dumps(whole_array_gen(stream, n, p, x, count).json_dict())
+            for workers in WORKER_COUNTS:
+                monkeypatch.setattr(stochastic_module, "_WORKERS", workers)
+                got = json.dumps(mc_gen_euler(stream, n, p, x, count).json_dict())
+                assert got == expected, (n, workers)
+
+    def test_no_full_size_temporaries(self, monkeypatch):
+        # The whole-array path held the draws, a complex base and a complex
+        # power, 48 bytes a sample at its peak.  The kernel holds the two
+        # real arrays the report reduces and the reduction's one temporary,
+        # 24 bytes a sample, beside 48 bytes a sample of chunk buffers per run.
+        monkeypatch.setattr(stochastic_module, "_WORKERS", 2)
+        count = 10**6
+        buffers = 2 * 48 * stochastic_module._POWER_CHUNK
+        calls = {
+            "gen": lambda: mc_gen_euler(RandomStream(4), 6, 10, Fraction(1, 3), count),
+            "rep": lambda: mc_euler_poly(RandomStream(4), 8, Fraction(1, 3), count),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 32 * count + buffers, (name, peak)
+
+
 class TestRuns:
     """Monte Carlo calls cut into runs, one per worker thread: the output
     must not depend on the worker count."""
@@ -716,9 +805,15 @@ class TestRuns:
     def test_public_entry_points_stay_on_the_calling_thread(self, monkeypatch):
         # The benchmark's tracer wraps these names and keeps one span stack:
         # a worker that called one would corrupt it, and would change what the
-        # traced draw count means.
+        # traced draw count means.  Every public function of the module and
+        # the two table builders are watched, through the calls the module
+        # makes and those made here, while the kernels run on workers.
+        public = [
+            name for name in stochastic_module.__all__
+            if inspect.isfunction(getattr(stochastic_module, name))
+        ]
         threads = []
-        for name in ("sample_sech", "sample_mu", "_mu_table", "probnum_series"):
+        for name in public + ["_mu_table", "probnum_series"]:
             real = getattr(stochastic_module, name)
 
             def spy(*args, real=real, name=name):
@@ -726,11 +821,25 @@ class TestRuns:
                 return real(*args)
 
             monkeypatch.setattr(stochastic_module, name, spy)
+        real_fill = stochastic_module._sech_fill
+        fills = set()
+
+        def fill_spy(rng, out):
+            fills.add(threading.get_ident())
+            return real_fill(rng, out)
+
+        monkeypatch.setattr(stochastic_module, "_sech_fill", fill_spy)
         monkeypatch.setattr(stochastic_module, "_WORKERS", 3)
-        mc_klebanov(RandomStream(8), 4, 10**5)
-        mc_gen_euler(RandomStream(8), 2, 3, 0, 10**5)
-        assert {name for name, _ in threads} >= {"sample_sech", "sample_mu", "_mu_table"}
+        stochastic_module.mc_klebanov(RandomStream(8), 4, 10**5)
+        stochastic_module.mc_gen_euler(RandomStream(8), 2, 3, 0, 10**5)
+        stochastic_module.mc_euler_poly(RandomStream(8), 2, 0, 10**5)
+        stochastic_module.sample_sech(RandomStream(8), 10**5)
+        assert {name for name, _ in threads} >= {
+            "mc_klebanov", "mc_gen_euler", "mc_euler_poly", "sample_sech",
+            "sample_mu", "_mu_table",
+        }
         assert {ident for _, ident in threads} == {threading.get_ident()}
+        assert len(fills) > 1
 
 
 class TestMomentIntegral:
