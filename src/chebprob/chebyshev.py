@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 
-from .exactnum import DensePolynomial
+from .exactnum import DensePolynomial, require
 
 __all__ = [
     "chebyshev_T",
@@ -25,16 +25,14 @@ __all__ = [
 @functools.lru_cache(maxsize=None)
 def chebyshev_T(N: int) -> DensePolynomial:
     """First-kind Chebyshev polynomial T_N, exact coefficients."""
-    if N < 0:
-        raise ValueError(f"chebyshev_T requires N >= 0, got N={N}")
+    require("chebyshev_T", "N", N, 0)
     return _recurrence(N, u_kind=False)
 
 
 @functools.lru_cache(maxsize=None)
 def chebyshev_U(N: int) -> DensePolynomial:
     """Second-kind Chebyshev polynomial U_N, exact coefficients."""
-    if N < 0:
-        raise ValueError(f"chebyshev_U requires N >= 0, got N={N}")
+    require("chebyshev_U", "N", N, 0)
     return _recurrence(N, u_kind=True)
 
 
@@ -54,6 +52,5 @@ def _recurrence(N: int, u_kind: bool) -> DensePolynomial:
 def reversed_T(N: int) -> DensePolynomial:
     """Coefficient reversal of T_N: the coefficient of z^j is the coefficient
     of z^{N-j} in T_N.  Its constant term is the leading 2^{N-1} of T_N."""
-    if N < 1:
-        raise ValueError(f"reversed_T requires N >= 1, got N={N}")
+    require("reversed_T", "N", N, 1)
     return DensePolynomial.of(tuple(reversed(chebyshev_T(N).coefficients)))

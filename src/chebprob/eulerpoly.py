@@ -53,6 +53,7 @@ from .exactnum import (
     dyadic,
     extend_quotient,
     horner,
+    require,
 )
 
 __all__ = [
@@ -121,18 +122,15 @@ def _zero_rows_upto(p: int, max_n: int) -> list[int]:
 
 def euler_numbers(max_n: int) -> tuple[int, ...]:
     """Euler numbers E_0..E_max_n, exact."""
-    if max_n < 0:
-        raise ValueError(f"euler_numbers requires max_n >= 0, got {max_n}")
+    require("euler_numbers", "max_n", max_n, 0)
     with _CACHE_LOCK:
         return tuple(_euler_numbers_upto(max_n))
 
 
 def gen_euler_zero(p: int, max_n: int) -> tuple[Fraction, ...]:
     """E_0^{(p)}(0)..E_max_n^{(p)}(0), exact and memoized per order."""
-    if p < 0:
-        raise ValueError(f"gen_euler_zero requires p >= 0, got p={p}")
-    if max_n < 0:
-        raise ValueError(f"gen_euler_zero requires max_n >= 0, got {max_n}")
+    require("gen_euler_zero", "p", p, 0)
+    require("gen_euler_zero", "max_n", max_n, 0)
     return tuple(dyadic(b, n) for n, b in enumerate(_zero_row(p, max_n)[: max_n + 1]))
 
 
@@ -148,8 +146,7 @@ def _zero_row(p: int, max_n: int) -> list[int]:
 
 def euler_poly(n: int) -> DensePolynomial:
     """Euler polynomial E_n(x), the order-1 case of the recursive route."""
-    if n < 0:
-        raise ValueError(f"euler_poly requires n >= 0, got n={n}")
+    require("euler_poly", "n", n, 0)
     return gen_euler_recursive(n, 1)
 
 
@@ -158,10 +155,8 @@ def gen_euler_recursive(n: int, p: int) -> DensePolynomial:
 
     Order p = 0 is admitted as the empty product, E_n^{(0)}(x) = x^n.
     """
-    if n < 0:
-        raise ValueError(f"gen_euler_recursive requires n >= 0, got n={n}")
-    if p < 0:
-        raise ValueError(f"gen_euler_recursive requires p >= 0, got p={p}")
+    require("gen_euler_recursive", "n", n, 0)
+    require("gen_euler_recursive", "p", p, 0)
     row = gen_euler_zero(p, n)
     coeffs = tuple(binomial(n, k) * row[n - k] for k in range(n + 1))
     return DensePolynomial(coeffs)
@@ -170,10 +165,8 @@ def gen_euler_recursive(n: int, p: int) -> DensePolynomial:
 def gen_euler_series(n: int, p: int) -> DensePolynomial:
     """E_n^{(p)}(x) from the generating function directly; independent of the
     recursive route and required to match it exactly."""
-    if n < 0:
-        raise ValueError(f"gen_euler_series requires n >= 0, got n={n}")
-    if p < 0:
-        raise ValueError(f"gen_euler_series requires p >= 0, got p={p}")
+    require("gen_euler_series", "n", n, 0)
+    require("gen_euler_series", "p", p, 0)
     # Ordinary coefficients times K = 2^n n!: K (1 + e^z)/2 is K, K/(2 j!),
     # and K times 2/(1 + e^z) is integral through z^n, so its long division
     # divides exactly by the constant term K.  The n leading zeros pad the

@@ -21,6 +21,7 @@ Rational = Union[int, Fraction]
 __all__ = [
     "Rational",
     "DomainError",
+    "require",
     "binomial",
     "catalan_sequence",
     "ballot_number",
@@ -36,9 +37,27 @@ __all__ = [
 
 
 class DomainError(ValueError):
-    """An argument outside the domain of a public entry point, raised by the
-    checks at its top before any work is done.  The command line reports it
-    as a usage error; every other exception is a fault of the program."""
+    """An argument outside the domain of a public function, raised before any
+    work is done: by :func:`require` for the range of one integer, inline for
+    the rest (a float, two arguments at once, an empty sequence, a parity).
+    The command line reports it as a usage error; every other exception is a
+    fault of the program."""
+
+
+def require(
+    caller: str, name: str, value: int, low: int, high: int | None = None
+) -> None:
+    """Refuse argument ``name`` of ``caller`` outside low <= value <= high
+    (no upper bound when ``high`` is None) with a DomainError: "<caller>
+    requires <low> <= <name> <= <high>, got <name>=<value>", or "<caller>
+    requires <name> >= <low>, got <name>=<value>"."""
+    if high is None:
+        if value < low:
+            raise DomainError(f"{caller} requires {name} >= {low}, got {name}={value}")
+    elif not low <= value <= high:
+        raise DomainError(
+            f"{caller} requires {low} <= {name} <= {high}, got {name}={value}"
+        )
 
 
 def binomial(n: int, k: int) -> int:
@@ -47,8 +66,7 @@ def binomial(n: int, k: int) -> int:
     Summation formulas downstream run their index over ranges that leave the
     triangle; the zero convention keeps them total.
     """
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
+    require("binomial", "n", n, 0)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -56,8 +74,7 @@ def binomial(n: int, k: int) -> int:
 
 def catalan_sequence(count: int) -> list[int]:
     """First ``count`` Catalan numbers [C_0, ..., C_{count-1}]."""
-    if count < 1:
-        raise ValueError(f"catalan_sequence requires count >= 1, got {count}")
+    require("catalan_sequence", "count", count, 1)
     out = [1]
     for n in range(count - 1):
         # C_{n+1} = C_n * 2(2n+1)/(n+2); the division is exact.
@@ -73,8 +90,7 @@ def ballot_number(n: int, k: int) -> int:
     difference is binom(n, k) (n - 2k + 1) / (n - k + 1), an exact division,
     so one binomial is computed instead of two.
     """
-    if n < 0:
-        raise ValueError(f"ballot_number requires n >= 0, got n={n}")
+    require("ballot_number", "n", n, 0)
     if 0 <= k <= n:
         return math.comb(n, k) * (n - 2 * k + 1) // (n - k + 1)
     return -1 if k == n + 1 else 0
@@ -90,7 +106,7 @@ def convolve(
     are meaningful; pass ``length`` to truncate to the range you trust.
     """
     if not a or not b:
-        raise ValueError("convolve requires nonempty sequences")
+        raise DomainError("convolve requires nonempty sequences")
     full = len(a) + len(b) - 1
     n_out = full if length is None else min(length, full)
     out: list[Rational] = [0] * n_out
@@ -112,9 +128,8 @@ def convolution_power(
     iterated :func:`convolve`.  ``length`` truncates as in :func:`convolve`.
     """
     if not a:
-        raise ValueError("convolution_power requires a nonempty sequence")
-    if N < 1:
-        raise ValueError(f"convolution_power requires N >= 1, got N={N}")
+        raise DomainError("convolution_power requires a nonempty sequence")
+    require("convolution_power", "N", N, 1)
     full = N * (len(a) - 1) + 1
     cap = full if length is None else min(length, full)
     result: list[Rational] | None = None

@@ -34,6 +34,7 @@ from .exactnum import (
     float_or_inf,
     format_rational,
     horner,
+    require,
 )
 from .probnum import _law
 
@@ -163,10 +164,8 @@ def _reconstruct(
     With target = g / h and tol = e / f, the stop test and the small-term
     test are multiplied through by scale den h f > 0.
     """
-    if not 0 <= n <= MAX_DEGREE:
-        raise DomainError(f"{caller} requires 0 <= n <= {MAX_DEGREE}, got n={n}")
-    if not 1 <= N <= MAX_N:
-        raise DomainError(f"{caller} requires 1 <= N <= {MAX_N}, got N={N}")
+    require(caller, "n", n, 0, MAX_DEGREE)
+    require(caller, "N", N, 1, MAX_N)
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"{caller}: tol must be positive and finite, got {tol}")
     x = Fraction(x)
@@ -270,10 +269,9 @@ def asymptotic_ratio(N: int, z: float) -> float:
     the ratio equals 2 / (1 + a^(-2N)): finite, positive, increasing in N,
     and tending to 2.
     """
-    if N < 1:
-        raise ValueError(f"asymptotic_ratio requires N >= 1, got N={N}")
+    require("asymptotic_ratio", "N", N, 1)
     if not 0.0 < z < 1.0:
-        raise ValueError(f"z must lie strictly inside (0, 1), got z={z!r}")
+        raise DomainError(f"z must lie strictly inside (0, 1), got z={z!r}")
     a = (1.0 + math.sqrt(1.0 - z * z)) / z
     return 2.0 / (1.0 + math.exp(-2.0 * N * math.log(a)))
 
@@ -304,8 +302,7 @@ def catalan_prefix_check(N: int) -> CatalanPrefixReport:
     The observed leading difference is reported, not asserted to any
     particular value.
     """
-    if N < 1:
-        raise ValueError(f"catalan_prefix_check requires N >= 1, got N={N}")
+    require("catalan_prefix_check", "N", N, 1)
     # q_ell = a_ell / 2 with a_ell = 2^ell p_ell the integers of the law memo.
     q = [Fraction(a, 2) for a in _law(N, 3 * N)[: 3 * N + 1]]
     conv = convolution_power(catalan_sequence(N + 1), N, length=N + 1)

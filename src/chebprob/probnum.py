@@ -71,6 +71,7 @@ from .exactnum import (
     dyadic,
     extend_quotient,
     format_rational,
+    require,
 )
 
 __all__ = [
@@ -128,8 +129,7 @@ class CrossValidationError(Exception):
 def root_angles(N: int) -> tuple[float, ...]:
     """The root angles t_k = (2k-1) pi / (2N) for k = 1..N; the cos(t_k) are
     the roots of T_N."""
-    if N < 1:
-        raise ValueError(f"root_angles requires N >= 1, got N={N}")
+    require("root_angles", "N", N, 1)
     return tuple((2 * k - 1) * math.pi / (2 * N) for k in range(1, N + 1))
 
 
@@ -228,10 +228,8 @@ def probnum_series(N: int, max_ell: int) -> ProbTable:
 def trig_value(N: int, ell: int) -> float:
     """Root-angle formula for p_ell in double precision (compensated sum
     over the alternating root terms).  Total in ell; returns 0.0 at ell=0."""
-    if N < 1:
-        raise ValueError(f"trig_value requires N >= 1, got N={N}")
-    if ell < 0:
-        raise ValueError(f"trig_value requires ell >= 0, got ell={ell}")
+    require("trig_value", "N", N, 1)
+    require("trig_value", "ell", ell, 0)
     if ell == 0:
         return 0.0
     return math.fsum(sign * s * c ** (ell - 1) for sign, s, c in _root_terms(N)) / N
@@ -260,12 +258,10 @@ def probnum_catalan(N: int, ell: int) -> Fraction:
     k = (ell - (2t+1)N)/2.  ell must equal N mod 2; below N the sum is empty
     and the value is zero.
     """
-    if N < 1:
-        raise ValueError(f"probnum_catalan requires N >= 1, got N={N}")
-    if ell < 1:
-        raise ValueError(f"probnum_catalan requires ell >= 1, got ell={ell}")
+    require("probnum_catalan", "N", N, 1)
+    require("probnum_catalan", "ell", ell, 1)
     if (ell - N) % 2 != 0:
-        raise ValueError(
+        raise DomainError(
             f"parity mismatch: ell={ell} must equal N={N} mod 2 "
             "(off-parity values are identically zero upstream)"
         )
@@ -390,8 +386,7 @@ def geometric_tail_bound(N: int, max_ell: int) -> float:
     """Closed-form tail bound c^max_ell / (1 - c) with c = cos(pi/(2N)):
     every p_ell is at most c^(ell-1), so the geometric sum dominates the
     tail.  Coarser than :func:`tail_mass` but needs no exact table."""
-    if N < 1:
-        raise ValueError(f"geometric_tail_bound requires N >= 1, got N={N}")
+    require("geometric_tail_bound", "N", N, 1)
     c = math.cos(math.pi / (2 * N))
     return c**max_ell / (1.0 - c)
 
@@ -401,8 +396,7 @@ def _check_table_args(
 ) -> None:
     """The domain of a table of the law: N >= 1, N <= max_ell <= longest and
     N max_ell <= MAX_LAW_WORK, which bound its time and memory."""
-    if N < 1:
-        raise DomainError(f"{caller} requires N >= 1, got N={N}")
+    require(caller, "N", N, 1)
     if not N <= max_ell <= longest:
         raise DomainError(
             f"{caller} requires N <= max_ell <= {longest}, got max_ell={max_ell}, N={N}"

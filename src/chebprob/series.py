@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactnum import Rational
+from .exactnum import Rational, require
 
 __all__ = ["TruncatedSeries"]
 
@@ -27,8 +27,7 @@ class TruncatedSeries:
     def of(cls, values: Iterable[Rational], order: int) -> "TruncatedSeries":
         """Series with the given leading coefficients, zero-padded/truncated
         to exactly ``order + 1`` entries."""
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
+        require("TruncatedSeries.of", "order", order, 0)
         coeffs = [Fraction(v) for v in values][: order + 1]
         coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
         return cls(tuple(coeffs))

@@ -24,9 +24,9 @@ reproduce identical arrays on any platform.
 
 A large call is cut into contiguous runs, one per CPU this process may use,
 each filled on its own thread (see :func:`_in_runs`).  A call is cut by the
-draws it makes, not by its sample count (p per sample for mc_gen_euler),
-into runs of at least 2^15 draws.  Every draw is read at its own stream
-position, so the output does not depend on the number of runs.
+draws it makes (p per sample for mc_gen_euler, 4 for sample_mu), into runs
+of at least 2^15 draws.  Every draw is read at its own stream position, so
+the output does not depend on the number of runs.
 
 mc_euler_poly and mc_gen_euler share one kernel (:func:`_power_report`):
 each run draws, sums and raises its samples chunk by chunk in reused
@@ -48,7 +48,7 @@ import numpy as np
 from .eulerpoly import (
     euler_numbers, euler_poly, eval_poly, gen_euler_recursive,
 )
-from .exactnum import DensePolynomial, DomainError, Rational
+from .exactnum import DensePolynomial, DomainError, Rational, require
 from .probnum import probnum_series, tail_mass
 
 __all__ = [
@@ -126,12 +126,17 @@ _QUAD_STEP = 1 / 16
 # fewer than 2 _MIN_RUN draws stays on the calling thread.  On a 2-vCPU VM,
 # sample_sech(10^5) took a median 0.82, 0.69, 0.89 and 0.86 ms at runs of
 # 2^14, 2^15, 2^16 and 2^17 draws, and mc_euler_poly(n = 1, 10^5) 1.42, 1.30,
-# 1.50 and 1.49 ms.
+# 1.50 and 1.49 ms.  A draw of mu_N, a search in its table, counts as
+# _MU_DRAW sech draws: at N = 2, 5, 7 and 30 it took 2.2, 4.0, 4.8 and 8.2
+# times as long (10^6 on one thread), and sample_mu(N, 5*10^4) a median of
+# 1.14, 2.04, 2.86 and 5.10 ms counted as 1 (one thread), 0.77, 1.11, 1.74
+# and 2.16 ms counted as 4 (two runs).
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
     else os.cpu_count() or 1
 )
 _MIN_RUN = 2**15
+_MU_DRAW = 4
 # Draws per Philox counter value: a run that starts on a multiple of it
 # shares no counter block with the run before it.
 _BLOCK = 4
@@ -181,11 +186,10 @@ class RandomStream:
         RandomStream(s, 1)``.  A count above 2^16 is refused, since its last
         ids would be those of the next stream's children, and so is a count
         whose last id would reach 2^64."""
-        if not 1 <= count <= 2**16:
-            raise ValueError(f"split requires 1 <= count <= {2**16}, got {count}")
+        require("split", "count", count, 1, 2**16)
         base = self.stream_id * 2**16
         if base + count >= 2**64:
-            raise ValueError(
+            raise DomainError(
                 f"split requires child ids below 2^64, got stream_id={self.stream_id}"
                 f" and count={count}"
             )
@@ -247,7 +251,7 @@ def _in_runs(job, bounds) -> None:
 def sample_sech(stream: RandomStream, count: int) -> np.ndarray:
     """i.i.d. draws from the sech(pi x) law by exact CDF inversion at the
     uniforms of ``stream`` (see :func:`_sech_fill`)."""
-    _check_count("sample_sech", count, 1)
+    require("sample_sech", "count", count, 1, MAX_SAMPLES)
     return _sech_draws(stream, np.empty(count))
 
 
@@ -294,24 +298,6 @@ def _mu_table(N: int) -> np.ndarray:
         return cumulative
 
 
-def _check_mu_N(caller: str, N: int) -> None:
-    """The N of a draw of mu_N: 2 <= N <= MAX_KLEBANOV_N, which bounds the
-    time and memory of its sampling table."""
-    if not 2 <= N <= MAX_KLEBANOV_N:
-        raise DomainError(
-            f"{caller} requires 2 <= N <= {MAX_KLEBANOV_N}, got N={N}"
-        )
-
-
-def _check_count(caller: str, count: int, least: int) -> None:
-    """The sample size of a Monte Carlo check: least <= count <= MAX_SAMPLES,
-    which bounds its memory."""
-    if not least <= count <= MAX_SAMPLES:
-        raise DomainError(
-            f"{caller} requires {least} <= count <= {MAX_SAMPLES}, got count={count}"
-        )
-
-
 def sample_mu(stream: RandomStream, N: int, count: int) -> np.ndarray:
     """Draws of the random index mu_N by inverse CDF over its exact table.
 
@@ -323,8 +309,8 @@ def sample_mu(stream: RandomStream, N: int, count: int) -> np.ndarray:
     Draws beyond the tabled mass (total probability below 1e-15) land there;
     they are counted and reported through a RuntimeWarning, never clamped.
     """
-    _check_mu_N("sample_mu", N)
-    _check_count("sample_mu", count, 1)
+    require("sample_mu", "N", N, 2, MAX_KLEBANOV_N)
+    require("sample_mu", "count", count, 1, MAX_SAMPLES)
     cumulative = _mu_table(N)
     untabled = N + 2 * len(cumulative)
     out = np.empty(count, dtype=np.int64)
@@ -338,7 +324,7 @@ def sample_mu(stream: RandomStream, N: int, count: int) -> np.ndarray:
             np.multiply(np.searchsorted(cumulative, u, side="right"), 2, out=out[a:b])
             out[a:b] += N
 
-    _in_runs(run, _cuts(count))
+    _in_runs(run, _cuts(count, _MU_DRAW))
     n_overflow = int(np.count_nonzero(out == untabled))
     if n_overflow:
         warnings.warn(
@@ -389,7 +375,7 @@ class MomentReport:
         # A NaN compares false with everything, so every test is written to
         # pass only on finite figures inside their bounds.
         if not (math.isfinite(band) and band > 0):
-            raise ValueError(f"band must be finite and positive, got {band}")
+            raise DomainError(f"band must be finite and positive, got {band}")
         for entry in self.entries:
             if not (math.isfinite(entry.estimate) and math.isfinite(entry.std_error)
                     and entry.standardized <= band):
@@ -425,14 +411,13 @@ def _point(caller: str, poly: DensePolynomial, x: Rational) -> tuple[float, floa
 
 
 def _power_report(
-    streams: tuple[RandomStream, ...], summed: bool, real: float, n: int,
-    reference: float, count: int,
+    streams: tuple[RandomStream, ...], real: float, n: int, reference: float,
+    count: int,
 ) -> MomentReport:
     """The mean over ``count`` samples of (real + i imag)^n against
     reference + 0 i, by repeated multiplication: exact for small integer
-    powers, no branch cuts.  A sample's imag is the sech draw of streams[0]
-    at its position, or, when ``summed``, the draws of every stream there
-    added from 0.0 in order.
+    powers, no branch cuts.  A sample's imag is the sum of the sech draws of
+    every stream at its position, added in stream order.
 
     The samples are cut into runs by their draws, len(streams) each
     (:func:`_in_runs`); the n complex products of a sample are not counted,
@@ -446,9 +431,9 @@ def _power_report(
     imag_parts = np.empty(count)
 
     def run(lo, hi):
-        rngs = [stream.generator(lo) for stream in streams]
+        first, *rest = [stream.generator(lo) for stream in streams]
+        total = np.empty(_POWER_CHUNK)
         draws = np.empty(_POWER_CHUNK)
-        total = np.empty(_POWER_CHUNK) if summed else draws
         base = np.empty(_POWER_CHUNK, dtype=complex)
         base.real = real
         powers = np.empty_like(base)
@@ -457,12 +442,9 @@ def _power_report(
         with np.errstate(over="ignore", invalid="ignore"):
             for a in range(lo, hi, _POWER_CHUNK):
                 m = min(_POWER_CHUNK, hi - a)
-                if summed:
-                    total[:m] = 0.0
-                for rng in rngs:
-                    _sech_fill(rng, draws[:m])
-                    if summed:
-                        total[:m] += draws[:m]
+                _sech_fill(first, total[:m])
+                for rng in rest:
+                    total[:m] += _sech_fill(rng, draws[:m])
                 base.imag[:m] = total[:m]
                 # In place, as powers * base: numpy's complex product of
                 # (a, b) and (b, a) can differ in the last bit, so the
@@ -493,13 +475,10 @@ def mc_euler_poly(
     the standard-error bands to mean anything at desk-scale sample sizes
     (``MAX_REP_ORDER``).
     """
-    if not 0 <= n <= MAX_REP_ORDER:
-        raise DomainError(
-            f"mc_euler_poly requires 0 <= n <= {MAX_REP_ORDER}, got n={n}"
-        )
-    _check_count("mc_euler_poly", count, MIN_SAMPLES)
+    require("mc_euler_poly", "n", n, 0, MAX_REP_ORDER)
+    require("mc_euler_poly", "count", count, MIN_SAMPLES, MAX_SAMPLES)
     shift, reference = _point("mc_euler_poly", euler_poly(n), x)
-    return _power_report((stream,), False, shift - 0.5, n, reference, count)
+    return _power_report((stream,), shift - 0.5, n, reference, count)
 
 
 def mc_gen_euler(
@@ -508,13 +487,11 @@ def mc_gen_euler(
     """Monte Carlo estimate of E_n^{(p)}(x) as the mean of
     (x - p/2 + i (L_1 + ... + L_p))^n over independent sech draws, L_j
     drawn from child j of ``stream.split(p)``."""
-    if not 0 <= n <= MAX_GEN_ORDER:
-        raise DomainError(f"mc_gen_euler requires 0 <= n <= {MAX_GEN_ORDER}, got n={n}")
-    if not 1 <= p <= MAX_GEN_P:
-        raise DomainError(f"mc_gen_euler requires 1 <= p <= {MAX_GEN_P}, got p={p}")
-    _check_count("mc_gen_euler", count, MIN_SAMPLES)
+    require("mc_gen_euler", "n", n, 0, MAX_GEN_ORDER)
+    require("mc_gen_euler", "p", p, 1, MAX_GEN_P)
+    require("mc_gen_euler", "count", count, MIN_SAMPLES, MAX_SAMPLES)
     shift, reference = _point("mc_gen_euler", gen_euler_recursive(n, p), x)
-    return _power_report(stream.split(p), True, shift - 0.5 * p, n, reference, count)
+    return _power_report(stream.split(p), shift - 0.5 * p, n, reference, count)
 
 
 def _random_sums(stream: RandomStream, mu: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -627,8 +604,8 @@ def mc_klebanov(stream: RandomStream, N: int, count: int) -> MomentReport:
     moments |E_k| / 2^k (computed, never hard-coded) and runs a two-sample
     KS test, with its exact p-value, against as many direct sech draws.
     """
-    _check_mu_N("mc_klebanov", N)
-    _check_count("mc_klebanov", count, MIN_KLEBANOV_SAMPLES)
+    require("mc_klebanov", "N", N, 2, MAX_KLEBANOV_N)
+    require("mc_klebanov", "count", count, MIN_KLEBANOV_SAMPLES, MAX_SAMPLES)
     mu_stream, sech_stream, reference_stream = stream.split(3)
     pooled = np.empty(2 * count)
     sums = _random_sums(sech_stream, sample_mu(mu_stream, N, count), pooled[:count])
@@ -664,10 +641,7 @@ def moment_integral_check(k: int) -> float:
     ``INTEGRAL_TOL[k % 2]``.  Orders above ``MAX_MOMENT_ORDER``, where
     rounding alone exceeds that bound, are refused.
     """
-    if not 0 <= k <= MAX_MOMENT_ORDER:
-        raise DomainError(
-            f"moment_integral_check requires 0 <= k <= {MAX_MOMENT_ORDER}, got k={k}"
-        )
+    require("moment_integral_check", "k", k, 0, MAX_MOMENT_ORDER)
     value = _trapezoid_moment(k, _QUAD_STEP)
     if k % 2 == 1:
         return abs(value)

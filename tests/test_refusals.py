@@ -1,0 +1,113 @@
+"""Every public refusal is a DomainError.
+
+A range of one integer is refused by ``exactnum.require`` in one of its two
+message shapes, which start with the name of the refusing function; the
+checks that are no such range (a float, two arguments at once, an empty
+sequence, a parity) raise DomainError with their own wording.
+"""
+
+import re
+
+import pytest
+
+from chebprob import (
+    chebyshev,
+    eulerpoly,
+    exactnum,
+    identities,
+    probnum,
+    series,
+    stochastic,
+)
+from chebprob.exactnum import DomainError, require
+
+SHAPES = (
+    r"(?P<name>\w+) >= -?\d+, got (?P=name)=-?\d+",
+    r"-?\d+ <= (?P<name>\w+) <= -?\d+, got (?P=name)=-?\d+",
+)
+
+STREAM = stochastic.RandomStream(1)
+
+# (name the message starts with, refused call)
+RANGE_REFUSALS = [
+    ("chebyshev_T", lambda: chebyshev.chebyshev_T(-1)),
+    ("chebyshev_U", lambda: chebyshev.chebyshev_U(-1)),
+    ("reversed_T", lambda: chebyshev.reversed_T(0)),
+    ("euler_numbers", lambda: eulerpoly.euler_numbers(-1)),
+    ("gen_euler_zero", lambda: eulerpoly.gen_euler_zero(-1, 3)),
+    ("euler_poly", lambda: eulerpoly.euler_poly(-1)),
+    ("gen_euler_recursive", lambda: eulerpoly.gen_euler_recursive(2, -1)),
+    ("gen_euler_series", lambda: eulerpoly.gen_euler_series(-1, 1)),
+    ("binomial", lambda: exactnum.binomial(-1, 0)),
+    ("catalan_sequence", lambda: exactnum.catalan_sequence(0)),
+    ("ballot_number", lambda: exactnum.ballot_number(-1, 0)),
+    ("convolution_power", lambda: exactnum.convolution_power([1, 1], 0)),
+    ("reconstruct_euler", lambda: identities.reconstruct_euler(33, 2, 0, 1e-9)),
+    ("expectation_form_check", lambda: identities.expectation_form_check(1, 0)),
+    ("asymptotic_ratio", lambda: identities.asymptotic_ratio(0, 0.5)),
+    ("catalan_prefix_check", lambda: identities.catalan_prefix_check(0)),
+    ("root_angles", lambda: probnum.root_angles(0)),
+    ("trig_value", lambda: probnum.trig_value(2, -1)),
+    ("probnum_catalan", lambda: probnum.probnum_catalan(0, 2)),
+    ("geometric_tail_bound", lambda: probnum.geometric_tail_bound(0, 10)),
+    ("probnum_series", lambda: probnum.probnum_series(0, 5)),
+    ("probnum_trig", lambda: probnum.probnum_trig(0, 5)),
+    ("catalan_table", lambda: probnum.catalan_table(0, 5)),
+    ("cross_validate", lambda: probnum.cross_validate(0, 5)),
+    ("tail_mass", lambda: probnum.tail_mass(0, 5)),
+    ("TruncatedSeries.of", lambda: series.TruncatedSeries.of([1], -1)),
+    ("split", lambda: STREAM.split(0)),
+    ("sample_sech", lambda: stochastic.sample_sech(STREAM, 0)),
+    ("sample_mu", lambda: stochastic.sample_mu(STREAM, 31, 10)),
+    ("mc_euler_poly", lambda: stochastic.mc_euler_poly(STREAM, 9, 0, 10**4)),
+    ("mc_gen_euler", lambda: stochastic.mc_gen_euler(STREAM, 1, 11, 0, 10**4)),
+    ("mc_klebanov", lambda: stochastic.mc_klebanov(STREAM, 2, 10**4)),
+    ("moment_integral_check", lambda: stochastic.moment_integral_check(15)),
+]
+
+# Refusals that are no range of one integer, with their own wording, that
+# raised a bare ValueError before.
+OTHER_REFUSALS = [
+    ("convolve", lambda: exactnum.convolve([], [1])),
+    ("convolution_power", lambda: exactnum.convolution_power([], 2)),
+    ("probnum_catalan", lambda: probnum.probnum_catalan(2, 3)),
+    ("asymptotic_ratio", lambda: identities.asymptotic_ratio(2, 1.0)),
+    ("split", lambda: stochastic.RandomStream(1, 2**64 - 1).split(1)),
+    ("MomentReport.ok", lambda: stochastic.MomentReport(10, ()).ok(band=0.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "caller, call", RANGE_REFUSALS, ids=[row[0] for row in RANGE_REFUSALS]
+)
+def test_range_refusal_is_a_domain_error(caller, call):
+    with pytest.raises(DomainError) as info:
+        call()
+    message = str(info.value)
+    assert any(
+        re.fullmatch(f"{re.escape(caller)} requires {shape}", message) for shape in SHAPES
+    ), message
+
+
+@pytest.mark.parametrize(
+    "caller, call", OTHER_REFUSALS, ids=[row[0] for row in OTHER_REFUSALS]
+)
+def test_other_refusal_is_a_domain_error(caller, call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_require_message_shapes():
+    with pytest.raises(DomainError) as info:
+        require("f", "n", -1, 0)
+    assert str(info.value) == "f requires n >= 0, got n=-1"
+    with pytest.raises(DomainError) as info:
+        require("f", "n", 9, 0, 8)
+    assert str(info.value) == "f requires 0 <= n <= 8, got n=9"
+    with pytest.raises(DomainError) as info:
+        require("f", "count", 1, 2, 2**16)
+    assert str(info.value) == "f requires 2 <= count <= 65536, got count=1"
+    # Both bounds are inclusive, and a DomainError is a ValueError.
+    for low, high, value in ((0, None, 0), (0, 8, 0), (0, 8, 8), (1, None, 10**30)):
+        assert require("f", "n", value, low, high) is None
+    assert issubclass(DomainError, ValueError)
