@@ -1,9 +1,11 @@
 """Probability numbers: the law of the random index mu_N.
 
 The generating function of mu_N is the reciprocal 1/T_N(1/z); its power
-series coefficients p_ell = Pr(mu_N = ell) are nonnegative rationals
-supported on {N, N+2, N+4, ...}.  This module computes them by three
-independent routes and cross-validates:
+series coefficients p_ell = Pr(mu_N = ell) are rationals supported on
+{N, N+2, N+4, ...}, every one >= 0: the law is a convolution of laws, since
+mu_N is N plus twice a sum of floor(N/2) independent geometric variables
+(``stochastic.sample_mu``).  This module computes them by three independent
+routes and cross-validates:
 
 * ``probnum_series``  -- exact: z^N times the truncated reciprocal of the
   reversed Chebyshev polynomial, by the integer long division of
@@ -39,7 +41,7 @@ table through L costs about L^2/(4N) such steps on numbers of about L bits and
 no fresh binomial.  This route shares nothing with the recurrence below.
 
 The series values live in one append-only memo per N, lock-guarded and
-held for the life of the process; the identity and sampling layers read it.
+held for the life of the process; the identity layer reads it.
 Long division by the reversed polynomial c_0 + c_1 z + ... + c_N z^N gives
 p_ell = -(c_1 p_{ell-1} + ... + c_N p_{ell-N}) / c_0.  The values are dyadic
 (the denominator of p_ell divides 2^ell), so the memo holds the integers
@@ -94,8 +96,7 @@ Method = Literal["series", "trig", "catalan"]
 
 # Bounds of a table of the law through max_ell, which set its time and memory
 # (README "Cost" gives the worst tables they admit).  The memo holds about
-# max_ell^2 / 2 bits, 64 MiB at MAX_ELL; the sampling table of mu_30 reaches
-# 28800.
+# max_ell^2 / 2 bits, 64 MiB at MAX_ELL.
 MAX_ELL = 2**15
 # A series term costs about N/2 products of taps of up to N bits by terms of
 # ell bits, so a table at most about (N max_ell)^2 bit operations, and a trig

@@ -8,8 +8,9 @@ uses x = ln(tan(pi u / 2)) / pi, evaluated as -ln(tan(pi (1 - u) / 2)) / pi
 (see :func:`_sech_fill`); differentiating F recovers sech(pi x), so the
 sampler is unbiased.
 
-The discrete ingredient is the random index mu_N sampled by inverse CDF over
-its exact table, extended on demand until the untabled mass is below 1e-15.
+The discrete ingredient is the random index mu_N, drawn as N plus twice a
+sum of floor(N/2) independent geometric variables, one uniform each (see
+:func:`sample_mu`); no table is built.
 
 numpy is the only dependency beyond the standard library: the two-sample
 Kolmogorov-Smirnov p-value is the exact law of the statistic for equal
@@ -24,9 +25,9 @@ reproduce identical arrays on any platform.
 
 A large call is cut into contiguous runs, one per CPU this process may use,
 each filled on its own thread (see :func:`_in_runs`).  A call is cut by the
-draws it makes (p per sample for mc_gen_euler, 4 for sample_mu), into runs
-of at least 2^15 draws.  Every draw is read at its own stream position, so
-the output does not depend on the number of runs.
+draws it makes (p per sample for mc_gen_euler, floor(N/2) for sample_mu),
+into runs of at least 2^15 draws.  Every draw is read at its own stream
+position, so the output does not depend on the number of runs.
 
 mc_euler_poly and mc_gen_euler share one kernel (:func:`_power_report`):
 each run draws, sums and raises its samples chunk by chunk in reused
@@ -39,7 +40,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import warnings
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -49,7 +49,8 @@ from .eulerpoly import (
     euler_numbers, euler_poly, eval_poly, gen_euler_recursive,
 )
 from .exactnum import DensePolynomial, DomainError, Rational, require
-from .probnum import probnum_series, tail_mass
+# Kept for the benchmark's tracer, which rebinds this name.
+from .probnum import probnum_series
 
 __all__ = [
     "RandomStream",
@@ -74,8 +75,7 @@ __all__ = [
     "MAX_KLEBANOV_N",
 ]
 
-_MU_TABLE_GAP = 1e-15
-# Draws per chunk of sample_mu and of the random sums: 0.5 MiB, small enough
+# Uniforms per chunk of sample_mu and of the random sums: 0.5 MiB, small enough
 # to stay in cache, large enough that the per-chunk Python overhead is small.
 _CHUNK = 2**16
 # Samples per chunk of the rep and gen kernel (_power_report): its buffers
@@ -103,14 +103,12 @@ MIN_SAMPLES = 10**4
 MIN_KLEBANOV_SAMPLES = 10**5
 # Largest count of the Monte Carlo checks, refused before any allocation.
 # Memory grows linearly with it: at 10^7 a montecarlo command peaks at about
-# 265 MiB for rep (n = 8) and gen (n = 6, p = 10), 24 bytes a sample, at
-# 420 MiB for klebanov (N = 2), and at 500 MB for klebanov at N = 30, whose
-# law table adds its own (Python 3.11).
+# 265 MiB for rep (n = 8) and gen (n = 6, p = 10), 24 bytes a sample, and
+# at about 400 MiB for klebanov at any N (Python 3.11).
 MAX_SAMPLES = 10**7
-# Largest N of sample_mu and mc_klebanov.  The sampling table of mu_N runs to
-# about 28 N^2 terms and the law memo behind it holds about N^4 bits, so
-# memory grows like N^4: at MIN_KLEBANOV_SAMPLES, N = 30 peaks at 118 MiB and
-# N = 40 would at 291 MiB (2-vCPU VM, Python 3.11).
+# Largest N of sample_mu and mc_klebanov.  The cap bounds time: E[mu_N] is
+# N^2, so mc_klebanov makes about count N^2 sech draws, 9 10^9 at MAX_SAMPLES
+# and N = 30.
 MAX_KLEBANOV_N = 30
 # MomentReport.ok fails a report whose KS p-value is below this level.
 _KS_ALPHA = 0.01
@@ -126,23 +124,15 @@ _QUAD_STEP = 1 / 16
 # fewer than 2 _MIN_RUN draws stays on the calling thread.  On a 2-vCPU VM,
 # sample_sech(10^5) took a median 0.82, 0.69, 0.89 and 0.86 ms at runs of
 # 2^14, 2^15, 2^16 and 2^17 draws, and mc_euler_poly(n = 1, 10^5) 1.42, 1.30,
-# 1.50 and 1.49 ms.  A draw of mu_N, a search in its table, counts as
-# _MU_DRAW sech draws: at N = 2, 5, 7 and 30 it took 2.2, 4.0, 4.8 and 8.2
-# times as long (10^6 on one thread), and sample_mu(N, 5*10^4) a median of
-# 1.14, 2.04, 2.86 and 5.10 ms counted as 1 (one thread), 0.77, 1.11, 1.74
-# and 2.16 ms counted as 4 (two runs).
+# 1.50 and 1.49 ms.  A draw of mu_N counts as its floor(N/2) uniforms.
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
     else os.cpu_count() or 1
 )
 _MIN_RUN = 2**15
-_MU_DRAW = 4
 # Draws per Philox counter value: a run that starts on a multiple of it
 # shares no counter block with the run before it.
 _BLOCK = 4
-
-_MU_LOCK = threading.Lock()
-_MU_TABLES: dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -282,58 +272,50 @@ def _sech_fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 
 
 def _mu_table(N: int) -> np.ndarray:
-    """Cumulative probabilities of mu_N at its support N, N + 2, ...,
-    cached; the table length doubles until the untabled mass, rounded up by
-    :func:`~.probnum.tail_mass`, drops below 1e-15."""
-    with _MU_LOCK:
-        cached = _MU_TABLES.get(N)
-        if cached is not None:
-            return cached
-        max_ell = max(4 * N * N, 64)
-        while tail_mass(N, max_ell) >= _MU_TABLE_GAP:
-            max_ell *= 2
-        table = probnum_series(N, max_ell)
-        cumulative = np.cumsum([float(v) for v in table.values[N::2]])
-        _MU_TABLES[N] = cumulative
-        return cumulative
+    """The rates r_k = log1p(-s_k), s_k = sin^2 t_k, t_k = (2k - 1) pi / 2N,
+    of the floor(N/2) geometric variables of mu_N (:func:`sample_mu`); log1p
+    keeps each to a few ulps where s_k is small."""
+    t = np.arange(1, 2 * (N // 2), 2) * (np.pi / (2 * N))
+    return np.log1p(-np.sin(t) ** 2)
 
 
 def sample_mu(stream: RandomStream, N: int, count: int) -> np.ndarray:
-    """Draws of the random index mu_N by inverse CDF over its exact table.
+    """Draws of mu_N = N + 2 (G_1 + ... + G_K), K = floor(N/2).
 
-    The support is N, N + 2, N + 4, ..., so the draw of table index i is
-    N + 2 i, written straight into the output from the search result of each
-    chunk of ``_CHUNK`` uniforms, so no array of all the uniforms is held;
-    large calls are cut into runs (:func:`_in_runs`).  The index one past
-    the table gives N + 2 len(table), the first untabled support point.
-    Draws beyond the tabled mass (total probability below 1e-15) land there;
-    they are counted and reported through a RuntimeWarning, never clamped.
+    The roots of T_N pair as +-cos t_k, so 1/T_N(1/z) = z^N prod_k
+    s_k / (1 - (1 - s_k) z^2): the G_k are independent geometric variables on
+    {0, 1, ...} with success probabilities s_k (Keilson's passage-time
+    theorem; Fill, J. Theor. Probab. 22, 2009).  Draw i maps uniforms iK to
+    iK + K - 1 of ``stream`` to G_k = floor(log(1 - u) / r_k)
+    (:func:`_mu_table`); 1 - u is exact and in (0, 1], so its log is finite.
+    A run adds the K columns of each chunk of about ``_CHUNK`` uniforms in
+    place, in a reused buffer; the terms are integer-valued floats, so the
+    sums are exact.
     """
     require("sample_mu", "N", N, 2, MAX_KLEBANOV_N)
     require("sample_mu", "count", count, 1, MAX_SAMPLES)
-    cumulative = _mu_table(N)
-    untabled = N + 2 * len(cumulative)
+    rates = _mu_table(N)
+    K = len(rates)
     out = np.empty(count, dtype=np.int64)
 
     def run(lo, hi):
-        rng = stream.generator(lo)
-        for a in range(lo, hi, _CHUNK):
-            b = min(a + _CHUNK, hi)
-            # The uniforms fill the output's own bytes until they are searched.
-            u = rng.random(out=out[a:b].view(np.float64))
-            np.multiply(np.searchsorted(cumulative, u, side="right"), 2, out=out[a:b])
-            out[a:b] += N
+        rng = stream.generator(lo * K)
+        buffer = np.empty((min(_CHUNK // K, hi - lo), K))
+        for a in range(lo, hi, _CHUNK // K):
+            g = buffer[: hi - a]
+            rng.random(out=g)
+            np.subtract(1.0, g, out=g)
+            np.log(g, out=g)
+            np.divide(g, rates, out=g)
+            np.floor(g, out=g)
+            total = g[:, 0]
+            for k in range(1, K):
+                total += g[:, k]
+            total *= 2
+            total += N
+            out[a:a + len(g)] = total
 
-    _in_runs(run, _cuts(count, _MU_DRAW))
-    n_overflow = int(np.count_nonzero(out == untabled))
-    if n_overflow:
-        warnings.warn(
-            f"sample_mu(N={N}): {n_overflow} of {count} draws fell beyond the "
-            f"tabled mass; assigned to the first untabled support point "
-            f"{untabled}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _in_runs(run, _cuts(count, K))
     return out
 
 

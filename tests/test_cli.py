@@ -419,16 +419,6 @@ class TestMonteCarlo:
         assert proc.stderr == ""
         assert proc.stdout.count("band: 4.0 SE -> FAIL\n") == 2
 
-    def test_klebanov_N_beyond_the_cap_builds_no_table(self, capsys):
-        N = stochastic.MAX_KLEBANOV_N + 1
-        code, out, err = run(capsys, "montecarlo", "klebanov", "--N", str(N))
-        assert (code, out) == (2, "")
-        assert f"2 <= N <= {N - 1}, got N={N}" in err
-        assert N not in stochastic._MU_TABLES
-        with pytest.raises(DomainError):
-            stochastic.sample_mu(stochastic.RandomStream(1), N, 10)
-        assert N not in stochastic._MU_TABLES
-
     def test_rep_constant_real_part(self, capsys):
         code, out, _ = run(
             capsys, "montecarlo", "rep", "--n", "1", "--x", "1/3",

@@ -215,55 +215,89 @@ class TestMuSampling:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_table_of_the_largest_N_is_within_the_law_caps(self):
-        # The table of mu_30 runs through ell = 28800, below probnum.MAX_ELL.
-        N = stochastic_module.MAX_KLEBANOV_N
-        cumulative = stochastic_module._mu_table(N)
-        assert N + 2 * (len(cumulative) - 1) == 28800 <= MAX_ELL
+    @pytest.mark.parametrize("N", (2, 3, 4, 5, 7, 10, 13, 16, 20))
+    def test_geometric_sum_law_is_the_exact_law(self, N):
+        # mu_N = N + 2 (G_1 + ... + G_K), G_k geometric with
+        # P(G_k = j) = exp(j r_k) - exp((j + 1) r_k): the float convolution of
+        # these laws is the exact law p_ell = a_ell / 2^ell to rounding.
+        L = min(40 * N * N, MAX_ELL)
+        support = range(N, L + 1, 2)
+        j = np.arange(len(support))
+        law = np.zeros(len(support))
+        law[0] = 1.0
+        for r in stochastic_module._mu_table(N):
+            law = np.convolve(law, np.exp(j * r) - np.exp((j + 1) * r))[:len(support)]
+        a = probnum._law(N, L)
+        exact = np.array([a[ell] / 2**ell for ell in support])
+        assert np.abs(law - exact).max() <= 2**-52
 
-    def test_tables_equal_the_fraction_doubling_loop(self):
-        # The sampling tables fix every pinned-seed draw, so they must match,
-        # byte for byte, those of the loop that re-sums the Fraction table at
-        # every doubling until the untabled mass is below 1e-15.
-        import chebprob.stochastic as stochastic_module
+    @pytest.mark.parametrize("N", range(2, stochastic_module.MAX_KLEBANOV_N + 1))
+    def test_success_probabilities_multiply_to_T_N_at_one(self, N):
+        # T_N(1) = 1 = 2^(N-1) prod_k s_k, s_k = 1 - exp(r_k).
+        rates = stochastic_module._mu_table(N)
+        assert len(rates) == N // 2
+        assert abs(np.prod(-np.expm1(rates)) * 2.0 ** (N - 1) - 1) <= 1e-14
 
-        with stochastic_module._MU_LOCK:
-            stochastic_module._MU_TABLES.clear()
-        for N in range(2, 11):
-            max_ell = max(4 * N * N, 64)
-            while True:
-                table = probnum_series(N, max_ell)
-                if 1 - sum(table.values) < Fraction(1, 10**15):
-                    break
-                max_ell *= 2
-            support = np.arange(N, max_ell + 1, 2, dtype=np.int64)
-            cumulative = np.cumsum([float(table.values[v]) for v in support])
-            got_cumulative = stochastic_module._mu_table(N)
-            assert got_cumulative.dtype == cumulative.dtype, N
-            assert got_cumulative.tobytes() == cumulative.tobytes(), N
+    @pytest.mark.parametrize("N", (2, 3, 4, 5, 7, 30))
+    def test_draws_equal_the_whole_array_expression(self, N, monkeypatch):
+        # Short runs of several chunks each, and a count that no run length
+        # divides, at the cap's N too.
+        monkeypatch.setattr(stochastic_module, "_MIN_RUN", 2**10)
+        monkeypatch.setattr(stochastic_module, "_WORKERS", 3)
+        stream = RandomStream(21, N)
+        draws = sample_mu(stream, N, 10**5 + 3)
+        assert draws.dtype == np.int64
+        assert draws.tobytes() == reference_mu(stream, N, 10**5 + 3).tobytes()
 
-    def test_untabled_mass_is_reported(self, monkeypatch):
-        # Force a truncated table: draws beyond it must land on the first
-        # untabled support point and be announced, never silently clamped.
-        import chebprob.stochastic as stochastic_module
+    @pytest.mark.parametrize("N", (2, 3, 5, 7, 10, 30))
+    def test_chi_square_against_the_exact_law(self, N):
+        # Direct goodness of fit at alpha = 1e-6, on one pinned stream per N.
+        draws = sample_mu(RandomStream(31, N), N, 10**6)
+        assert chi_square_pvalue(draws, N) >= MU_ALPHA
 
-        cumulative = np.array([0.5, 0.75])  # at the support points 2 and 4
-        monkeypatch.setitem(stochastic_module._MU_TABLES, 2, cumulative)
-        with pytest.warns(RuntimeWarning, match="untabled support point 6"):
-            draws = sample_mu(RandomStream(13), 2, 10**4)
-        beyond = (draws == 6).mean()
-        assert 0.2 < beyond < 0.3  # the quarter of mass past the fake table
-        assert set(np.unique(draws)) <= {2, 4, 6}
-        assert draws.tobytes() == reference_mu(RandomStream(13), 2, 10**4).tobytes()
+    @pytest.mark.parametrize("defect", ("tail cut at N + 40", "5% shifted by 2"))
+    def test_chi_square_rejects_planted_defects(self, defect):
+        # mc_klebanov at 10^5 samples misses both, since its random sums
+        # average mu away; the direct test must see both on every stream,
+        # and pass the same draws before the defect is planted.
+        N = 3
+        for r in range(10):
+            draws = sample_mu(RandomStream(600 + r, N), N, 10**5)
+            assert chi_square_pvalue(draws, N) >= MU_ALPHA, r
+            if defect == "tail cut at N + 40":
+                np.minimum(draws, N + 40, out=draws)
+            else:
+                draws[::20] += 2
+            assert chi_square_pvalue(draws, N) < MU_ALPHA, r
 
-    def test_draws_are_the_support_at_the_searched_index(self):
-        # N + 2 i is support[i], and N + 2 len(support) the first untabled
-        # point, so the index arithmetic gives the gathered draws exactly.
-        for N in range(2, 8):
-            stream = RandomStream(21, N)
-            draws = sample_mu(stream, N, 10**5)
-            assert draws.dtype == np.int64
-            assert draws.tobytes() == reference_mu(stream, N, 10**5).tobytes(), N
+
+MU_ALPHA = 1e-6
+
+
+def chi_square_pvalue(draws, N):
+    """Pearson's chi-square p-value of the draws of mu_N against the exact
+    law: consecutive support points pooled into bins of expected count at
+    least 20, the head into the first bin and the tail, mass beyond L
+    included, into the last; scipy is the oracle of the p-value."""
+    L = 16 * N * N
+    a = probnum._law(N, L)
+    support = range(N, L + 1, 2)
+    expected = np.array([a[ell] / 2**ell for ell in support]) * len(draws)
+    starts, mass = [0], 0.0
+    for i, e in enumerate(expected):
+        if mass >= 20:
+            starts.append(i)
+            mass = 0.0
+        mass += e
+    if mass < 20:
+        starts.pop()
+    beyond = Fraction(2**L - sum(a[ell] << (L - ell) for ell in support), 2**L)
+    bins = np.add.reduceat(expected, starts)
+    bins[-1] += float(beyond) * len(draws)
+    index = np.searchsorted(starts, (draws - N) // 2, side="right") - 1
+    observed = np.bincount(index, minlength=len(starts))
+    statistic = float(((observed - bins) ** 2 / bins).sum())
+    return float(stats.chi2.sf(statistic, len(bins) - 1))
 
 
 def law_moments(N, order):
@@ -290,12 +324,11 @@ def law_moments(N, order):
 
 
 def reference_mu(stream, N, count):
-    """sample_mu as a gather: support[i] for table index i, and the first
-    untabled support point past the table."""
-    cumulative = stochastic_module._mu_table(N)
-    idx = np.searchsorted(cumulative, stream.generator().random(count), side="right")
-    extended = np.arange(N, N + 2 * len(cumulative) + 1, 2, dtype=np.int64)
-    return extended[idx]
+    """sample_mu as one whole-array expression: row i of the uniforms gives
+    the geometric variables of draw i."""
+    rates = stochastic_module._mu_table(N)
+    u = stream.generator().random((count, len(rates)))
+    return N + 2 * np.floor(np.log(1 - u) / rates).sum(axis=1).astype(np.int64)
 
 
 class TestMomentReports:
@@ -806,14 +839,14 @@ class TestRuns:
         # The benchmark's tracer wraps these names and keeps one span stack:
         # a worker that called one would corrupt it, and would change what the
         # traced draw count means.  Every public function of the module and
-        # the two table builders are watched, through the calls the module
-        # makes and those made here, while the kernels run on workers.
+        # _mu_table are watched, through the calls the module makes and
+        # those made here, while the kernels run on workers.
         public = [
             name for name in stochastic_module.__all__
             if inspect.isfunction(getattr(stochastic_module, name))
         ]
         threads = []
-        for name in public + ["_mu_table", "probnum_series"]:
+        for name in public + ["_mu_table"]:
             real = getattr(stochastic_module, name)
 
             def spy(*args, real=real, name=name):
