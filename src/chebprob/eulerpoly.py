@@ -33,10 +33,10 @@ shares nothing with the values at zero of either route; E_n = 2^n E_n(1/2)
 therefore compares two independent recurrences (acceptance criterion 6).
 
 The value-at-zero rows of the recursive route are memoized per order behind
-a lock; the identity sweeps downstream touch hundreds of orders and reuse
-them heavily.  The values at zero are dyadic (2^n E_n^{(p)}(0) is an
-integer), so the rows are held as those integers and the convolutions run in
-``int``; a Fraction is made only on the way out.
+a lock; the identity seeds its difference table from n//2 + 1 orders.  The
+values at zero are dyadic (2^n E_n^{(p)}(0) is an integer), so the rows are
+held as those integers and the convolutions run in ``int``; a Fraction is
+made only on the way out.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .exactnum import (
     convolution_power,
     dyadic,
     extend_quotient,
-    horner,
     require,
 )
 
@@ -131,17 +130,9 @@ def gen_euler_zero(p: int, max_n: int) -> tuple[Fraction, ...]:
     """E_0^{(p)}(0)..E_max_n^{(p)}(0), exact and memoized per order."""
     require("gen_euler_zero", "p", p, 0)
     require("gen_euler_zero", "max_n", max_n, 0)
-    return tuple(dyadic(b, n) for n, b in enumerate(_zero_row(p, max_n)[: max_n + 1]))
-
-
-def _zero_row(p: int, max_n: int) -> list[int]:
-    """The memo row of order p, holding 2^n E_n^{(p)}(0), through max_n.
-
-    The list is append-only: callers index it below ``max_n`` without the
-    lock, and never mutate it.
-    """
     with _CACHE_LOCK:
-        return _zero_rows_upto(p, max_n)
+        row = _zero_rows_upto(p, max_n)[: max_n + 1]
+    return tuple(dyadic(b, n) for n, b in enumerate(row))
 
 
 def euler_poly(n: int) -> DensePolynomial:
@@ -186,13 +177,15 @@ def gen_euler_series(n: int, p: int) -> DensePolynomial:
 def eval_poly(poly: DensePolynomial, x: Rational) -> Fraction:
     """Exact value of the polynomial at a rational point.
 
-    The coefficients are put over one common denominator and summed by
-    :func:`~.exactnum.horner`, so the result is normalized once instead of
-    at every step.
+    The coefficients are put over one common denominator and summed by a
+    homogeneous Horner in integers, so the result is normalized once instead
+    of at every step.
     """
     coefficients = poly.coefficients
     x = Fraction(x)
     den = math.lcm(*(c.denominator for c in coefficients))
-    scaled = [c.numerator * (den // c.denominator) for c in coefficients]
-    value = horner(scaled, x.numerator, x.denominator)
+    value, q_power = 0, 1
+    for c in reversed(coefficients):
+        value = value * x.numerator + c.numerator * (den // c.denominator) * q_power
+        q_power *= x.denominator
     return Fraction(value, den * x.denominator ** (len(coefficients) - 1))

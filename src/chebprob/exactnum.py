@@ -1,6 +1,6 @@
 """Exact combinatorial primitives: binomials, Catalan and ballot numbers,
-sequence convolution, integer series long division, dyadic rationals, the
-dense polynomial type and integer Horner evaluation.
+sequence convolution, integer series long division, dyadic rationals and
+the dense polynomial type.
 
 All arithmetic here is exact.  Plain ``int`` is the arbitrary-precision
 integer and :class:`fractions.Fraction` the exact rational (always stored
@@ -29,7 +29,6 @@ __all__ = [
     "convolution_power",
     "extend_quotient",
     "dyadic",
-    "horner",
     "DensePolynomial",
     "format_rational",
     "float_or_inf",
@@ -186,17 +185,6 @@ def dyadic(numerator: int, exponent: int) -> Fraction:
     out._numerator = numerator >> shift
     out._denominator = 1 << (exponent - shift)
     return out
-
-
-def horner(coefficients: Sequence[int], u: int, q: int) -> int:
-    """Homogeneous Horner: sum_j c_j u^j q^(d-j) with d = len - 1, that is
-    q^d times the polynomial (index = power) at u/q, in integers only."""
-    acc = 0
-    q_power = 1
-    for c in reversed(coefficients):
-        acc = acc * u + c * q_power
-        q_power *= q
-    return acc
 
 
 @dataclass(frozen=True)

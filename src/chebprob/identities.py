@@ -4,8 +4,8 @@
 
       E_n(x) = N^{-n} sum_{k >= N} p_k E_n^{(k)}( k/2 + N (x - 1/2) )
 
-  with exact arithmetic until it matches the directly computed E_n(x) to a
-  requested tolerance.
+  with exact arithmetic, stepping a difference table in k, until it matches
+  the directly computed E_n(x) to a requested tolerance.
 * ``expectation_form_check`` verifies the underlying expectation identity
   sum_k p_k E_n^{(k)}(k/2) = N^n E_n(1/2): the same sum at x = 1/2, not
   divided by N^n.  Both run one summation routine, ``_reconstruct``.
@@ -24,16 +24,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eulerpoly import _zero_row, euler_poly, eval_poly
+from .eulerpoly import euler_poly, eval_poly, gen_euler_recursive
 from .exactnum import (
     DomainError,
     Rational,
-    binomial,
     catalan_sequence,
     convolution_power,
     float_or_inf,
     format_rational,
-    horner,
     require,
 )
 from .probnum import _law
@@ -51,14 +49,14 @@ __all__ = [
 # The least term budget; the budget grows from here (_default_max_k).
 DEFAULT_MAX_K = 2000
 # The largest term budget.  A sum forced to the end of it (n = 8, N = 10,
-# x = 10^6) took 6.5 s and 186 MB on a 2-vCPU VM, and the law memo through k
-# holds about k^2 / 2 bits, so the budget of n = 8, N = 10, x = 10^400
-# (607350) would hold about 23 GB.
+# x = 10^6) took 2.4 s and 153 MB on a 2-vCPU VM.  Its memory is the law
+# memo, which through k holds about k^2 / 2 bits, so the budget of n = 8,
+# N = 10, x = 10^400 (607350) would hold about 23 GB.
 MAX_K = 2**16
 # Largest n and N of the identity.  A sum to the end of a budget of MAX_K
-# builds the zero rows of every order below it, O(n^2) operations and about
-# n^2 log2(k) bits each, and the law of mu_N through it; at n = MAX_DEGREE
-# and N = MAX_N that takes the time and memory given in README "Cost".
+# builds the law of mu_N through it, O(N) operations on k-bit numbers per
+# term, and n//2 additions per term; at n = MAX_DEGREE and N = MAX_N that
+# takes the time and memory given in README "Cost".
 MAX_DEGREE = 32
 MAX_N = 2**7
 
@@ -156,13 +154,15 @@ def _reconstruct(
     a term budget of at most MAX_K; ``caller`` names the entry point in the
     DomainError, ``what`` the sum in the ConvergenceError.
 
-    With x = u/q, the argument is Y_j / 2q for Y_j = jq + N(2u - q).  The law
-    gives a_j = 2^j p_j and the zero rows b_m = 2^m E_m^{(j)}(0), both
-    integers, so E_n^{(j)}(Y_j / 2q) = H_j / (2^n q^n) with H_j the
-    homogeneous Horner sum of the coefficients binom(n, i) b_{n-i} at
-    (Y_j, q).  S_k = total / den with den = 2^(n+k) q^n; no gcd is taken.
-    With target = g / h and tol = e / f, the stop test and the small-term
-    test are multiplied through by scale den h f > 0.
+    With x = u/q, the argument is Y_k / 2q for Y_k = kq + N(2u - q), and
+    H_k = (2q)^n E_n^{(k)}(Y_k / 2q) is an integer.  E_n^{(k)}(k/2 + w) has
+    the egf sech(t/2)^k e^{wt} and log sech(t/2) = O(t^2), so H_k is a
+    polynomial of degree at most n//2 in k (Noerlund).  Seeded at k = N, ...,
+    N + 2(n//2) (ArithmeticError if a seed is no integer) and differenced, a
+    term is a_k H_k, a_k = 2^k p_k, and n//2 additions step the table.  S_k =
+    total / den with den = 2^(n+k) q^n; no gcd is taken.  With target = g / h
+    and tol = e / f, the stop test and the small-term test are multiplied
+    through by scale den h f > 0.
     """
     require(caller, "n", n, 0, MAX_DEGREE)
     require(caller, "N", N, 1, MAX_N)
@@ -182,15 +182,25 @@ def _reconstruct(
     e, f = tol_exact.numerator, tol_exact.denominator
     u, q = x.numerator, x.denominator
     q_n = q**n
-    binomials = [binomial(n, i) for i in range(n + 1)]
     offset = N * (2 * u - q)
+    order = n // 2
+    table = []
+    for k in range(N, N + 2 * order + 1, 2):
+        point = Fraction(k * q + offset, 2 * q)
+        seed = eval_poly(gen_euler_recursive(n, k), point) * (2 * q) ** n
+        if seed.denominator != 1:
+            raise ArithmeticError(f"(2q)^n E_{n}^({k})({point}) is not an integer")
+        table.append(seed.numerator)
+    for i in range(1, order + 1):
+        for j in range(order, i - 1, -1):
+            table[j] -= table[j - 1]
     terms_used = 0
     first_small: int | None = None
     total = 0
     for k in range(N, budget + 1, 2):
-        row = _zero_row(k, n)
-        coefficients = [binomials[i] * row[n - i] for i in range(n + 1)]
-        term = _law(N, k)[k] * horner(coefficients, k * q + offset, q)
+        term = _law(N, k)[k] * table[0]
+        for i in range(order):
+            table[i] += table[i + 1]
         total = (total << 2) + term
         den = q_n << (n + k)
         terms_used += 1

@@ -143,7 +143,8 @@ class RandomStream:
     stream see the same numbers, and any position can be read directly
     (:meth:`generator`).  Use :meth:`split` to hand independent sub-streams
     to independent consumers.  The seed and the stream id are the two 64-bit
-    words of the generator's key, so each is refused outside [0, 2^64),
+    words of the generator's key, held as ints: each is refused if it is no
+    integer (numpy truncated 1.5 and True to 1) or lies outside [0, 2^64),
     where it would wrap onto another stream.
     """
 
@@ -152,10 +153,16 @@ class RandomStream:
 
     def __post_init__(self):
         for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(
+                    f"RandomStream requires an integer {name}, got {name}={value!r}"
+                )
+            value = int(value)
             if not 0 <= value < 2**64:
                 raise DomainError(
                     f"RandomStream requires 0 <= {name} < 2^64, got {name}={value}"
                 )
+            object.__setattr__(self, name, value)
 
     def generator(self, offset: int = 0) -> np.random.Generator:
         """A generator whose next draw is draw ``offset`` of the stream.

@@ -267,14 +267,33 @@ README_COMMANDS = [
 ]
 
 
+# Deeper commands whose stdout is kept in golden/: an identity of 8296 terms,
+# whose sum runs far past the README examples.
+DEEP_COMMANDS = [
+    ("identity_n12_N20_json",
+     ("identity", "--n", "12", "--N", "20", "--x", "3/7", "--tol", "1e-12",
+      "--format", "json")),
+]
+
+
 class TestGolden:
     @pytest.mark.parametrize(
         "name, argv", README_COMMANDS, ids=[row[0] for row in README_COMMANDS]
     )
     def test_readme_command_stdout(self, capsys, name, argv):
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert out == (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
+        assert_golden(capsys, name, argv)
+
+    @pytest.mark.parametrize(
+        "name, argv", DEEP_COMMANDS, ids=[row[0] for row in DEEP_COMMANDS]
+    )
+    def test_deep_command_stdout(self, capsys, name, argv):
+        assert_golden(capsys, name, argv)
+
+
+def assert_golden(capsys, name, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
 
 
 class TestInternalFault:

@@ -29,10 +29,9 @@ UNUSED_BY_DESIGN = {
 }
 
 # Private names one src module may import from another: the identity's
-# summation reads the integer law and zero-row memos directly.
+# summation reads the integer law memo directly.
 PRIVATE_IMPORTS = {
     ("identities", "probnum", "_law"),
-    ("identities", "eulerpoly", "_zero_row"),
 }
 
 @pytest.mark.parametrize("name", MODULES)

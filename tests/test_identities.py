@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebprob.chebyshev import chebyshev_T
-from chebprob.eulerpoly import euler_poly, eval_poly, gen_euler_recursive
-from chebprob.exactnum import DomainError
+from chebprob.eulerpoly import (
+    euler_poly, eval_poly, gen_euler_recursive, gen_euler_zero,
+)
+from chebprob.exactnum import DensePolynomial, DomainError
 from chebprob.identities import (
     DEFAULT_MAX_K,
     MAX_K,
@@ -274,6 +276,117 @@ class TestIntegerLoop:
         exact = reconstruct_euler(2, 3, Fraction(1, 3), 1e-9)
         monkeypatch.setattr(identities_module, "_default_max_k", lambda *args: MAX_K)
         assert reconstruct_euler(2, 3, Fraction(1, 3), 1e-9) == exact
+
+
+def per_order_sum(what, n, N, x, scale, tol, budget):
+    """The identity's sum as it ran before the difference table: for each
+    term k, the zero row of order k as the integers b_m = 2^m E_m^{(k)}(0),
+    then the homogeneous Horner sum of binom(n, i) b_{n-i} at (Y_k, q),
+    Y_k = kq + N(2u - q); the same stop tests on the same integers."""
+    x = Fraction(x)
+    target = eval_poly(euler_poly(n), x) * Fraction(N**n, scale)
+    g, h = target.numerator * scale, target.denominator
+    e, f = Fraction(tol).numerator, Fraction(tol).denominator
+    u, q = x.numerator, x.denominator
+    weights = probnum_series(N, max(N, budget)).values
+    total, terms_used, first_small = 0, 0, None
+    for k in range(N, budget + 1, 2):
+        row = [int(b * 2**m) for m, b in enumerate(gen_euler_zero(k, n))]
+        horner, q_power = 0, 1
+        for i in range(n, -1, -1):
+            coefficient = math.comb(n, i) * row[n - i]
+            horner = horner * (k * q + N * (2 * u - q)) + coefficient * q_power
+            q_power *= q
+        term = int(weights[k] * 2**k) * horner
+        total = (total << 2) + term
+        den = q**n << (n + k)
+        terms_used += 1
+        bound = e * scale * den
+        if first_small is None and 10 * f * abs(term) < bound:
+            first_small = k
+        if abs(total * h - g * den) * f <= bound * h:
+            partial = Fraction(total, scale * den)
+            tail = 0.0
+            if N > 1:
+                decay = math.cos(math.pi / (2 * N))
+                last_term = float(Fraction(abs(term), scale * den))
+                tail = last_term * decay**2 / (1.0 - decay**2)
+            return ReconstructionResult(
+                n, N, x, terms_used, partial, target,
+                float(abs(partial - target)), tail, first_small,
+            )
+    raise ConvergenceError(
+        f"{what} not within {tol} by k={budget}, the end of the term budget",
+        achieved_error=float(abs(Fraction(total, scale * den) - target)),
+    )
+
+
+class TestDifferenceTable:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(0, 12),
+        N=st.integers(1, 7),
+        x=st.one_of(
+            st.integers(1, 4).flatmap(
+                lambda b: st.builds(Fraction, st.integers(-3 * b, 3 * b), st.just(b))
+            ),
+            st.just(Fraction(10**6)),
+        ),
+        tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+        data=st.data(),
+    )
+    def test_equals_the_per_order_sum(self, n, N, x, tol, data):
+        # Byte for byte: the report, its json_dict and the expectation value,
+        # under the library's budget or a small one (the ConvergenceError).
+        small = data.draw(st.one_of(st.none(), st.integers(N, 30)))
+        default = _default_max_k
+
+        def budget(*args):
+            return default(*args) if small is None else small
+
+        series = f"series for E_{n}(x) with N={N}"
+        identity = f"expectation identity for n={n}, N={N}"
+        with mock.patch.object(identities_module, "_default_max_k", budget):
+            got = outcome(reconstruct_euler, n, N, x, tol)
+            expectation = outcome(expectation_form_check, n, N, tol)
+        want = outcome(
+            per_order_sum, series, n, N, x, N**n, tol, budget(n, N, tol, x)
+        )
+        assert got == want
+        if isinstance(got, ReconstructionResult):
+            assert got.json_dict() == want.json_dict()
+        want = outcome(
+            per_order_sum, identity, n, N, Fraction(1, 2), 1, tol, budget(n, N, tol)
+        )
+        if isinstance(want, ReconstructionResult):
+            want = abs(want.partial_value - want.target)
+        assert expectation == want
+
+    def test_a_seed_that_is_no_integer_is_refused(self, monkeypatch):
+        # (2q)^n E_n^{(k)} at the point is an integer; a third is not.
+        third = DensePolynomial((Fraction(1, 3),))
+        monkeypatch.setattr(identities_module, "gen_euler_recursive", lambda n, k: third)
+        with pytest.raises(ArithmeticError, match=r"E_2\^\(3\)\(0\) is not an integer"):
+            reconstruct_euler(2, 3, 0, 1e-9)
+
+    def test_degree_in_the_order_is_at_most_n_over_2(self):
+        # E_n^{(k)}(k/2 + w) has the egf sech(t/2)^k e^{wt} and log sech(t/2)
+        # = O(t^2), so in k it is a polynomial of degree at most n//2: its
+        # step-2 difference of order n//2 + 1 vanishes.
+        for n in range(33):
+            steps = n // 2 + 1
+            for N in (1, 2, 5, 128):
+                for x in (Fraction(0), Fraction(1, 2), Fraction(-7, 4), Fraction(10**6)):
+                    w = N * (x - Fraction(1, 2))
+                    values = [
+                        eval_poly(gen_euler_recursive(n, k), Fraction(k, 2) + w)
+                        for k in range(N, N + 2 * steps + 1, 2)
+                    ]
+                    difference = sum(
+                        (-1) ** (steps - j) * math.comb(steps, j) * value
+                        for j, value in enumerate(values)
+                    )
+                    assert difference == 0, (n, N, x)
 
 
 class TestExpectationForm:

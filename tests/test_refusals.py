@@ -8,6 +8,7 @@ sequence, a parity) raise DomainError with their own wording.
 
 import re
 
+import numpy as np
 import pytest
 
 from chebprob import (
@@ -73,6 +74,11 @@ OTHER_REFUSALS = [
     ("probnum_catalan", lambda: probnum.probnum_catalan(2, 3)),
     ("asymptotic_ratio", lambda: identities.asymptotic_ratio(2, 1.0)),
     ("split", lambda: stochastic.RandomStream(1, 2**64 - 1).split(1)),
+    # numpy truncated these keys: each drew what RandomStream(1) draws.
+    ("RandomStream", lambda: stochastic.RandomStream(1.5)),
+    ("RandomStream", lambda: stochastic.RandomStream(True)),
+    ("RandomStream", lambda: stochastic.RandomStream(1, 1.0)),
+    ("RandomStream", lambda: stochastic.RandomStream(np.float64(1))),
     ("MomentReport.ok", lambda: stochastic.MomentReport(10, ()).ok(band=0.0)),
 ]
 

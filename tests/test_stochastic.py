@@ -95,6 +95,13 @@ class TestRandomStream:
         with pytest.raises(DomainError, match="RandomStream requires 0 <= "):
             RandomStream(seed, stream_id)
 
+    def test_numpy_integer_key_words_are_stored_as_ints(self):
+        # An np.int32 stream id overflowed in split: 40000 * 2^16 wrapped.
+        stream = RandomStream(np.uint64(9), np.int32(40000))
+        assert stream == RandomStream(9, 40000)
+        assert type(stream.seed) is int and type(stream.stream_id) is int
+        assert stream.split(1)[0].stream_id == 40000 * 2**16 + 1
+
     def test_key_words_at_the_top_of_64_bits(self):
         top = RandomStream(2**64 - 1, 2**64 - 1)
         assert np.array_equal(sample_sech(top, 16), sample_sech(top, 16))
