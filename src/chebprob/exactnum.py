@@ -37,7 +37,7 @@ __all__ = [
 
 class DomainError(ValueError):
     """An argument outside the domain of a public function, raised before any
-    work is done: by :func:`require` for the range of one integer, inline for
+    work is done: by :func:`require` for one integer and its range, inline for
     the rest (a float, two arguments at once, an empty sequence, a parity).
     The command line reports it as a usage error; every other exception is a
     fault of the program."""
@@ -49,7 +49,18 @@ def require(
     """Refuse argument ``name`` of ``caller`` outside low <= value <= high
     (no upper bound when ``high`` is None) with a DomainError: "<caller>
     requires <low> <= <name> <= <high>, got <name>=<value>", or "<caller>
-    requires <name> >= <low>, got <name>=<value>"."""
+    requires <name> >= <low>, got <name>=<value>".
+
+    A bool, or a value with no ``__index__`` (a float, a Fraction), is no
+    integer and is refused first, as "<caller> requires an integer <name>,
+    got <name>=<value!r>"; numpy integers pass.  A plain int passes on one
+    type test, since the law routes check an index per term."""
+    if type(value) is not int and (
+        isinstance(value, bool) or not hasattr(value, "__index__")
+    ):
+        raise DomainError(
+            f"{caller} requires an integer {name}, got {name}={value!r}"
+        )
     if high is None:
         if value < low:
             raise DomainError(f"{caller} requires {name} >= {low}, got {name}={value}")

@@ -25,7 +25,6 @@ UNUSED_BY_DESIGN = {
     "__version__": "package metadata",
     "asymptotic_ratio": "acceptance criterion 9, the large-N ratio of 1/T_N(1/z)",
     "chebyshev_U": "the Bernoulli companion through U_(N-1) (ROADMAP item 6)",
-    "sech_cdf": "the distribution function the sech sampler is tested against",
 }
 
 # Private names one src module may import from another: the identity's

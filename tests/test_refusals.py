@@ -1,10 +1,13 @@
 """Every public refusal is a DomainError.
 
 A range of one integer is refused by ``exactnum.require`` in one of its two
-message shapes, which start with the name of the refusing function; the
-checks that are no such range (a float, two arguments at once, an empty
-sequence, a parity) raise DomainError with their own wording.
+message shapes, which start with the name of the refusing function, and a
+value that is no integer (a float, a bool) in its third; the checks that are
+no such range (a float, two arguments at once, an empty sequence, a parity)
+raise DomainError with their own wording.
 """
+
+from fractions import Fraction
 
 import re
 
@@ -66,6 +69,43 @@ RANGE_REFUSALS = [
     ("moment_integral_check", lambda: stochastic.moment_integral_check(15)),
 ]
 
+# (name the message starts with, integer argument, call with it as v)
+INTEGER_ARGUMENTS = [
+    ("chebyshev_T", "N", lambda v: chebyshev.chebyshev_T(v)),
+    ("chebyshev_U", "N", lambda v: chebyshev.chebyshev_U(v)),
+    ("reversed_T", "N", lambda v: chebyshev.reversed_T(v)),
+    ("euler_numbers", "max_n", lambda v: eulerpoly.euler_numbers(v)),
+    ("gen_euler_zero", "max_n", lambda v: eulerpoly.gen_euler_zero(2, v)),
+    ("euler_poly", "n", lambda v: eulerpoly.euler_poly(v)),
+    ("gen_euler_recursive", "p", lambda v: eulerpoly.gen_euler_recursive(2, v)),
+    ("gen_euler_series", "n", lambda v: eulerpoly.gen_euler_series(v, 1)),
+    ("binomial", "n", lambda v: exactnum.binomial(v, 0)),
+    ("catalan_sequence", "count", lambda v: exactnum.catalan_sequence(v)),
+    ("ballot_number", "n", lambda v: exactnum.ballot_number(v, 0)),
+    ("convolution_power", "N", lambda v: exactnum.convolution_power([1, 1], v)),
+    ("reconstruct_euler", "N", lambda v: identities.reconstruct_euler(1, v, 0, 1e-9)),
+    ("expectation_form_check", "n", lambda v: identities.expectation_form_check(v, 2)),
+    ("asymptotic_ratio", "N", lambda v: identities.asymptotic_ratio(v, 0.5)),
+    ("catalan_prefix_check", "N", lambda v: identities.catalan_prefix_check(v)),
+    ("root_angles", "N", lambda v: probnum.root_angles(v)),
+    ("trig_value", "ell", lambda v: probnum.trig_value(2, v)),
+    ("probnum_catalan", "ell", lambda v: probnum.probnum_catalan(2, v)),
+    ("geometric_tail_bound", "N", lambda v: probnum.geometric_tail_bound(v, 10)),
+    ("probnum_series", "N", lambda v: probnum.probnum_series(v, 5)),
+    ("probnum_trig", "N", lambda v: probnum.probnum_trig(v, 5)),
+    ("catalan_table", "N", lambda v: probnum.catalan_table(v, 5)),
+    ("cross_validate", "N", lambda v: probnum.cross_validate(v, 5)),
+    ("tail_mass", "N", lambda v: probnum.tail_mass(v, 5)),
+    ("TruncatedSeries.of", "order", lambda v: series.TruncatedSeries.of([1], v)),
+    ("split", "count", lambda v: STREAM.split(v)),
+    ("sample_sech", "count", lambda v: stochastic.sample_sech(STREAM, v)),
+    ("sample_mu", "N", lambda v: stochastic.sample_mu(STREAM, v, 10)),
+    ("mc_euler_poly", "n", lambda v: stochastic.mc_euler_poly(STREAM, v, 0, 10**4)),
+    ("mc_gen_euler", "p", lambda v: stochastic.mc_gen_euler(STREAM, 1, v, 0, 10**4)),
+    ("mc_klebanov", "N", lambda v: stochastic.mc_klebanov(STREAM, v, 10**5)),
+    ("moment_integral_check", "k", lambda v: stochastic.moment_integral_check(v)),
+]
+
 # Refusals that are no range of one integer, with their own wording, that
 # raised a bare ValueError before.
 OTHER_REFUSALS = [
@@ -95,6 +135,19 @@ def test_range_refusal_is_a_domain_error(caller, call):
     ), message
 
 
+# Before require took integers alone, a float or a bool got through it:
+# mc_klebanov(s, 2.5, n) returned a report, probnum_series(True, 3) a table
+# with N=True, and others failed with a TypeError deep inside.
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "caller, name, call", INTEGER_ARGUMENTS, ids=[row[0] for row in INTEGER_ARGUMENTS]
+)
+def test_non_integer_is_a_domain_error(caller, name, call, value):
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert str(info.value) == f"{caller} requires an integer {name}, got {name}={value!r}"
+
+
 @pytest.mark.parametrize(
     "caller, call", OTHER_REFUSALS, ids=[row[0] for row in OTHER_REFUSALS]
 )
@@ -117,3 +170,15 @@ def test_require_message_shapes():
     for low, high, value in ((0, None, 0), (0, 8, 0), (0, 8, 8), (1, None, 10**30)):
         assert require("f", "n", value, low, high) is None
     assert issubclass(DomainError, ValueError)
+
+
+def test_require_takes_integers_alone():
+    # numpy integers are integers; a numpy bool, a float of integer value
+    # and an integer Fraction are not.
+    assert require("f", "n", np.int64(3), 0, 8) is None
+    with pytest.raises(DomainError, match=r"^f requires 0 <= n <= 8, got n=9$"):
+        require("f", "n", np.uint8(9), 0, 8)
+    for value in (np.True_, 3.0, np.float64(3), Fraction(3)):
+        with pytest.raises(DomainError) as info:
+            require("f", "n", value, 0)
+        assert str(info.value) == f"f requires an integer n, got n={value!r}"
