@@ -44,12 +44,14 @@ class DomainError(ValueError):
 
 
 def require(
-    caller: str, name: str, value: int, low: int, high: int | None = None
+    caller: str, name: str, value: int, low: int | None = None,
+    high: int | None = None,
 ) -> None:
     """Refuse argument ``name`` of ``caller`` outside low <= value <= high
     (no upper bound when ``high`` is None) with a DomainError: "<caller>
     requires <low> <= <name> <= <high>, got <name>=<value>", or "<caller>
-    requires <name> >= <low>, got <name>=<value>".
+    requires <name> >= <low>, got <name>=<value>".  With no ``low`` either,
+    only an integer is required, for a caller that words its range itself.
 
     A bool, or a value with no ``__index__`` (a float, a Fraction), is no
     integer and is refused first, as "<caller> requires an integer <name>,
@@ -61,6 +63,8 @@ def require(
         raise DomainError(
             f"{caller} requires an integer {name}, got {name}={value!r}"
         )
+    if low is None:
+        return
     if high is None:
         if value < low:
             raise DomainError(f"{caller} requires {name} >= {low}, got {name}={value}")

@@ -388,6 +388,7 @@ def geometric_tail_bound(N: int, max_ell: int) -> float:
     every p_ell is at most c^(ell-1), so the geometric sum dominates the
     tail.  Coarser than :func:`tail_mass` but needs no exact table."""
     require("geometric_tail_bound", "N", N, 1)
+    require("geometric_tail_bound", "max_ell", max_ell, 0)
     c = math.cos(math.pi / (2 * N))
     return c**max_ell / (1.0 - c)
 
@@ -398,6 +399,7 @@ def _check_table_args(
     """The domain of a table of the law: N >= 1, N <= max_ell <= longest and
     N max_ell <= MAX_LAW_WORK, which bound its time and memory."""
     require(caller, "N", N, 1)
+    require(caller, "max_ell", max_ell)
     if not N <= max_ell <= longest:
         raise DomainError(
             f"{caller} requires N <= max_ell <= {longest}, got max_ell={max_ell}, N={N}"

@@ -34,7 +34,14 @@ position, so the output does not depend on the number of runs.
 mc_euler_poly and mc_gen_euler share one kernel (:func:`_power_report`):
 each run draws, sums and raises its samples chunk by chunk in reused
 buffers and keeps only the real and imaginary parts of the powers, so a
-call holds 16 bytes a sample, 24 at the peak of the report's reductions.
+call holds 16 bytes a sample.  mc_klebanov holds its random sums and, while
+it draws them, mu: 16 bytes a sample as well.
+
+Every report is reduced in cache-sized leaves on the same runs
+(:func:`_entries`), in numpy's own pairwise order, so its means and standard
+errors are byte for byte those of np.mean and np.std over the whole arrays,
+and no array of all the samples is made beside the ones named above; the
+KS statistic is taken block by block the same way (:func:`_ks_statistic`).
 """
 
 from __future__ import annotations
@@ -84,6 +91,14 @@ _CHUNK = 2**16
 # hold 48 bytes a sample, 1.5 MiB a run, inside a 2 MiB L2 cache.  At 10^6
 # samples, chunks of 2^13 made gen (n = 6, p = 10) about 25% slower.
 _POWER_CHUNK = 2**15
+# Leaf length of the blocked reductions of the reports (_entries) and of the
+# KS statistic's blocks, at least 128, numpy's own leaf (see _pairwise):
+# 256 KiB an array, so the five arrays of a Klebanov leaf stay in a 2 MiB L2
+# cache.  Smaller leaves lose the thread split to the hand-offs of the GIL
+# between their many short numpy calls: on a 2-vCPU VM the Klebanov moments
+# of 10^6 sums took 26, 15 and 10 ms on two threads at leaves of 2^13, 2^14
+# and 2^15 (12, 11 and 13 ms on one), against 28 ms for np.mean and np.std.
+_LEAF = 2**15
 
 # Band, in standard errors, of the Monte Carlo checks (MomentReport.ok).
 DEFAULT_BAND = 4.0
@@ -104,9 +119,9 @@ MAX_GEN_P = 10
 MIN_SAMPLES = 10**4
 MIN_KLEBANOV_SAMPLES = 10**5
 # Largest count of the Monte Carlo checks, refused before any allocation.
-# Memory grows linearly with it: at 10^7 a montecarlo command peaks at about
-# 265 MiB for rep (n = 8) and gen (n = 6, p = 10), 24 bytes a sample, and
-# at about 335 MiB for klebanov at any N (Python 3.11).
+# Memory grows linearly with it, 16 bytes a sample: at 10^7 a montecarlo
+# command peaks at about 190 MiB for rep (n = 8), gen (n = 6, p = 10) and
+# klebanov at any N (Python 3.11).
 MAX_SAMPLES = 10**7
 # Largest N of sample_mu and mc_klebanov.  The cap bounds time: E[mu_N] is
 # N^2, so mc_klebanov makes about count N^2 sech draws, 9 10^9 at MAX_SAMPLES
@@ -199,16 +214,26 @@ class RandomStream:
 
 def sech_cdf(x):
     """Distribution function (2/pi) arctan(e^{pi x})."""
+    x = np.asarray(x, dtype=float)
+    return _sech_cdf(x, np.empty_like(x))[()]
+
+
+def _sech_cdf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with sech_cdf(x) and return it, with no temporary."""
     with np.errstate(over="ignore"):
-        return (2.0 / np.pi) * np.arctan(np.exp(np.pi * np.asarray(x, dtype=float)))
+        np.multiply(x, np.pi, out=out)
+        np.exp(out, out=out)
+        np.arctan(out, out=out)
+        np.multiply(out, 2.0 / np.pi, out=out)
+    return out
 
 
 def _cuts(total: int, draws: int = 1) -> list[int]:
     """Bounds of the near-equal runs of ``total`` items of ``draws`` draws
     each: one run per worker, each of at least ``_MIN_RUN`` draws, cut on
-    multiples of ``_BLOCK``."""
+    multiples of ``_BLOCK``.  A run that the rounding leaves empty goes."""
     runs = max(1, min(_WORKERS, total * draws // _MIN_RUN))
-    return [total * r // runs // _BLOCK * _BLOCK for r in range(runs)] + [total]
+    return sorted({total * r // runs // _BLOCK * _BLOCK for r in range(runs)} | {total})
 
 
 def _in_runs(job, bounds) -> None:
@@ -373,9 +398,71 @@ class MomentReport:
         }
 
 
-def _entry(label: str, data: np.ndarray, reference: float) -> MomentEntry:
-    std_err = float(np.std(data, ddof=1) / math.sqrt(len(data)))
-    return MomentEntry(label, float(np.mean(data)), std_err, reference)
+def _pairwise(n: int, leaf):
+    """numpy's pairwise summation tree over n contiguous items, cut at
+    leaves of at most ``_LEAF``: ``leaf(m)`` for each leaf of m items, in
+    order, added up as numpy adds them.  A node of more than 128 items (all
+    of them, as ``_LEAF`` >= 128) splits at half its length rounded down to
+    a multiple of 8, and numpy sums a leaf by the same tree, so np.add.reduce
+    of a leaf is numpy's own partial sum there.  With ``leaf = lambda m:
+    [m]`` this returns the leaf lengths."""
+    if n <= _LEAF:
+        return leaf(n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(half, leaf) + _pairwise(n - half, leaf)
+
+
+def _entries(count: int, labels, references, series) -> tuple[MomentEntry, ...]:
+    """A MomentEntry for each of several series of ``count`` values: the
+    mean and the standard error of series v, byte for byte
+    ``float(np.mean(v))`` and ``float(np.std(v, ddof=1) / sqrt(count))``,
+    with no array of all of v or of its deviations.
+
+    ``series(lo, hi, buffer)`` returns the values lo to hi - 1 of every
+    series, as arrays made in the rows of ``buffer`` (one of ``_LEAF``
+    floats per series) or as views of arrays the caller holds.  Pass 1 sums
+    the values of each leaf of :func:`_pairwise`, pass 2 the squares of
+    their deviations from the means, each leaf by np.add.reduce, and the
+    leaf sums are added up as numpy's tree adds them.  numpy adds its whole
+    tree to its identity 0.0, which turns a sum of -0.0 into 0.0; each leaf
+    sum starts from it, so none is -0.0 and neither is their total.  The
+    arithmetic after that is np.mean's and np.std's.  The leaves are cut
+    into runs (:func:`_in_runs`), and each run holds ``len(labels) + 1``
+    buffers of ``_LEAF`` floats.
+    """
+    sizes = _pairwise(count, lambda m: [m])
+    bounds = np.cumsum([0] + sizes).tolist()
+    partial = np.empty((len(labels), len(sizes)))
+
+    def sums(means):
+        def run(a, b):
+            buffer = np.empty((len(labels), _LEAF))
+            squares = np.empty(_LEAF)
+            # numpy's error state is per thread; a report of overflowed
+            # values says so itself.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(a, b):
+                    lo, hi = bounds[i], bounds[i + 1]
+                    for j, values in enumerate(series(lo, hi, buffer)):
+                        if means is not None:
+                            values = np.subtract(values, means[j], out=squares[:hi - lo])
+                            np.multiply(values, values, out=values)
+                        partial[j, i] = np.add.reduce(values)
+
+        _in_runs(run, _cuts(len(sizes), count // len(sizes)))
+        totals = []
+        for row in partial:
+            leaf_sums = iter(row.tolist())
+            totals.append(_pairwise(count, lambda m: next(leaf_sums)))
+        return totals
+
+    means = [total / count for total in sums(None)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        errors = [
+            float(np.sqrt(np.float64(total) / (count - 1)) / math.sqrt(count))
+            for total in sums(means)
+        ]
+    return tuple(map(MomentEntry, labels, means, errors, references))
 
 
 def _point(caller: str, poly: DensePolynomial, x: Rational) -> tuple[float, float]:
@@ -438,11 +525,10 @@ def _power_report(
                 imag_parts[a:a + m] = chunk.imag
 
     _in_runs(run, _cuts(count, len(streams)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        entries = (
-            _entry("real", real_parts, reference),
-            _entry("imag", imag_parts, 0.0),
-        )
+    entries = _entries(
+        count, ("real", "imag"), (reference, 0.0),
+        lambda lo, hi, buffer: (real_parts[lo:hi], imag_parts[lo:hi]),
+    )
     return MomentReport(sample_size=count, entries=entries)
 
 
@@ -480,36 +566,33 @@ def _random_sums(stream: RandomStream, mu: np.ndarray, out: np.ndarray) -> np.nd
     ``stream``, mu[i] of them for sum i, and return it.
 
     Byte for byte they are ``np.add.reduceat(sample_sech(stream, mu.sum()),
-    offsets[:-1])``, segment i running from offsets[i] to offsets[i + 1]:
-    each sum adds the draws at its own stream positions, in order, within one
-    reduceat.
+    starts)``, segment i starting at starts[i] = sum(mu[:i]): each sum adds
+    the draws at its own stream positions, in order, within one reduceat.
 
-    The segments are cut into runs that end on segment boundaries, one per
-    worker, with near-equal numbers of draws (:func:`_in_runs`).  A run reads
-    the stream from its first position through its own reused buffer, in
-    chunks of about ``_CHUNK`` that end on segment boundaries, so memory
-    beyond ``out`` is one offsets array of len(mu) + 1 integers and
+    The segments are cut into runs of near-equal counts, one per worker
+    (:func:`_in_runs`).  A run starts reading the stream at sum(mu[:lo]) and
+    reads it through its own reused buffer, in chunks of about ``_CHUNK``
+    draws that end on segment boundaries.  A chunk's segments are found by a
+    cumulative sum of the lengths of the next few segments, twice as many as
+    hold ``_CHUNK`` draws on the run's average, so memory beyond ``out`` is
     O(runs (_CHUNK + max(mu))).
     """
-    offsets = np.zeros(len(mu) + 1, dtype=np.int64)
-    np.cumsum(mu, out=offsets[1:])
-
     def run(lo, hi):
         buffer = np.empty(_CHUNK + int(mu[lo:hi].max()))
-        rng = stream.generator(int(offsets[lo]))
+        span = min(hi - lo, 2 * _CHUNK * (hi - lo) // int(mu[lo:hi].sum()) + 1)
+        offsets = np.zeros(span + 1, dtype=np.int64)  # from the chunk's start
+        rng = stream.generator(int(mu[:lo].sum()))
         k = lo
         while k < hi:
-            start = int(offsets[k])
-            # The first segment ending at or past start + _CHUNK closes the chunk.
-            j = min(int(np.searchsorted(offsets[1:], start + _CHUNK)) + 1, hi)
-            draws = _sech_fill(rng, buffer[: int(offsets[j]) - start])
-            np.add.reduceat(draws, offsets[k:j] - start, out=out[k:j])
-            k = j
+            lengths = mu[k:k + span]
+            ends = np.cumsum(lengths, out=offsets[1:len(lengths) + 1])
+            # The first segment ending at or past _CHUNK closes the chunk.
+            j = min(int(np.searchsorted(ends, _CHUNK)) + 1, len(lengths))
+            draws = _sech_fill(rng, buffer[:int(offsets[j])])
+            np.add.reduceat(draws, offsets[:j], out=out[k:k + j])
+            k += j
 
-    # Run r starts at the first segment starting at or past its share of the
-    # draws; a segment longer than a share leaves a run empty, and it goes.
-    cuts = np.searchsorted(offsets[:-1], _cuts(int(offsets[-1]))).tolist()
-    _in_runs(run, sorted(set(cuts)))
+    _in_runs(run, _cuts(len(mu), int(mu.sum()) // len(mu)))
     return out
 
 
@@ -521,22 +604,36 @@ def _ks_statistic(values: np.ndarray) -> float:
     F is continuous, so the largest gap between it and the empirical
     distribution function lies at a data point, just at or just below it;
     at a run of equal values the first term of its last point and the second
-    of its first are the two gaps there, so ties count exactly.  The two
-    ramps are made one at a time, after F, so beside ``values`` the call
-    holds at most two arrays of n floats.
+    of its first are the two gaps there, so ties count exactly.  After the
+    sort, F and the two ramps are made block by block, ``_LEAF`` values at a
+    time, in runs (:func:`_in_runs`), each with two buffers of ``_LEAF``
+    floats; the maxima of the blocks are those of the whole arrays.
     """
     values.sort()
-    cdf = sech_cdf(values)
     n = len(values)
-    gaps = np.arange(1.0, n + 1)
-    gaps /= n
-    gaps -= cdf  # i/n - F_i
-    upper = gaps.max()
-    del gaps
-    gaps = np.arange(0.0, n)
-    gaps /= n
-    np.subtract(cdf, gaps, out=gaps)  # F_i - (i-1)/n
-    return float(max(upper, gaps.max()))
+    blocks = -(-n // _LEAF)
+    upper = np.empty(blocks)  # max of i/n - F_i in each block
+    lower = np.empty(blocks)  # max of F_i - (i-1)/n
+    steps = np.arange(float(_LEAF))
+
+    def run(a, b):
+        cdf = np.empty(_LEAF)
+        ramp = np.empty(_LEAF)
+        for block in range(a, b):
+            lo = block * _LEAF
+            m = min(_LEAF, n - lo)
+            F = _sech_cdf(values[lo:lo + m], cdf[:m])
+            gaps = np.add(steps[:m], lo + 1.0, out=ramp[:m])
+            gaps /= n
+            gaps -= F
+            upper[block] = gaps.max()
+            np.add(steps[:m], float(lo), out=gaps)
+            gaps /= n
+            np.subtract(F, gaps, out=gaps)
+            lower[block] = gaps.max()
+
+    _in_runs(run, _cuts(blocks, _LEAF))
+    return float(max(upper.max(), lower.max()))
 
 
 def _massart_pvalue(n: int, statistic: float) -> float:
@@ -564,21 +661,26 @@ def mc_klebanov(stream: RandomStream, N: int, count: int) -> MomentReport:
     sums = _random_sums(sech_stream, sample_mu(mu_stream, N, count), np.empty(count))
     sums /= N
 
+    def powers(lo, hi, buffer):
+        # The sums and their powers 2, 4 and 6, as squared, squared * squared
+        # and that times squared.
+        values = sums[lo:hi]
+        squared = np.multiply(values, values, out=buffer[0, :hi - lo])
+        fourth = np.multiply(squared, squared, out=buffer[1, :hi - lo])
+        return values, squared, fourth, np.multiply(fourth, squared, out=buffer[2, :hi - lo])
+
     numbers = euler_numbers(6)
-    entries = [_entry("mean", sums, 0.0)]
-    squared = sums * sums
-    power = np.ones(count)  # then squared, squared^2, squared^2 * squared
-    for k in (2, 4, 6):
-        np.multiply(power, squared, out=power)
-        reference = float(Fraction(abs(numbers[k]), 2**k))
-        entries.append(_entry(f"moment{k}", power, reference))
-    del squared, power
+    entries = _entries(
+        count, ("mean", "moment2", "moment4", "moment6"),
+        [0.0] + [float(Fraction(abs(numbers[k]), 2**k)) for k in (2, 4, 6)],
+        powers,
+    )
 
     statistic = _ks_statistic(sums)
     p_value = _massart_pvalue(count, statistic)
     return MomentReport(
         sample_size=count,
-        entries=tuple(entries),
+        entries=entries,
         extras={"ks_statistic": statistic, "ks_pvalue": p_value},
     )
 

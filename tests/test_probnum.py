@@ -417,6 +417,14 @@ class TestTailMass:
                 true_tail = 1 - sum(probnum_series(N, max_ell).values)
                 assert Fraction(geometric_tail_bound(N, max_ell)) >= true_tail
 
+    def test_geometric_bound_refuses_a_negative_max_ell(self):
+        # A tail past a negative index is no tail of the law; the bound
+        # returned c^max_ell / (1 - c) > 1 for it.
+        assert geometric_tail_bound(2, 0) == 1 / (1 - math.cos(math.pi / 4))
+        with pytest.raises(DomainError, match=r"^geometric_tail_bound requires "
+                           r"max_ell >= 0, got max_ell=-1$"):
+            geometric_tail_bound(2, -1)
+
 
 class TestSerialization:
     def test_csv_rows(self):

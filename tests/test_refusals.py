@@ -106,6 +106,18 @@ INTEGER_ARGUMENTS = [
     ("moment_integral_check", "k", lambda v: stochastic.moment_integral_check(v)),
 ]
 
+# max_ell was checked outside require: a float raised a TypeError deep
+# inside, a bool was taken as an integer, and geometric_tail_bound(2, 2.5)
+# returned 1.4355.
+MAX_ELL_ARGUMENTS = [
+    ("probnum_series", lambda v: probnum.probnum_series(2, v)),
+    ("probnum_trig", lambda v: probnum.probnum_trig(2, v)),
+    ("catalan_table", lambda v: probnum.catalan_table(2, v)),
+    ("cross_validate", lambda v: probnum.cross_validate(2, v)),
+    ("tail_mass", lambda v: probnum.tail_mass(2, v)),
+    ("geometric_tail_bound", lambda v: probnum.geometric_tail_bound(2, v)),
+]
+
 # Refusals that are no range of one integer, with their own wording, that
 # raised a bare ValueError before.
 OTHER_REFUSALS = [
@@ -140,7 +152,10 @@ def test_range_refusal_is_a_domain_error(caller, call):
 # with N=True, and others failed with a TypeError deep inside.
 @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
 @pytest.mark.parametrize(
-    "caller, name, call", INTEGER_ARGUMENTS, ids=[row[0] for row in INTEGER_ARGUMENTS]
+    "caller, name, call",
+    INTEGER_ARGUMENTS + [(caller, "max_ell", call) for caller, call in MAX_ELL_ARGUMENTS],
+    ids=[row[0] for row in INTEGER_ARGUMENTS]
+    + [f"{row[0]}-max_ell" for row in MAX_ELL_ARGUMENTS],
 )
 def test_non_integer_is_a_domain_error(caller, name, call, value):
     with pytest.raises(DomainError) as info:

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -462,20 +463,30 @@ def reference_sums(stream, mu):
     return np.add.reduceat(increments, np.concatenate(([0], np.cumsum(mu)[:-1])))
 
 
+def numpy_entry(label, data, reference):
+    """A MomentEntry of numpy's own mean and standard error of the whole
+    array, the figures the blocked reductions must reproduce.  Its warnings
+    (overflow, and no degrees of freedom at one value) are silenced."""
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        std_error = float(np.std(data, ddof=1) / math.sqrt(len(data)))
+        return MomentEntry(label, float(np.mean(data)), std_error, reference)
+
+
 def reference_klebanov(stream, N, count):
     """mc_klebanov from whole-array expressions: the moments as the products
-    squared, squared * squared and squared * squared * squared, and the KS
-    statistic as scipy's one-sample statistic against sech_cdf, with
-    Massart's bound as its p-value."""
+    squared, squared * squared and squared * squared * squared, reduced by
+    numpy, and the KS statistic as scipy's one-sample statistic against
+    sech_cdf, with Massart's bound as its p-value."""
     mu_stream, sech_stream = stream.split(2)
     sums = reference_sums(sech_stream, reference_mu(mu_stream, N, count)) / N
     numbers = euler_numbers(6)
     squared = sums * sums
     moments = {2: squared, 4: squared * squared, 6: squared * squared * squared}
-    entries = [stochastic_module._entry("mean", sums, 0.0)]
+    entries = [numpy_entry("mean", sums, 0.0)]
     for k in (2, 4, 6):
         reference = float(Fraction(abs(numbers[k]), 2**k))
-        entries.append(stochastic_module._entry(f"moment{k}", moments[k], reference))
+        entries.append(numpy_entry(f"moment{k}", moments[k], reference))
     statistic = float(stats.kstest(sums, sech_cdf, method="asymp").statistic)
     return MomentReport(
         sample_size=count,
@@ -496,8 +507,8 @@ def reference_report(draws, real_part, n, reference):
     return MomentReport(
         sample_size=len(draws),
         entries=(
-            stochastic_module._entry("real", powers.real, reference),
-            stochastic_module._entry("imag", powers.imag, 0.0),
+            numpy_entry("real", powers.real, reference),
+            numpy_entry("imag", powers.imag, 0.0),
         ),
     )
 
@@ -636,16 +647,17 @@ class TestRandomSums:
         # Separate random sums and reference draws, their pooled copy and
         # three moment arrays made the peak about 48 MiB, and the pooled
         # array of a two-sample KS test beside the moment pass about 32 MiB.
-        # With one sample tested against the sech law itself the peak is
-        # about 31 MiB, set by the moment pass: the sums, their squares, the
-        # running power and np.std's temporary.
+        # A whole-array moment pass (the sums, their squares, the running
+        # power and np.std's temporary) made it about 31 MiB.  With the
+        # moments and the KS gaps taken leaf by leaf, the peak is the random
+        # sums beside mu: 17.5 MiB.
         tracemalloc.start()
         try:
             mc_klebanov(RandomStream(42), 2, 10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 36 * 2**20
+        assert peak < 20 * 2**20
 
     @pytest.mark.parametrize("seed, N, count", [(42, 2, 10**6), (1, 7, 10**5)])
     def test_klebanov_equals_the_expressions(self, seed, N, count):
@@ -689,8 +701,8 @@ class TestRandomSums:
 
 def whole_array_report(imag, real, n, reference):
     """The rep/gen report as the whole-array path computed it: one complex
-    base of ``real`` and ``imag``, powers *= base, then _entry on the
-    strided real and imaginary parts."""
+    base of ``real`` and ``imag``, powers *= base, then numpy's mean and
+    standard deviation of the strided real and imaginary parts."""
     base = np.empty(len(imag), dtype=complex)
     base.real = real
     base.imag = imag
@@ -700,8 +712,8 @@ def whole_array_report(imag, real, n, reference):
     return MomentReport(
         sample_size=len(imag),
         entries=(
-            stochastic_module._entry("real", powers.real, reference),
-            stochastic_module._entry("imag", powers.imag, 0.0),
+            numpy_entry("real", powers.real, reference),
+            numpy_entry("imag", powers.imag, 0.0),
         ),
     )
 
@@ -753,12 +765,13 @@ class TestPowerKernel:
 
     def test_no_full_size_temporaries(self, monkeypatch):
         # The whole-array path held the draws, a complex base and a complex
-        # power, 48 bytes a sample at its peak.  The kernel holds the two
-        # real arrays the report reduces and the reduction's one temporary,
-        # 24 bytes a sample, beside 48 bytes a sample of chunk buffers per run.
+        # power, 48 bytes a sample at its peak, and np.std's temporary made
+        # the kernel's 24.  The kernel holds the two real arrays the report
+        # reduces, 16 bytes a sample, beside 48 bytes a sample of chunk
+        # buffers per run; 256 KiB cover its small objects (measured 25 KB).
         monkeypatch.setattr(stochastic_module, "_WORKERS", 2)
         count = 10**6
-        buffers = 2 * 48 * stochastic_module._POWER_CHUNK
+        buffers = 2 * 48 * stochastic_module._POWER_CHUNK + 2**18
         calls = {
             "gen": lambda: mc_gen_euler(RandomStream(4), 6, 10, Fraction(1, 3), count),
             "rep": lambda: mc_euler_poly(RandomStream(4), 8, Fraction(1, 3), count),
@@ -770,7 +783,75 @@ class TestPowerKernel:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 32 * count + buffers, (name, peak)
+            assert peak <= 16 * count + buffers, (name, peak)
+
+
+SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.7e308, -1.7e308, 5e-324]
+
+
+@st.composite
+def reduction_cases(draw):
+    """A leaf length and an array at the edges of numpy's pairwise tree:
+    lengths below 8 (summed without the unrolled loop), at 128 +- 1 (numpy's
+    own leaf), at the leaf +- 1 and no multiples of 8; values of any scale
+    with signed zeros, infinities, NaNs and huge values planted in them, or
+    only signed zeros."""
+    leaf = draw(st.sampled_from([128, 2**10, stochastic_module._LEAF]))
+    n = draw(st.one_of(
+        st.integers(1, 7),
+        st.sampled_from([127, 128, 129, leaf - 1, leaf, leaf + 1]),
+        st.integers(8, 6 * leaf).filter(lambda m: m % 8),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        data = rng.standard_normal(n) * draw(st.sampled_from([1.0, 1e-300, 1e150, 1e300]))
+        for i, value in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.sampled_from(SPECIAL_VALUES)), max_size=4,
+        )):
+            data[i] = value
+    else:
+        data = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    return leaf, data
+
+
+def figures(entries):
+    return np.array([[e.estimate, e.std_error] for e in entries]).tobytes()
+
+
+class TestReductions:
+    """The blocked reductions of the reports reproduce np.mean and
+    np.std(ddof=1) / sqrt(n) of the whole array bit for bit, for every leaf
+    length and worker count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(reduction_cases())
+    def test_equal_to_numpy_byte_for_byte(self, case):
+        leaf, data = case
+        with np.errstate(over="ignore"):
+            squared = data * data
+
+        def series(lo, hi, buffer):
+            values = data[lo:hi]
+            return values, np.multiply(values, values, out=buffer[0, :hi - lo])
+
+        expected = figures([numpy_entry("", data, 0.0), numpy_entry("", squared, 0.0)])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stochastic_module, "_LEAF", leaf)
+            patch.setattr(stochastic_module, "_MIN_RUN", 16)
+            for workers in WORKER_COUNTS:
+                patch.setattr(stochastic_module, "_WORKERS", workers)
+                entries = stochastic_module._entries(len(data), ("a", "b"), (0.0, 0.0), series)
+                assert figures(entries) == expected, (len(data), workers)
+
+    def test_overflowed_reports_warn_nowhere(self, monkeypatch, recwarn):
+        # numpy's error state is per thread: every run sets its own.  Short
+        # leaves cut the reductions into three runs.
+        monkeypatch.setattr(stochastic_module, "_WORKERS", 3)
+        monkeypatch.setattr(stochastic_module, "_LEAF", 2**10)
+        report = mc_euler_poly(RandomStream(2), 8, 2 * 10**38, 10**5)
+        assert report.entries[0].estimate == math.inf
+        assert not report.ok()
+        assert len(recwarn) == 0
 
 
 class TestRuns:
@@ -963,10 +1044,12 @@ class TestKolmogorovSmirnov:
         stochastic_module._ks_statistic(values)
         assert values.tobytes() == expected
 
-    def test_memory_is_bounded(self):
+    def test_memory_is_bounded(self, monkeypatch):
         # A two-sample test held a pooled copy of both samples, its int64
-        # merge order and timsort's buffer, 32 MiB here.  The one-sample test
-        # holds F and one ramp beside the values: 15.3 MiB.
+        # merge order and timsort's buffer, 32 MiB here, and whole arrays of
+        # F and one ramp 15.3 MiB.  Block by block, each of two runs holds F
+        # and a ramp of one leaf beside the values: 1.25 MiB.
+        monkeypatch.setattr(stochastic_module, "_WORKERS", 2)
         values = sample_sech(RandomStream(9), 10**6)
         tracemalloc.start()
         try:
@@ -974,7 +1057,7 @@ class TestKolmogorovSmirnov:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2**20
+        assert peak <= 2 * 2**20
 
     def test_pvalue_bounds_the_exact_law(self):
         # scipy's kstwo is the exact law of the one-sample statistic.  The
