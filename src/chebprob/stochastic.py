@@ -34,14 +34,15 @@ position, so the output does not depend on the number of runs.
 mc_euler_poly and mc_gen_euler share one kernel (:func:`_power_report`):
 each run draws, sums and raises its samples chunk by chunk in reused
 buffers and keeps only the real and imaginary parts of the powers, so a
-call holds 16 bytes a sample.  mc_klebanov holds its random sums and, while
-it draws them, mu: 16 bytes a sample as well.
+call holds 16 bytes a sample.  mc_klebanov holds its random sums beside mu
+while it draws them, then beside one array of moment values: 16 bytes a
+sample as well.
 
-Every report is reduced in cache-sized leaves on the same runs
-(:func:`_entries`), in numpy's own pairwise order, so its means and standard
-errors are byte for byte those of np.mean and np.std over the whole arrays,
-and no array of all the samples is made beside the ones named above; the
-KS statistic is taken block by block the same way (:func:`_ks_statistic`).
+A report's means and standard errors are the whole-array np.add.reduce
+calls of np.mean and np.std, with the deviations squared in place in the
+array being reduced (:func:`_entry`), so they are byte for byte those of
+np.mean and np.std and make no temporary of all the samples; the KS
+statistic is taken block by block (:func:`_ks_statistic`).
 """
 
 from __future__ import annotations
@@ -91,14 +92,6 @@ _CHUNK = 2**16
 # hold 48 bytes a sample, 1.5 MiB a run, inside a 2 MiB L2 cache.  At 10^6
 # samples, chunks of 2^13 made gen (n = 6, p = 10) about 25% slower.
 _POWER_CHUNK = 2**15
-# Leaf length of the blocked reductions of the reports (_entries) and of the
-# KS statistic's blocks, at least 128, numpy's own leaf (see _pairwise):
-# 256 KiB an array, so the five arrays of a Klebanov leaf stay in a 2 MiB L2
-# cache.  Smaller leaves lose the thread split to the hand-offs of the GIL
-# between their many short numpy calls: on a 2-vCPU VM the Klebanov moments
-# of 10^6 sums took 26, 15 and 10 ms on two threads at leaves of 2^13, 2^14
-# and 2^15 (12, 11 and 13 ms on one), against 28 ms for np.mean and np.std.
-_LEAF = 2**15
 
 # Band, in standard errors, of the Monte Carlo checks (MomentReport.ok).
 DEFAULT_BAND = 4.0
@@ -214,18 +207,8 @@ class RandomStream:
 
 def sech_cdf(x):
     """Distribution function (2/pi) arctan(e^{pi x})."""
-    x = np.asarray(x, dtype=float)
-    return _sech_cdf(x, np.empty_like(x))[()]
-
-
-def _sech_cdf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with sech_cdf(x) and return it, with no temporary."""
     with np.errstate(over="ignore"):
-        np.multiply(x, np.pi, out=out)
-        np.exp(out, out=out)
-        np.arctan(out, out=out)
-        np.multiply(out, 2.0 / np.pi, out=out)
-    return out
+        return (2.0 / np.pi) * np.arctan(np.exp(np.pi * np.asarray(x, dtype=float)))
 
 
 def _cuts(total: int, draws: int = 1) -> list[int]:
@@ -398,71 +381,22 @@ class MomentReport:
         }
 
 
-def _pairwise(n: int, leaf):
-    """numpy's pairwise summation tree over n contiguous items, cut at
-    leaves of at most ``_LEAF``: ``leaf(m)`` for each leaf of m items, in
-    order, added up as numpy adds them.  A node of more than 128 items (all
-    of them, as ``_LEAF`` >= 128) splits at half its length rounded down to
-    a multiple of 8, and numpy sums a leaf by the same tree, so np.add.reduce
-    of a leaf is numpy's own partial sum there.  With ``leaf = lambda m:
-    [m]`` this returns the leaf lengths."""
-    if n <= _LEAF:
-        return leaf(n)
-    half = n // 2 - n // 2 % 8
-    return _pairwise(half, leaf) + _pairwise(n - half, leaf)
+def _entry(label: str, values: np.ndarray, reference: float) -> MomentEntry:
+    """The mean and standard error of ``values``, which it overwrites.
 
-
-def _entries(count: int, labels, references, series) -> tuple[MomentEntry, ...]:
-    """A MomentEntry for each of several series of ``count`` values: the
-    mean and the standard error of series v, byte for byte
-    ``float(np.mean(v))`` and ``float(np.std(v, ddof=1) / sqrt(count))``,
-    with no array of all of v or of its deviations.
-
-    ``series(lo, hi, buffer)`` returns the values lo to hi - 1 of every
-    series, as arrays made in the rows of ``buffer`` (one of ``_LEAF``
-    floats per series) or as views of arrays the caller holds.  Pass 1 sums
-    the values of each leaf of :func:`_pairwise`, pass 2 the squares of
-    their deviations from the means, each leaf by np.add.reduce, and the
-    leaf sums are added up as numpy's tree adds them.  numpy adds its whole
-    tree to its identity 0.0, which turns a sum of -0.0 into 0.0; each leaf
-    sum starts from it, so none is -0.0 and neither is their total.  The
-    arithmetic after that is np.mean's and np.std's.  The leaves are cut
-    into runs (:func:`_in_runs`), and each run holds ``len(labels) + 1``
-    buffers of ``_LEAF`` floats.
+    They are byte for byte ``np.mean(values)`` and ``np.std(values, ddof=1)
+    / sqrt(len(values))``: the same whole-array np.add.reduce calls and the
+    same arithmetic, but the deviations are squared in ``values`` itself
+    rather than in a temporary of the same length.  A report of overflowed
+    values says so itself, so the call warns of nothing.
     """
-    sizes = _pairwise(count, lambda m: [m])
-    bounds = np.cumsum([0] + sizes).tolist()
-    partial = np.empty((len(labels), len(sizes)))
-
-    def sums(means):
-        def run(a, b):
-            buffer = np.empty((len(labels), _LEAF))
-            squares = np.empty(_LEAF)
-            # numpy's error state is per thread; a report of overflowed
-            # values says so itself.
-            with np.errstate(over="ignore", invalid="ignore"):
-                for i in range(a, b):
-                    lo, hi = bounds[i], bounds[i + 1]
-                    for j, values in enumerate(series(lo, hi, buffer)):
-                        if means is not None:
-                            values = np.subtract(values, means[j], out=squares[:hi - lo])
-                            np.multiply(values, values, out=values)
-                        partial[j, i] = np.add.reduce(values)
-
-        _in_runs(run, _cuts(len(sizes), count // len(sizes)))
-        totals = []
-        for row in partial:
-            leaf_sums = iter(row.tolist())
-            totals.append(_pairwise(count, lambda m: next(leaf_sums)))
-        return totals
-
-    means = [total / count for total in sums(None)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        errors = [
-            float(np.sqrt(np.float64(total) / (count - 1)) / math.sqrt(count))
-            for total in sums(means)
-        ]
-    return tuple(map(MomentEntry, labels, means, errors, references))
+    n = len(values)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mean = np.add.reduce(values) / n
+        values -= mean
+        values *= values
+        std_err = float(np.sqrt(np.add.reduce(values) / (n - 1)) / math.sqrt(n))
+    return MomentEntry(label, float(mean), std_err, reference)
 
 
 def _point(caller: str, poly: DensePolynomial, x: Rational) -> tuple[float, float]:
@@ -525,9 +459,9 @@ def _power_report(
                 imag_parts[a:a + m] = chunk.imag
 
     _in_runs(run, _cuts(count, len(streams)))
-    entries = _entries(
-        count, ("real", "imag"), (reference, 0.0),
-        lambda lo, hi, buffer: (real_parts[lo:hi], imag_parts[lo:hi]),
+    entries = (
+        _entry("real", real_parts, reference),
+        _entry("imag", imag_parts, 0.0),
     )
     return MomentReport(sample_size=count, entries=entries)
 
@@ -584,7 +518,7 @@ def _random_sums(stream: RandomStream, mu: np.ndarray, out: np.ndarray) -> np.nd
         rng = stream.generator(int(mu[:lo].sum()))
         k = lo
         while k < hi:
-            lengths = mu[k:k + span]
+            lengths = mu[k:min(k + span, hi)]  # none past the run's end
             ends = np.cumsum(lengths, out=offsets[1:len(lengths) + 1])
             # The first segment ending at or past _CHUNK closes the chunk.
             j = min(int(np.searchsorted(ends, _CHUNK)) + 1, len(lengths))
@@ -605,35 +539,25 @@ def _ks_statistic(values: np.ndarray) -> float:
     distribution function lies at a data point, just at or just below it;
     at a run of equal values the first term of its last point and the second
     of its first are the two gaps there, so ties count exactly.  After the
-    sort, F and the two ramps are made block by block, ``_LEAF`` values at a
-    time, in runs (:func:`_in_runs`), each with two buffers of ``_LEAF``
-    floats; the maxima of the blocks are those of the whole arrays.
+    sort, F and the two ramps are made block by block, ``_CHUNK`` values at a
+    time, so beside ``values`` the call holds three arrays of one block; the
+    maxima of the blocks are those of the whole arrays.
     """
     values.sort()
     n = len(values)
-    blocks = -(-n // _LEAF)
-    upper = np.empty(blocks)  # max of i/n - F_i in each block
-    lower = np.empty(blocks)  # max of F_i - (i-1)/n
-    steps = np.arange(float(_LEAF))
-
-    def run(a, b):
-        cdf = np.empty(_LEAF)
-        ramp = np.empty(_LEAF)
-        for block in range(a, b):
-            lo = block * _LEAF
-            m = min(_LEAF, n - lo)
-            F = _sech_cdf(values[lo:lo + m], cdf[:m])
-            gaps = np.add(steps[:m], lo + 1.0, out=ramp[:m])
-            gaps /= n
-            gaps -= F
-            upper[block] = gaps.max()
-            np.add(steps[:m], float(lo), out=gaps)
-            gaps /= n
-            np.subtract(F, gaps, out=gaps)
-            lower[block] = gaps.max()
-
-    _in_runs(run, _cuts(blocks, _LEAF))
-    return float(max(upper.max(), lower.max()))
+    upper, lower = [], []  # each block's largest i/n - F_i and F_i - (i-1)/n
+    for lo in range(0, n, _CHUNK):
+        F = sech_cdf(values[lo:lo + _CHUNK])
+        ramp = np.arange(lo + 1.0, lo + len(F) + 1.0)  # i
+        gaps = ramp / n
+        gaps -= F
+        upper.append(gaps.max())
+        ramp -= 1.0
+        np.divide(ramp, n, out=gaps)
+        np.subtract(F, gaps, out=gaps)
+        lower.append(gaps.max())
+        del F, ramp, gaps  # before the next block's F is made
+    return float(max(np.max(upper), np.max(lower)))
 
 
 def _massart_pvalue(n: int, statistic: float) -> float:
@@ -661,26 +585,30 @@ def mc_klebanov(stream: RandomStream, N: int, count: int) -> MomentReport:
     sums = _random_sums(sech_stream, sample_mu(mu_stream, N, count), np.empty(count))
     sums /= N
 
-    def powers(lo, hi, buffer):
-        # The sums and their powers 2, 4 and 6, as squared, squared * squared
-        # and that times squared.
-        values = sums[lo:hi]
-        squared = np.multiply(values, values, out=buffer[0, :hi - lo])
-        fourth = np.multiply(squared, squared, out=buffer[1, :hi - lo])
-        return values, squared, fourth, np.multiply(fourth, squared, out=buffer[2, :hi - lo])
-
     numbers = euler_numbers(6)
-    entries = _entries(
-        count, ("mean", "moment2", "moment4", "moment6"),
-        [0.0] + [float(Fraction(abs(numbers[k]), 2**k)) for k in (2, 4, 6)],
-        powers,
-    )
+    series = np.empty(count)  # each series in turn, reduced in place
+    series[:] = sums
+    entries = [_entry("mean", series, 0.0)]
+    squares = np.empty(_CHUNK)
+    for k in (2, 4, 6):
+        # The power k of the sums as squared times squared times ..., with
+        # squared = sums * sums made again chunk by chunk.
+        for lo in range(0, count, _CHUNK):
+            chunk = sums[lo:lo + _CHUNK]
+            squared = np.multiply(chunk, chunk, out=squares[:len(chunk)])
+            power = series[lo:lo + len(chunk)]
+            power[:] = squared
+            for _ in range(k // 2 - 1):
+                power *= squared
+        reference = float(Fraction(abs(numbers[k]), 2**k))
+        entries.append(_entry(f"moment{k}", series, reference))
+    del series, squares
 
     statistic = _ks_statistic(sums)
     p_value = _massart_pvalue(count, statistic)
     return MomentReport(
         sample_size=count,
-        entries=entries,
+        entries=tuple(entries),
         extras={"ks_statistic": statistic, "ks_pvalue": p_value},
     )
 

@@ -590,6 +590,18 @@ class TestRandomSums:
                 got = stochastic_module._random_sums(stream, mu, np.empty(len(mu)))
                 assert got.tobytes() == expected, workers
 
+    def test_a_run_stops_at_its_own_end(self, monkeypatch):
+        # Two runs of 100000 segments.  Segment 100001, the second of run 1,
+        # is longer than any of run 0, whose buffer is sized by its own
+        # longest: a last chunk of run 0 that read on into run 1 summed only
+        # part of it, over run 1's correct sum.
+        monkeypatch.setattr(stochastic_module, "_WORKERS", 2)
+        mu = np.array([1] * 100_001 + [40_000] + [1] * 99_998, dtype=np.int64)
+        assert stochastic_module._cuts(len(mu), int(mu.sum()) // len(mu)) == [0, 100_000, 200_000]
+        stream = RandomStream(5)
+        got = stochastic_module._random_sums(stream, mu, np.empty(len(mu)))
+        assert got.tobytes() == reference_sums(stream, mu).tobytes()
+
     # 2_450_000 starts the second run at two workers, and 4_899_999 is its
     # last draw.
     @pytest.mark.parametrize("position", [0, 5, 150_000, 199_999, 2_450_000, 4_899_999])
@@ -649,8 +661,8 @@ class TestRandomSums:
         # array of a two-sample KS test beside the moment pass about 32 MiB.
         # A whole-array moment pass (the sums, their squares, the running
         # power and np.std's temporary) made it about 31 MiB.  With the
-        # moments and the KS gaps taken leaf by leaf, the peak is the random
-        # sums beside mu: 17.5 MiB.
+        # moments reduced in place in one reused array and the KS gaps taken
+        # block by block, the peak is the random sums beside mu: 18 MiB.
         tracemalloc.start()
         try:
             mc_klebanov(RandomStream(42), 2, 10**6)
@@ -790,17 +802,15 @@ SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.7e308, -1.7e308, 5e-324]
 
 
 @st.composite
-def reduction_cases(draw):
-    """A leaf length and an array at the edges of numpy's pairwise tree:
-    lengths below 8 (summed without the unrolled loop), at 128 +- 1 (numpy's
-    own leaf), at the leaf +- 1 and no multiples of 8; values of any scale
-    with signed zeros, infinities, NaNs and huge values planted in them, or
-    only signed zeros."""
-    leaf = draw(st.sampled_from([128, 2**10, stochastic_module._LEAF]))
+def reduction_arrays(draw):
+    """An array at the edges of numpy's pairwise summation: lengths below 8
+    (summed without the unrolled loop), at 128 +- 1 (numpy's block) and no
+    multiples of 8; values of any scale with signed zeros, infinities, NaNs
+    and huge values planted in them, or only signed zeros."""
     n = draw(st.one_of(
         st.integers(1, 7),
-        st.sampled_from([127, 128, 129, leaf - 1, leaf, leaf + 1]),
-        st.integers(8, 6 * leaf).filter(lambda m: m % 8),
+        st.sampled_from([127, 128, 129]),
+        st.integers(8, 3 * 10**4).filter(lambda m: m % 8),
     ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -811,43 +821,28 @@ def reduction_cases(draw):
             data[i] = value
     else:
         data = np.where(rng.random(n) < 0.5, 0.0, -0.0)
-    return leaf, data
+    return data
 
 
-def figures(entries):
-    return np.array([[e.estimate, e.std_error] for e in entries]).tobytes()
+def figures(entry):
+    return np.array([entry.estimate, entry.std_error]).tobytes()
 
 
-class TestReductions:
-    """The blocked reductions of the reports reproduce np.mean and
-    np.std(ddof=1) / sqrt(n) of the whole array bit for bit, for every leaf
-    length and worker count."""
+class TestEntry:
+    """A report's mean and standard error, taken with the deviations squared
+    in place, are np.mean and np.std(ddof=1) / sqrt(n) of the array bit for
+    bit."""
 
     @settings(max_examples=60, deadline=None)
-    @given(reduction_cases())
-    def test_equal_to_numpy_byte_for_byte(self, case):
-        leaf, data = case
-        with np.errstate(over="ignore"):
-            squared = data * data
-
-        def series(lo, hi, buffer):
-            values = data[lo:hi]
-            return values, np.multiply(values, values, out=buffer[0, :hi - lo])
-
-        expected = figures([numpy_entry("", data, 0.0), numpy_entry("", squared, 0.0)])
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(stochastic_module, "_LEAF", leaf)
-            patch.setattr(stochastic_module, "_MIN_RUN", 16)
-            for workers in WORKER_COUNTS:
-                patch.setattr(stochastic_module, "_WORKERS", workers)
-                entries = stochastic_module._entries(len(data), ("a", "b"), (0.0, 0.0), series)
-                assert figures(entries) == expected, (len(data), workers)
+    @given(reduction_arrays())
+    def test_equal_to_numpy_byte_for_byte(self, data):
+        expected = figures(numpy_entry("a", data, 0.0))
+        assert figures(stochastic_module._entry("a", data.copy(), 0.0)) == expected
 
     def test_overflowed_reports_warn_nowhere(self, monkeypatch, recwarn):
-        # numpy's error state is per thread: every run sets its own.  Short
-        # leaves cut the reductions into three runs.
+        # numpy's error state is per thread: every run of the power kernel
+        # sets its own, and so does the reduction on the calling thread.
         monkeypatch.setattr(stochastic_module, "_WORKERS", 3)
-        monkeypatch.setattr(stochastic_module, "_LEAF", 2**10)
         report = mc_euler_poly(RandomStream(2), 8, 2 * 10**38, 10**5)
         assert report.entries[0].estimate == math.inf
         assert not report.ok()
@@ -1044,12 +1039,11 @@ class TestKolmogorovSmirnov:
         stochastic_module._ks_statistic(values)
         assert values.tobytes() == expected
 
-    def test_memory_is_bounded(self, monkeypatch):
+    def test_memory_is_bounded(self):
         # A two-sample test held a pooled copy of both samples, its int64
         # merge order and timsort's buffer, 32 MiB here, and whole arrays of
-        # F and one ramp 15.3 MiB.  Block by block, each of two runs holds F
-        # and a ramp of one leaf beside the values: 1.25 MiB.
-        monkeypatch.setattr(stochastic_module, "_WORKERS", 2)
+        # F and one ramp 15.3 MiB.  Block by block it holds F, a ramp and the
+        # gaps of one block beside the values: 1.5 MiB.
         values = sample_sech(RandomStream(9), 10**6)
         tracemalloc.start()
         try:
