@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -577,9 +577,13 @@ class TestRandomSums:
         blocks=st.lists(segment_blocks, min_size=1, max_size=5),
         seed=st.integers(0, 2**32),
     )
+    @example(blocks=[[1] * 100_001, [40_000], [1] * 99_998], seed=5)
     def test_chunk_loop_equals_the_whole_array(self, blocks, seed):
         # For every worker count, with runs of at least 16 draws, so that
-        # small blocks are cut into runs too.
+        # small blocks are cut into runs too.  In the example two workers
+        # make runs of 100000 segments; the long segment, the second of run
+        # 1, outgrows run 0's buffer, so a chunk of run 0 that read on past
+        # its run's end summed only part of it, over run 1's correct sum.
         mu = np.array([m for block in blocks for m in block], dtype=np.int64)
         stream = RandomStream(seed, 3)
         expected = reference_sums(stream, mu).tobytes()
@@ -589,18 +593,6 @@ class TestRandomSums:
                 patch.setattr(stochastic_module, "_WORKERS", workers)
                 got = stochastic_module._random_sums(stream, mu, np.empty(len(mu)))
                 assert got.tobytes() == expected, workers
-
-    def test_a_run_stops_at_its_own_end(self, monkeypatch):
-        # Two runs of 100000 segments.  Segment 100001, the second of run 1,
-        # is longer than any of run 0, whose buffer is sized by its own
-        # longest: a last chunk of run 0 that read on into run 1 summed only
-        # part of it, over run 1's correct sum.
-        monkeypatch.setattr(stochastic_module, "_WORKERS", 2)
-        mu = np.array([1] * 100_001 + [40_000] + [1] * 99_998, dtype=np.int64)
-        assert stochastic_module._cuts(len(mu), int(mu.sum()) // len(mu)) == [0, 100_000, 200_000]
-        stream = RandomStream(5)
-        got = stochastic_module._random_sums(stream, mu, np.empty(len(mu)))
-        assert got.tobytes() == reference_sums(stream, mu).tobytes()
 
     # 2_450_000 starts the second run at two workers, and 4_899_999 is its
     # last draw.
