@@ -13,20 +13,21 @@ required to agree coefficient-for-coefficient:
 
 * ``gen_euler_recursive`` iterates the order-raising convolution of the
   values at zero, E_n^{(p)}(0) = sum_k binom(n, k) E_k^{(p-1)}(0) E_{n-k}(0),
-  then expands E_n^{(p)}(x) = sum_k binom(n, k) x^k E_{n-k}^{(p)}(0).
+  then expands E_n^{(p)}(x) = sum_k binom(n, k) x^k E_{n-k}^{(p)}(0), each
+  coefficient one dyadic Fraction made from the integer row.
 * ``gen_euler_series`` expands the generating function directly in the
-  ordinary basis: the reciprocal of (1 + e^z)/2 by the integer long division
-  ``exactnum.extend_quotient`` (the kernel that also extends the law of
-  mu_N), raised to the p-th power by repeated squaring
-  (``exactnum.convolution_power``), then multiplied by the e^{xz} series
-  symbolically in x.  It runs in integers scaled by K = 2^n n!: the ordinary
-  coefficient of z^m in any power of 2/(1 + e^z) is E_m^{(p)}(0)/m!, whose
-  denominator divides 2^m m! and so K, so the division by the constant term
-  K is exact at every step, the p-th power holds K^p times the
-  coefficients, and one Fraction is made per output coefficient.  It shares
-  no row with the recursive route: a division and a convolution power, not
-  binomial convolutions of values at zero, so each route stays an oracle
-  for the other.
+  ordinary basis: the p-th power of 2/(1 + e^z) = h^(-1), h = (1 + e^z)/2,
+  by J. C. P. Miller's recurrence for a power of a series (Knuth, TAOCP
+  vol. 2, 4.7), then multiplied by the e^{xz} series symbolically in x.  It
+  runs in integers scaled by K = 2^n n!: the ordinary coefficient of z^m in
+  h^(-p) is E_m^{(p)}(0)/m!, whose denominator divides 2^m m! and so K, so
+  each step's division by m K is exact (and checked), and one Fraction is
+  made per output coefficient.  Step m costs m products of numbers of
+  about 2 log2 K bits (plus the m log2 p bits by which E_m^{(p)}(0) grows),
+  so the route is O(n^2) such products for every p.  It shares no row with the
+  recursive route: a power recurrence on the series of h, not binomial
+  convolutions of values at zero, so each route stays an oracle for the
+  other.
 
 The Euler numbers come from their own recurrence, the one of 1/cosh z, which
 shares nothing with the values at zero of either route; E_n = 2^n E_n(1/2)
@@ -45,15 +46,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .exactnum import (
-    DensePolynomial,
-    Rational,
-    binomial,
-    convolution_power,
-    dyadic,
-    extend_quotient,
-    require,
-)
+from .exactnum import DensePolynomial, Rational, dyadic, require
 
 __all__ = [
     "euler_numbers",
@@ -78,7 +71,7 @@ def _euler_numbers_upto(max_n: int) -> list[int]:
         if m % 2 == 1:
             _EULER_NUMBERS.append(0)
         else:
-            acc = sum(binomial(m, k) * _EULER_NUMBERS[k] for k in range(0, m, 2))
+            acc = sum(math.comb(m, k) * _EULER_NUMBERS[k] for k in range(0, m, 2))
             _EULER_NUMBERS.append(-acc)
     return _EULER_NUMBERS[: max_n + 1]
 
@@ -89,7 +82,7 @@ def _zero_row_one_upto(max_n: int) -> list[int]:
     # with b_k = 2^k E_k(0): b_n = -sum_{k<n} binom(n, k) 2^(n-k-1) b_k.
     row = _ZERO_ROWS[1]
     for n in range(len(row), max_n + 1):
-        row.append(-sum(binomial(n, k) * row[k] << (n - k - 1) for k in range(n)))
+        row.append(-sum(math.comb(n, k) * row[k] << (n - k - 1) for k in range(n)))
     return row
 
 
@@ -114,7 +107,7 @@ def _zero_rows_upto(p: int, max_n: int) -> list[int]:
         row = _ZERO_ROWS.setdefault(q, [])
         for n in range(len(row), max_n + 1):
             row.append(
-                sum(binomial(n, k) * prev[k] * base[n - k] for k in range(n + 1))
+                sum(math.comb(n, k) * prev[k] * base[n - k] for k in range(n + 1))
             )
     return _ZERO_ROWS[p]
 
@@ -148,9 +141,12 @@ def gen_euler_recursive(n: int, p: int) -> DensePolynomial:
     """
     require("gen_euler_recursive", "n", n, 0)
     require("gen_euler_recursive", "p", p, 0)
-    row = gen_euler_zero(p, n)
-    coeffs = tuple(binomial(n, k) * row[n - k] for k in range(n + 1))
-    return DensePolynomial(coeffs)
+    with _CACHE_LOCK:
+        row = _zero_rows_upto(p, n)[: n + 1]
+    # binom(n, k) E_{n-k}^{(p)}(0) = binom(n, k) b_{n-k} / 2^(n-k).
+    return DensePolynomial(
+        tuple(dyadic(math.comb(n, k) * row[n - k], n - k) for k in range(n + 1))
+    )
 
 
 def gen_euler_series(n: int, p: int) -> DensePolynomial:
@@ -158,20 +154,31 @@ def gen_euler_series(n: int, p: int) -> DensePolynomial:
     recursive route and required to match it exactly."""
     require("gen_euler_series", "n", n, 0)
     require("gen_euler_series", "p", p, 0)
-    # Ordinary coefficients times K = 2^n n!: K (1 + e^z)/2 is K, K/(2 j!),
-    # and K times 2/(1 + e^z) is integral through z^n, so its long division
-    # divides exactly by the constant term K.  The n leading zeros pad the
-    # kernel's list; z^m sits at index n + m.
+    # g = (2/(1 + e^z))^p = h^(-p), h = (1 + e^z)/2, by J. C. P. Miller's
+    # power recurrence (Knuth, TAOCP 2, 4.7): m h_0 g_m = sum_{j=1..m}
+    # ((1 - p) j - m) h_j g_{m-j}.  Scaled by K = 2^n n!, H_0 = K and H_j =
+    # K/(2 j!) are integers, and so is G_m = K g_m = K E_m^{(p)}(0)/m! for
+    # m <= n, since that denominator divides 2^m m!.
     K = math.factorial(n) << n
-    taps = [(j, K // (2 * math.factorial(j))) for j in range(1, n + 1)]
-    recip = extend_quotient(taps, K, [0] * n + [K], 2 * n)[n:]
-    # K^p times the ordinary coefficients c_m of (2/(1 + e^z))^p; the
-    # coefficient of x^k is binom(n, k) (n-k)! c_{n-k} = (n!/k!) c_{n-k}.
-    powered = convolution_power(recip, p, n + 1) if p else [1] + [0] * n
-    coeffs = tuple(
-        Fraction(math.perm(n, n - k) * powered[n - k], K**p) for k in range(n + 1)
-    )
-    return DensePolynomial(coeffs)
+    H = [K] + [K // (2 * math.factorial(j)) for j in range(1, n + 1)]
+    G = [K]
+    for m in range(1, n + 1):
+        g, remainder = divmod(
+            sum(((1 - p) * j - m) * H[j] * G[m - j] for j in range(1, m + 1)),
+            m * K,
+        )
+        if remainder:
+            raise ArithmeticError(f"division by {m * K} is not exact at m={m}")
+        G.append(g)
+    # The coefficient of x^k is binom(n, k) (n-k)! g_{n-k} = (n!/k!) G_{n-k}/K
+    # = G_{n-k} / (2^n k!), and G_{n-k} / k! is an integer.
+    coeffs = []
+    for k in range(n + 1):
+        q, remainder = divmod(G[n - k], math.factorial(k))
+        if remainder:
+            raise ArithmeticError(f"division by {k}! is not exact at k={k}")
+        coeffs.append(dyadic(q, n))
+    return DensePolynomial(tuple(coeffs))
 
 
 def eval_poly(poly: DensePolynomial, x: Rational) -> Fraction:

@@ -166,8 +166,8 @@ def extend_quotient(
     c0 a_m = -sum_i t_i a_{m-i} over the nonzero taps (i, t_i), i >= 1, of an
     integer denominator c0 + t_1 z + t_2 z^2 + ...; returns ``values``.
 
-    This is the one integer series reciprocal of the package: the law of
-    mu_N and the Euler series route both run it.  The caller pads ``values``
+    This is the one integer series reciprocal of the package; its caller is
+    the law of mu_N (``probnum._law``).  The caller pads ``values``
     with at least max(i) leading entries (zeros before the first term of the
     quotient), so every a_{m-i} exists and the loop tests no bound.  Each
     step is a checked ``divmod``: a remainder raises ArithmeticError naming

@@ -59,6 +59,9 @@ MAX_K = 2**16
 # takes the time and memory given in README "Cost".
 MAX_DEGREE = 32
 MAX_N = 2**7
+# The law memo is read this many indices ahead of the current term (never
+# past the budget), so a sum takes its lock once per block, not per term.
+_LAW_BLOCK = 2**7
 
 
 class ConvergenceError(RuntimeError):
@@ -162,7 +165,9 @@ def _reconstruct(
     term is a_k H_k, a_k = 2^k p_k, and n//2 additions step the table.  S_k =
     total / den with den = 2^(n+k) q^n; no gcd is taken.  With target = g / h
     and tol = e / f, the stop test and the small-term test are multiplied
-    through by scale den h f > 0.
+    through by scale den h f > 0, and den enters them as a shift by n + k.
+    The law memo is read _LAW_BLOCK indices ahead, so its lock is taken once
+    per block of terms, and the memo is never extended past the budget.
     """
     require(caller, "n", n, 0, MAX_DEGREE)
     require(caller, "N", N, 1, MAX_N)
@@ -194,20 +199,28 @@ def _reconstruct(
     for i in range(1, order + 1):
         for j in range(order, i - 1, -1):
             table[j] -= table[j - 1]
+    # den = q^n 2^(n+k), so g den and e scale den are shifts of g q^n and
+    # e scale q^n, made once.
+    g_q = g * q_n
+    bound = e * scale * q_n
+    bound_h = bound * h
     terms_used = 0
     first_small: int | None = None
     total = 0
+    held = N - 1  # the law is read through index held
     for k in range(N, budget + 1, 2):
-        term = _law(N, k)[k] * table[0]
+        if k > held:
+            held = min(k + _LAW_BLOCK, budget)
+            law = _law(N, held)
+        term = law[k] * table[0]
         for i in range(order):
             table[i] += table[i + 1]
         total = (total << 2) + term
-        den = q_n << (n + k)
         terms_used += 1
-        bound = e * scale * den
-        if first_small is None and 10 * f * abs(term) < bound:
+        if first_small is None and 10 * f * abs(term) < bound << (n + k):
             first_small = k
-        if abs(total * h - g * den) * f <= bound * h:
+        if abs(total * h - (g_q << (n + k))) * f <= bound_h << (n + k):
+            den = q_n << (n + k)
             partial = Fraction(total, scale * den)
             # mu_1 = 1 is a point mass, so nothing lies past its one term.
             # In floats cos(pi/2) is 6.1e-17, not 0, and a zero decay times
@@ -228,6 +241,7 @@ def _reconstruct(
                 tail_estimate=tail,
                 first_small_term_k=first_small,
             )
+    den = q_n << (n + k)
     raise ConvergenceError(
         f"{what} not within {tol} by k={budget}, the end of the term budget",
         achieved_error=float_or_inf(abs(Fraction(total, scale * den) - target)),

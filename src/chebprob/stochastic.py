@@ -129,9 +129,10 @@ _KS_ALPHA = 0.01
 _QUAD_STEP = 1 / 16
 
 # Threads of one Monte Carlo call: the CPUs this process may run on, read
-# once.  A call is cut by the draws it makes, not by its sample count: a run
-# has at least _MIN_RUN draws (about 0.25 ms of sech draws), so a call of
-# fewer than 2 _MIN_RUN draws stays on the calling thread.  On a 2-vCPU VM,
+# once.  A call is cut by the draws it makes: a run has at least _MIN_RUN
+# draws (about 0.25 ms of sech draws), so a call of fewer than 2 _MIN_RUN
+# draws stays on the calling thread; a run of the power kernel also holds at
+# least _MIN_RUN / 4 samples (:func:`_power_report`).  On a 2-vCPU VM,
 # sample_sech(10^5) took a median 0.82, 0.69, 0.89 and 0.86 ms at runs of
 # 2^14, 2^15, 2^16 and 2^17 draws, and mc_euler_poly(n = 1, 10^5) 1.42, 1.30,
 # 1.50 and 1.49 ms.  A draw of mu_N counts as its floor(N/2) uniforms.
@@ -423,11 +424,15 @@ def _power_report(
 
     The samples are cut into runs by their draws, len(streams) each
     (:func:`_in_runs`); the n complex products of a sample are not counted,
-    since each costs about 1/15 of a draw.  A run draws, sums and raises
-    chunk by chunk through its own reused buffers of ``_POWER_CHUNK``
-    samples and writes only the real and imaginary parts of the powers, the
-    two arrays the report reduces, so memory beyond them is
-    O(runs _POWER_CHUNK).
+    since each costs about 1/15 of a draw, and a sample counts as at most 4
+    draws, so a run also holds at least _MIN_RUN / 4 samples: at n = 6 and
+    p = 10 on a 2-vCPU VM, two runs took a median 1.10 times as long as one
+    at 10^4 samples, 0.95 times at 1.5 10^4 and 0.83 times at 2 10^4.
+
+    A run draws, sums and raises chunk by chunk through its own reused
+    buffers of ``_POWER_CHUNK`` samples and writes only the real and
+    imaginary parts of the powers, the two arrays the report reduces, so
+    memory beyond them is O(runs _POWER_CHUNK).
     """
     real_parts = np.empty(count)
     imag_parts = np.empty(count)
@@ -458,7 +463,7 @@ def _power_report(
                 real_parts[a:a + m] = chunk.real
                 imag_parts[a:a + m] = chunk.imag
 
-    _in_runs(run, _cuts(count, len(streams)))
+    _in_runs(run, _cuts(count, min(len(streams), 4)))
     entries = (
         _entry("real", real_parts, reference),
         _entry("imag", imag_parts, 0.0),

@@ -268,10 +268,15 @@ README_COMMANDS = [
 
 
 # Deeper commands whose stdout is kept in golden/: an identity of 8296 terms,
-# whose sum runs far past the README examples.
+# whose sum runs far past the README examples, and the README's identity
+# whose term budget grows with |x|.
 DEEP_COMMANDS = [
     ("identity_n12_N20_json",
      ("identity", "--n", "12", "--N", "20", "--x", "3/7", "--tol", "1e-12",
+      "--format", "json")),
+    # Converges at k = 9128 under a budget of 17715.
+    ("identity_n8_N10_x100000_json",
+     ("identity", "--n", "8", "--N", "10", "--x", "100000", "--tol", "1e-9",
       "--format", "json")),
 ]
 

@@ -22,6 +22,10 @@ from chebprob.eulerpoly import (
     gen_euler_series,
     gen_euler_zero,
 )
+from chebprob.identities import MAX_DEGREE
+
+# Orders at which the routes are held to each other through MAX_DEGREE.
+WIDE_ORDERS = (0, 1, 2, 10, 40)
 
 
 def series_product(a, b, order):
@@ -174,14 +178,18 @@ class TestGeneralized:
     def test_routes_agree_on_the_grid(self):
         # The scaled-integer series route against the recursive one, and
         # against the same expansion in Fractions, powered by iterated
-        # products.
-        for n in range(17):
-            denom = [Fraction(1)] + [
-                Fraction(1, 2 * math.factorial(j)) for j in range(1, n + 1)
-            ]
-            recip = series_reciprocal(denom, n)
-            powered = [Fraction(1)] + [Fraction(0)] * n
-            for p in range(25):
+        # products: every n <= 16 at p <= 24, and every n <= MAX_DEGREE at
+        # the orders WIDE_ORDERS.  The powers are taken once, through
+        # z^MAX_DEGREE; degree n reads their first n + 1 coefficients.
+        top = MAX_DEGREE
+        denom = [Fraction(1)] + [
+            Fraction(1, 2 * math.factorial(j)) for j in range(1, top + 1)
+        ]
+        recip = series_reciprocal(denom, top)
+        powered = [Fraction(1)] + [Fraction(0)] * top
+        for p in range(max(WIDE_ORDERS) + 1):
+            degrees = range(top + 1) if p in WIDE_ORDERS else range(17 if p <= 24 else 0)
+            for n in degrees:
                 in_fractions = tuple(
                     math.comb(n, k) * powered[n - k] * math.factorial(n - k)
                     for k in range(n + 1)
@@ -189,7 +197,26 @@ class TestGeneralized:
                 coeffs = gen_euler_series(n, p).coefficients
                 assert coeffs == gen_euler_recursive(n, p).coefficients, (n, p)
                 assert coeffs == in_fractions, (n, p)
-                powered = series_product(powered, recip, n)
+            powered = series_product(powered, recip, top)
+
+    def test_routes_agree_for_every_p(self):
+        # A coefficient of E_n^{(p)}(x), binom(n, k) E_{n-k}^{(p)}(0), is a
+        # polynomial of degree at most n in p: the egf of the values at zero
+        # is exp(p log(2/(1 + e^z))), and the log is O(z).  Two such
+        # polynomials that agree at n + 1 orders agree at every order.  The
+        # (n+1)-th forward difference over p = 0..n+1 checks the degree on
+        # what both routes return.
+        for n in range(21):
+            rows = []
+            for p in range(n + 2):
+                coeffs = gen_euler_series(n, p).coefficients
+                assert coeffs == gen_euler_recursive(n, p).coefficients, (n, p)
+                rows.append(coeffs)
+            for k in range(n + 1):
+                column = [row[k] for row in rows]
+                for _ in range(n + 1):
+                    column = [b - a for a, b in zip(column, column[1:])]
+                assert column == [0], (n, k)
 
     @settings(max_examples=40)
     @given(st.integers(0, 10), st.integers(1, 14))

@@ -7,6 +7,7 @@ from unittest import mock
 
 import pytest
 import chebprob.identities as identities_module
+import chebprob.probnum as probnum_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -319,6 +320,34 @@ def per_order_sum(what, n, N, x, scale, tol, budget):
         f"{what} not within {tol} by k={budget}, the end of the term budget",
         achieved_error=float(abs(Fraction(total, scale * den) - target)),
     )
+
+
+class TestLawMemo:
+    def memo_after(self, n, N, x, tol):
+        # From an empty memo, so that only this sum grows it; the memo list
+        # holds a_ell at index ell, N leading zeros included.
+        with probnum_module._LAW_LOCK:
+            probnum_module._LAW.clear()
+        outcome = reconstruct_euler(n, N, x, tol)
+        return outcome, len(probnum_module._LAW[N][2])
+
+    def test_memo_grows_by_a_bounded_block(self):
+        # The sum reads the law a fixed block ahead of its term and never
+        # past the budget.  Reading it twice as far as the term, as a
+        # doubling memo would, holds 17716 entries here.
+        n, N, x, tol = 8, 10, Fraction(100000), 1e-9
+        result, held = self.memo_after(n, N, x, tol)
+        k = N + 2 * (result.terms_used - 1)
+        assert k == 9128
+        budget = _default_max_k(n, N, tol, x)
+        assert held <= min(budget, k + identities_module._LAW_BLOCK) + 1
+        assert held >= k + 1
+
+    def test_memo_stops_at_the_budget(self, monkeypatch):
+        monkeypatch.setattr(identities_module, "_default_max_k", lambda *args: 25)
+        with pytest.raises(ConvergenceError):
+            self.memo_after(4, 5, Fraction(1, 3), 1e-9)
+        assert len(probnum_module._LAW[5][2]) == 26
 
 
 class TestDifferenceTable:

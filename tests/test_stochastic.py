@@ -869,6 +869,24 @@ class TestRuns:
             reports.append(json.dumps(mc_klebanov(RandomStream(42), 2, 10**6).json_dict()))
         assert reports[0] == reports[1]
 
+    def test_power_runs_hold_a_quarter_of_MIN_RUN_samples(self, monkeypatch):
+        # Two runs of 5000 samples at p = 10 took longer than one; calls of
+        # 10^5 samples keep their two runs.
+        runs = []
+        real = stochastic_module._in_runs
+
+        def counting(job, bounds):
+            runs.append(len(bounds) - 1)
+            real(job, bounds)
+
+        monkeypatch.setattr(stochastic_module, "_WORKERS", 2)
+        monkeypatch.setattr(stochastic_module, "_in_runs", counting)
+        x = Fraction(1, 3)
+        for count in (10**4, 2 * 10**4, 10**5):
+            mc_gen_euler(RandomStream(5), 6, 10, x, count)
+        mc_euler_poly(RandomStream(5), 1, x, 10**5)
+        assert runs == [1, 2, 2, 2]
+
     def test_no_thread_outlives_import_or_call(self):
         # The benchmark forks after the import, and callers may fork too.
         proc = run_fresh(
