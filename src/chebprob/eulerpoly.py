@@ -11,23 +11,26 @@ returned as :class:`~.exactnum.DensePolynomial`.
 Two construction routes are provided for the generalized polynomials and are
 required to agree coefficient-for-coefficient:
 
-* ``gen_euler_recursive`` iterates the order-raising convolution of the
-  values at zero, E_n^{(p)}(0) = sum_k binom(n, k) E_k^{(p-1)}(0) E_{n-k}(0),
-  then expands E_n^{(p)}(x) = sum_k binom(n, k) x^k E_{n-k}^{(p)}(0), each
-  coefficient one dyadic Fraction made from the integer row.
+* ``gen_euler_recursive`` raises the order of the values at zero one step
+  at a time from order 0, whose row is (1, 0, 0, ...): the generating
+  function of order p times h = (1 + e^z)/2 is that of order p - 1, so
+  E_n^{(p)}(0) = E_n^{(p-1)}(0) - (1/2) sum_{k<n} binom(n, k) E_k^{(p)}(0),
+  one division by h per order.  It then expands E_n^{(p)}(x) = sum_k
+  binom(n, k) x^k E_{n-k}^{(p)}(0), each coefficient one dyadic Fraction
+  made from the integer row.
 * ``gen_euler_series`` expands the generating function directly in the
-  ordinary basis: the p-th power of 2/(1 + e^z) = h^(-1), h = (1 + e^z)/2,
-  by J. C. P. Miller's recurrence for a power of a series (Knuth, TAOCP
-  vol. 2, 4.7), then multiplied by the e^{xz} series symbolically in x.  It
-  runs in integers scaled by K = 2^n n!: the ordinary coefficient of z^m in
-  h^(-p) is E_m^{(p)}(0)/m!, whose denominator divides 2^m m! and so K, so
-  each step's division by m K is exact (and checked), and one Fraction is
-  made per output coefficient.  Step m costs m products of numbers of
-  about 2 log2 K bits (plus the m log2 p bits by which E_m^{(p)}(0) grows),
-  so the route is O(n^2) such products for every p.  It shares no row with the
-  recursive route: a power recurrence on the series of h, not binomial
-  convolutions of values at zero, so each route stays an oracle for the
-  other.
+  ordinary basis: the p-th power of 2/(1 + e^z) = h^(-1), by J. C. P.
+  Miller's recurrence for a power of a series (Knuth, TAOCP vol. 2, 4.7),
+  then multiplied by the e^{xz} series symbolically in x.  It runs in
+  integers scaled by K = 2^n n!: the ordinary coefficient of z^m in h^(-p)
+  is E_m^{(p)}(0)/m!, whose denominator divides 2^m m! and so K, so each
+  step's division by m K is exact (and checked), and one Fraction is made
+  per output coefficient.  Step m costs m products of numbers of about
+  2 log2 K bits (plus the m log2 p bits by which E_m^{(p)}(0) grows), so
+  the route is O(n^2) such products for every p.  It shares no row with the
+  recursive route: one power recurrence for h^(-p) on the ordinary
+  coefficients, not p divisions by h on the exponential ones, so each route
+  stays an oracle for the other.
 
 The Euler numbers come from their own recurrence, the one of 1/cosh z, which
 shares nothing with the values at zero of either route; E_n = 2^n E_n(1/2)
@@ -36,7 +39,7 @@ therefore compares two independent recurrences (acceptance criterion 6).
 The value-at-zero rows of the recursive route are memoized per order behind
 a lock; the identity seeds its difference table from n//2 + 1 orders.  The
 values at zero are dyadic (2^n E_n^{(p)}(0) is an integer), so the rows are
-held as those integers and the convolutions run in ``int``; a Fraction is
+held as those integers and the recurrence runs in ``int``; a Fraction is
 made only on the way out.
 """
 
@@ -61,7 +64,7 @@ _CACHE_LOCK = threading.Lock()
 _EULER_NUMBERS: list[int] = [1]
 # Value-at-zero rows by order, as integers: row p holds 2^n E_n^{(p)}(0) for
 # n = 0, 1, ...
-_ZERO_ROWS: dict[int, list[int]] = {0: [1], 1: [1]}
+_ZERO_ROWS: dict[int, list[int]] = {0: [1]}
 
 
 def _euler_numbers_upto(max_n: int) -> list[int]:
@@ -76,39 +79,27 @@ def _euler_numbers_upto(max_n: int) -> list[int]:
     return _EULER_NUMBERS[: max_n + 1]
 
 
-def _zero_row_one_upto(max_n: int) -> list[int]:
-    # Caller holds _CACHE_LOCK.  From (e^z + 1) sum E_n(0) z^n/n! = 2:
-    # E_n(0) = -(1/2) sum_{k<n} binom(n, k) E_k(0) for n >= 1; times 2^n,
-    # with b_k = 2^k E_k(0): b_n = -sum_{k<n} binom(n, k) 2^(n-k-1) b_k.
-    row = _ZERO_ROWS[1]
-    for n in range(len(row), max_n + 1):
-        row.append(-sum(math.comb(n, k) * row[k] << (n - k - 1) for k in range(n)))
-    return row
-
-
 def _zero_rows_upto(p: int, max_n: int) -> list[int]:
-    # Caller holds _CACHE_LOCK.  Raise the order one convolution at a time,
-    # extending to max_n every row above the highest order under p whose row
-    # reaches it already (a row is never longer than the one below it).
-    # The powers of two split as 2^n = 2^k 2^(n-k), so the convolution of the
-    # scaled rows is the scaled row of the next order.
+    # Caller holds _CACHE_LOCK.  The egf G_q = (2/(1 + e^z))^q of row q
+    # satisfies (1 + e^z)/2 G_q = G_{q-1}, so E_n^{(q)}(0) = E_n^{(q-1)}(0)
+    # - (1/2) sum_{k<n} binom(n, k) E_k^{(q)}(0); times 2^n, with b the row
+    # of order q and b' that of order q - 1: b_n = b'_n - sum_{k<n}
+    # binom(n, k) 2^(n-k-1) b_k.  Row 0 is (1, 0, 0, ...).  Every row above
+    # the highest order under p whose row reaches max_n already (a row is
+    # never longer than the one below it) is extended to max_n.
     if len(_ZERO_ROWS.get(p, ())) > max_n:
         return _ZERO_ROWS[p]
-    base = _zero_row_one_upto(max_n)
     row0 = _ZERO_ROWS[0]
     row0.extend([0] * (max_n + 1 - len(row0)))
-    if p <= 1:
-        return _ZERO_ROWS[p]
-    start = p
-    while start > 2 and len(_ZERO_ROWS.get(start - 1, ())) <= max_n:
+    start = max(p, 1)
+    while start > 1 and len(_ZERO_ROWS.get(start - 1, ())) <= max_n:
         start -= 1
     for q in range(start, p + 1):
         prev = _ZERO_ROWS[q - 1]
         row = _ZERO_ROWS.setdefault(q, [])
         for n in range(len(row), max_n + 1):
-            row.append(
-                sum(math.comb(n, k) * prev[k] * base[n - k] for k in range(n + 1))
-            )
+            acc = sum(math.comb(n, k) * row[k] << (n - k - 1) for k in range(n))
+            row.append(prev[n] - acc)
     return _ZERO_ROWS[p]
 
 

@@ -62,7 +62,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterator, Literal
 
@@ -327,13 +327,7 @@ class CrossValidationReport:
     indices_checked: int
 
     def json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "max_ell": self.max_ell,
-            "tol": self.tol,
-            "max_trig_deviation": self.max_trig_deviation,
-            "indices_checked": self.indices_checked,
-        }
+        return asdict(self)
 
 
 def cross_validate(

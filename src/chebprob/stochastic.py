@@ -27,9 +27,9 @@ reproduce identical arrays on any platform.
 
 A large call is cut into contiguous runs, one per CPU this process may use,
 each filled on its own thread (see :func:`_in_runs`).  A call is cut by the
-draws it makes (p per sample for mc_gen_euler, floor(N/2) for sample_mu),
-into runs of at least 2^15 draws.  Every draw is read at its own stream
-position, so the output does not depend on the number of runs.
+draws it makes (p per sample, at most 4, for mc_gen_euler; floor(N/2) for
+sample_mu), into runs of at least 2^15 draws.  Every draw is read at its own
+stream position, so the output does not depend on the number of runs.
 
 mc_euler_poly and mc_gen_euler share one kernel (:func:`_power_report`):
 each run draws, sums and raises its samples chunk by chunk in reused
@@ -569,8 +569,11 @@ def _massart_pvalue(n: int, statistic: float) -> float:
     """Massart's form of the Dvoretzky-Kiefer-Wolfowitz inequality,
     P(D_n >= d) <= 2 exp(-2 n d^2), proven for every n (Ann. Probab. 18,
     1990): an upper bound on the p-value of a one-sample KS statistic, at
-    most 1.5e-4 above the exact one where n >= 10^5 and that is <= 0.05."""
-    return min(1.0, 2.0 * math.exp(-2.0 * n * statistic * statistic))
+    most 1.5e-4 above the exact one where n >= 10^5 and that is <= 0.05.
+    A NaN statistic gives a NaN p-value, which ``MomentReport.ok`` fails."""
+    # min returns its first argument unless the second is smaller, and
+    # nothing compares smaller than NaN.
+    return min(2.0 * math.exp(-2.0 * n * statistic * statistic), 1.0)
 
 
 def mc_klebanov(stream: RandomStream, N: int, count: int) -> MomentReport:

@@ -278,6 +278,10 @@ DEEP_COMMANDS = [
     ("identity_n8_N10_x100000_json",
      ("identity", "--n", "8", "--N", "10", "--x", "100000", "--tol", "1e-9",
       "--format", "json")),
+    # The top degree: its difference table reads the rows at orders 8..40.
+    ("identity_n32_N8_json",
+     ("identity", "--n", "32", "--N", "8", "--x", "1/3", "--tol", "1e-6",
+      "--format", "json")),
 ]
 
 

@@ -11,9 +11,10 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chebprob.eulerpoly as eulerpoly_module
 from chebprob.eulerpoly import (
     euler_numbers,
     euler_poly,
@@ -269,6 +270,36 @@ class TestGeneralized:
             t.join()
         for p, coeffs in results:
             assert coeffs == gen_euler_series(4, p).coefficients
+
+
+zero_row_requests = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=6
+)
+
+
+class TestZeroRowMemo:
+    # A first request of order 0 beyond row 0's length must extend row 0
+    # without raising an order below it.
+    @example([(3, 0)])
+    @settings(max_examples=50, deadline=None)
+    @given(zero_row_requests)
+    def test_any_request_order_gives_the_unmemoized_values(self, order):
+        # Start from the initial rows, so that the memo grows in the drawn
+        # order; the rows held before are put back afterwards.
+        with eulerpoly_module._CACHE_LOCK:
+            held = {p: list(row) for p, row in eulerpoly_module._ZERO_ROWS.items()}
+            eulerpoly_module._ZERO_ROWS.clear()
+            eulerpoly_module._ZERO_ROWS[0] = [1]
+        try:
+            for n, p in order:
+                assert (
+                    gen_euler_recursive(n, p).coefficients
+                    == gen_euler_series(n, p).coefficients
+                ), (n, p)
+        finally:
+            with eulerpoly_module._CACHE_LOCK:
+                eulerpoly_module._ZERO_ROWS.clear()
+                eulerpoly_module._ZERO_ROWS.update(held)
 
 
 class TestEvalPoly:

@@ -1077,6 +1077,9 @@ class TestKolmogorovSmirnov:
                 if n >= 10**5 and exact <= 0.05:
                     assert bound - exact <= 2e-4, (n, p)
         assert stochastic_module._massart_pvalue(10**5, 0.0) == 1.0
+        # A NaN statistic stays NaN, which MomentReport.ok fails (the ks-nan
+        # case of test_non_finite_figures_fail); 1.0 would be a perfect fit.
+        assert math.isnan(stochastic_module._massart_pvalue(10**5, math.nan))
 
     def test_klebanov_sees_a_scaled_sech_map(self, monkeypatch):
         # Sums drawn through a sech map 1% too wide are 1% too wide too.  A
