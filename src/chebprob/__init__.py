@@ -30,8 +30,6 @@ from .exactnum import (
     ballot_number,
     binomial,
     catalan_sequence,
-    convolution_power,
-    convolve,
     format_rational,
 )
 from .identities import (
@@ -72,7 +70,7 @@ __all__ = [
     "__version__",
     # exactnum
     "DomainError", "binomial", "catalan_sequence", "ballot_number",
-    "convolve", "convolution_power", "format_rational", "DensePolynomial",
+    "format_rational", "DensePolynomial",
     # chebyshev
     "chebyshev_T", "chebyshev_U", "reversed_T",
     # probnum

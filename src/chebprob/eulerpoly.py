@@ -19,13 +19,13 @@ required to agree coefficient-for-coefficient:
   binom(n, k) x^k E_{n-k}^{(p)}(0), each coefficient one dyadic Fraction
   made from the integer row.
 * ``gen_euler_series`` expands the generating function directly in the
-  ordinary basis: the p-th power of 2/(1 + e^z) = h^(-1), by J. C. P.
-  Miller's recurrence for a power of a series (Knuth, TAOCP vol. 2, 4.7),
-  then multiplied by the e^{xz} series symbolically in x.  It runs in
-  integers scaled by K = 2^n n!: the ordinary coefficient of z^m in h^(-p)
-  is E_m^{(p)}(0)/m!, whose denominator divides 2^m m! and so K, so each
-  step's division by m K is exact (and checked), and one Fraction is made
-  per output coefficient.  Step m costs m products of numbers of about
+  ordinary basis: the p-th power of 2/(1 + e^z) = h^(-1), by the integer
+  power-series kernel ``exactnum.extend_power`` (J. C. P. Miller's
+  recurrence, alpha = -p), then multiplied by the e^{xz} series symbolically
+  in x.  It runs in integers scaled by K = 2^n n!: the ordinary coefficient
+  of z^m in h^(-p) is E_m^{(p)}(0)/m!, whose denominator divides 2^m m! and
+  so K, so each step's division by m K is exact (and checked), and one
+  Fraction is made per output coefficient.  Step m costs m products of numbers of about
   2 log2 K bits (plus the m log2 p bits by which E_m^{(p)}(0) grows), so
   the route is O(n^2) such products for every p.  It shares no row with the
   recursive route: one power recurrence for h^(-p) on the ordinary
@@ -49,7 +49,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .exactnum import DensePolynomial, Rational, dyadic, require
+from .exactnum import DensePolynomial, Rational, dyadic, extend_power, require
 
 __all__ = [
     "euler_numbers",
@@ -145,22 +145,13 @@ def gen_euler_series(n: int, p: int) -> DensePolynomial:
     recursive route and required to match it exactly."""
     require("gen_euler_series", "n", n, 0)
     require("gen_euler_series", "p", p, 0)
-    # g = (2/(1 + e^z))^p = h^(-p), h = (1 + e^z)/2, by J. C. P. Miller's
-    # power recurrence (Knuth, TAOCP 2, 4.7): m h_0 g_m = sum_{j=1..m}
-    # ((1 - p) j - m) h_j g_{m-j}.  Scaled by K = 2^n n!, H_0 = K and H_j =
-    # K/(2 j!) are integers, and so is G_m = K g_m = K E_m^{(p)}(0)/m! for
-    # m <= n, since that denominator divides 2^m m!.
+    # g = (2/(1 + e^z))^p = h^(-p), h = (1 + e^z)/2, by the power kernel.
+    # Scaled by K = 2^n n!, h_0 = K and h_j = K/(2 j!) are integers, and so
+    # is G_m = K g_m = K E_m^{(p)}(0)/m! for m <= n, since that denominator
+    # divides 2^m m!.
     K = math.factorial(n) << n
-    H = [K] + [K // (2 * math.factorial(j)) for j in range(1, n + 1)]
-    G = [K]
-    for m in range(1, n + 1):
-        g, remainder = divmod(
-            sum(((1 - p) * j - m) * H[j] * G[m - j] for j in range(1, m + 1)),
-            m * K,
-        )
-        if remainder:
-            raise ArithmeticError(f"division by {m * K} is not exact at m={m}")
-        G.append(g)
+    taps = [(j, K // (2 * math.factorial(j))) for j in range(1, n + 1)]
+    G = extend_power(taps, K, -p, [K], n)
     # The coefficient of x^k is binom(n, k) (n-k)! g_{n-k} = (n!/k!) G_{n-k}/K
     # = G_{n-k} / (2^n k!), and G_{n-k} / k! is an integer.
     coeffs = []

@@ -1,6 +1,6 @@
 """Exact combinatorial primitives: binomials, Catalan and ballot numbers,
-sequence convolution, integer series long division, dyadic rationals and
-the dense polynomial type.
+the integer power of a power series, dyadic rationals and the dense
+polynomial type.
 
 All arithmetic here is exact.  Plain ``int`` is the arbitrary-precision
 integer and :class:`fractions.Fraction` the exact rational (always stored
@@ -25,9 +25,7 @@ __all__ = [
     "binomial",
     "catalan_sequence",
     "ballot_number",
-    "convolve",
-    "convolution_power",
-    "extend_quotient",
+    "extend_power",
     "dyadic",
     "DensePolynomial",
     "format_rational",
@@ -110,75 +108,38 @@ def ballot_number(n: int, k: int) -> int:
     return -1 if k == n + 1 else 0
 
 
-def convolve(
-    a: Sequence[Rational], b: Sequence[Rational], length: int | None = None
-) -> list[Rational]:
-    """Convolution c_n = sum_j a_j * b_{n-j}.
-
-    The full result has length len(a) + len(b) - 1.  When the inputs are
-    prefixes of longer sequences only the first min(len(a), len(b)) entries
-    are meaningful; pass ``length`` to truncate to the range you trust.
-    """
-    if not a or not b:
-        raise DomainError("convolve requires nonempty sequences")
-    full = len(a) + len(b) - 1
-    n_out = full if length is None else min(length, full)
-    out: list[Rational] = [0] * n_out
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        top = min(len(b), n_out - i)
-        for j in range(top):
-            out[i + j] += ai * b[j]
-    return out
-
-
-def convolution_power(
-    a: Sequence[Rational], N: int, length: int | None = None
-) -> list[Rational]:
-    """N-fold self-convolution of ``a`` (N >= 1), by repeated squaring.
-
-    Exact arithmetic makes the squaring route agree term-for-term with
-    iterated :func:`convolve`.  ``length`` truncates as in :func:`convolve`.
-    """
-    if not a:
-        raise DomainError("convolution_power requires a nonempty sequence")
-    require("convolution_power", "N", N, 1)
-    full = N * (len(a) - 1) + 1
-    cap = full if length is None else min(length, full)
-    result: list[Rational] | None = None
-    base = list(a)
-    n = N
-    while n:
-        if n & 1:
-            result = base[:cap] if result is None else convolve(result, base, cap)
-        n >>= 1
-        if n:
-            base = convolve(base, base, cap)
-    assert result is not None
-    return result[:cap]
-
-
-def extend_quotient(
-    taps: Sequence[tuple[int, int]], c0: int, values: list[int], last: int
+def extend_power(
+    taps: Sequence[tuple[int, int]], q0: int, alpha: int, values: list[int],
+    last: int, start: int = 0,
 ) -> list[int]:
-    """Extend ``values`` in place through index ``last`` by the long division
-    c0 a_m = -sum_i t_i a_{m-i} over the nonzero taps (i, t_i), i >= 1, of an
-    integer denominator c0 + t_1 z + t_2 z^2 + ...; returns ``values``.
+    """Extend ``values`` in place through index ``last`` with the power
+    g = g_0 (q / q0)^alpha of an integer series q = q0 + q_1 z + q_2 z^2 + ...,
+    g_m held at index ``start + m``; returns ``values``.
 
-    This is the one integer series reciprocal of the package; its caller is
-    the law of mu_N (``probnum._law``).  The caller pads ``values``
-    with at least max(i) leading entries (zeros before the first term of the
-    quotient), so every a_{m-i} exists and the loop tests no bound.  Each
-    step is a checked ``divmod``: a remainder raises ArithmeticError naming
-    the index, for the quotient is then not integral.  The kernel keeps no
-    state; callers that share ``values`` between threads hold their lock.
+    This is the one integer power-series kernel of the package, J. C. P.
+    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): q g' = alpha q' g gives
+
+        m q0 g_m = sum_{j=1..m} ((alpha + 1) j - m) q_j g_{m-j}
+
+    over the nonzero taps (j, q_j), j >= 1.  Its callers are the law of mu_N
+    (alpha = -1, ``probnum._law``), the series route of the Euler
+    polynomials (alpha = -p, ``eulerpoly.gen_euler_series``) and the Catalan
+    power (alpha = N, ``identities.catalan_prefix_check``).  The caller puts
+    g_0 at index ``start``; the entries below it are never read.  Each step
+    is a checked ``divmod``: a remainder raises ArithmeticError naming the
+    index, for g_m is then not an integer.  The kernel keeps no state;
+    callers that share ``values`` between threads hold their lock.
     """
-    for m in range(len(values), last + 1):
-        a, remainder = divmod(-sum(t * values[m - i] for i, t in taps), c0)
+    a1 = alpha + 1
+    for i in range(len(values), last + 1):
+        m = i - start
+        g, remainder = divmod(
+            sum((a1 * j - m) * q * values[i - j] for j, q in taps if j <= m),
+            m * q0,
+        )
         if remainder:
-            raise ArithmeticError(f"division by {c0} is not exact at ell={m}")
-        values.append(a)
+            raise ArithmeticError(f"division by {m * q0} is not exact at index {i}")
+        values.append(g)
     return values
 
 

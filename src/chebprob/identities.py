@@ -14,8 +14,8 @@
   The ratio is 2 / (1 + a^(-2N)) with a = (1 + sqrt(1-z^2))/z > 1 (proved in
   its docstring), so it increases in N and tends to 2, not 1.
 * ``catalan_prefix_check`` verifies that the normalized coefficients
-  q_ell = 2^{ell-1} p_ell start out as the N-th convolution power of the
-  Catalan numbers and first disagree exactly at ell = 3N.
+  q_ell = 2^{ell-1} p_ell start out as the coefficients of C(z)^N, the N-th
+  power of the Catalan series, and first disagree exactly at ell = 3N.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from .exactnum import (
     DomainError,
     Rational,
     catalan_sequence,
-    convolution_power,
+    extend_power,
     float_or_inf,
     format_rational,
     require,
 )
-from .probnum import _law
+from .probnum import _check_table_args, _law
 
 __all__ = [
     "ConvergenceError",
@@ -302,8 +302,9 @@ def asymptotic_ratio(N: int, z: float) -> float:
 
 @dataclass(frozen=True)
 class CatalanPrefixReport:
-    """Comparison of q_{N+2k} against the Catalan convolution power entries
-    for k = 0..N, with the first disagreement pinned at ell = 3N."""
+    """Comparison of q_{N+2k} against the coefficients of z^k in C(z)^N, the
+    N-th power of the Catalan series, for k = 0..N, with the first
+    disagreement pinned at ell = 3N."""
 
     N: int
     q_prefix: tuple[Fraction, ...]
@@ -320,27 +321,31 @@ class CatalanPrefixReport:
 
 
 def catalan_prefix_check(N: int) -> CatalanPrefixReport:
-    """Verify q_{N+2k} = (Catalan^{*N})_k exactly for k < N and that the
-    first disagreement falls exactly at ell = 3N.
+    """Verify q_{N+2k} = [z^k] C(z)^N exactly for k < N and that the first
+    disagreement falls exactly at ell = 3N.
 
-    The observed leading difference is reported, not asserted to any
-    particular value.
+    C(z) = sum_j C_j z^j is the Catalan series; its power through z^N is
+    taken by the integer power kernel :func:`~.exactnum.extend_power`
+    (alpha = N), and the q_ell = a_ell / 2 are read from the law memo built
+    through 3N.  That table has the cap of a table of the law,
+    N * 3N <= ``probnum.MAX_LAW_WORK``, so N <= 2364.  The observed leading
+    difference is reported, not asserted to any particular value.
     """
-    require("catalan_prefix_check", "N", N, 1)
+    _check_table_args("catalan_prefix_check", N, 3 * N)
     # q_ell = a_ell / 2 with a_ell = 2^ell p_ell the integers of the law memo.
-    q = [Fraction(a, 2) for a in _law(N, 3 * N)[: 3 * N + 1]]
-    conv = convolution_power(catalan_sequence(N + 1), N, length=N + 1)
-    q_prefix = tuple(q[N + 2 * k] for k in range(N))
-    conv_prefix = tuple(int(c) for c in conv[:N])
-    prefix_equal = all(a == b for a, b in zip(q_prefix, conv_prefix))
-    difference = Fraction(conv[N]) - q[3 * N]
+    law = _law(N, 3 * N)
+    q_prefix = tuple(Fraction(law[N + 2 * k], 2) for k in range(N))
+    q_at_mismatch = Fraction(law[3 * N], 2)
+    taps = list(enumerate(catalan_sequence(N + 1)))[1:]
+    power = extend_power(taps, 1, N, [1], N)
+    conv_prefix = tuple(power[:N])
     return CatalanPrefixReport(
         N=N,
         q_prefix=q_prefix,
         convolution_prefix=conv_prefix,
-        prefix_equal=prefix_equal,
+        prefix_equal=q_prefix == conv_prefix,
         mismatch_ell=3 * N,
-        q_at_mismatch=q[3 * N],
-        convolution_at_mismatch=int(conv[N]),
-        leading_difference=difference,
+        q_at_mismatch=q_at_mismatch,
+        convolution_at_mismatch=power[N],
+        leading_difference=power[N] - q_at_mismatch,
     )

@@ -8,8 +8,8 @@ mu_N is N plus twice a sum of floor(N/2) independent geometric variables
 routes and cross-validates:
 
 * ``probnum_series``  -- exact: z^N times the truncated reciprocal of the
-  reversed Chebyshev polynomial, by the integer long division of
-  ``exactnum.extend_quotient``.
+  reversed Chebyshev polynomial, the power -1 taken by the integer
+  power-series kernel ``exactnum.extend_power``.
 * ``probnum_trig``    -- float: the root-angle formula
   p_ell = (1/N) sum_{k=1}^{N} (-1)^{k+1} sin(t_k) cos(t_k)^{ell-1}
   with t_k = (2k-1) pi / (2N).
@@ -42,19 +42,22 @@ no fresh binomial.  This route shares nothing with the recurrence below.
 
 The series values live in one append-only memo per N, lock-guarded and
 held for the life of the process; the identity layer reads it.
-Long division by the reversed polynomial c_0 + c_1 z + ... + c_N z^N gives
+The reciprocal of the reversed polynomial c_0 + c_1 z + ... + c_N z^N gives
 p_ell = -(c_1 p_{ell-1} + ... + c_N p_{ell-N}) / c_0.  The values are dyadic
 (the denominator of p_ell divides 2^ell), so the memo holds the integers
-a_ell = 2^ell p_ell, which obey
+a_ell = 2^ell p_ell.  With c_0 = 2^(N-1), their series is
+2 / (1 + t_1 z + ... + t_N z^N) over the integer taps
+t_{2k} = 2^{2k} c_{2k} / c_0 = (-1)^k N/(N-k) binom(N-k, k) (the odd c_i
+vanish), so
 
-    a_ell = -(2 c_1 a_{ell-1} + 4 c_2 a_{ell-2} + ... + 2^N c_N a_{ell-N}) / c_0
+    a_ell = -(t_1 a_{ell-1} + t_2 a_{ell-2} + ... + t_N a_{ell-N}):
 
-with c_0 = 2^(N-1): the package's one integer long division,
-``exactnum.extend_quotient``, which checks each division to be exact over
-the taps 2^i c_i and the memo padded with N leading zeros.  Each new term
-costs O(N) integer operations (only the nonzero taps are kept) and no gcd,
-a longer table never redoes the terms already held, and a Fraction is made
-only where a public function returns one.
+the power -1 of the package's one integer power-series kernel,
+``exactnum.extend_power``, with a_N = 2 at index N after N leading zeros.
+The taps are divided by c_0 once, checked to be exact, when the memo entry
+is built.  Each new term costs O(N) integer operations (only the nonzero
+taps are kept) and no gcd, a longer table never redoes the terms already
+held, and a Fraction is made only where a public function returns one.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from .exactnum import (
     DomainError,
     ballot_number,
     dyadic,
-    extend_quotient,
+    extend_power,
     format_rational,
     require,
 )
@@ -112,9 +115,9 @@ MAX_BALLOT_ELL = 2**13
 TRIG_TOL = 1e-10
 
 _LAW_LOCK = threading.Lock()
-# N -> (nonzero taps (i, 2^i c_i), i >= 1, of the reversed T_N; c_0; a_0, a_1,
-# ...) with a_ell = 2^ell p_ell
-_LAW: dict[int, tuple[tuple, int, list[int]]] = {}
+# N -> (nonzero taps (i, 2^i c_i / c_0), i >= 1, of the reversed T_N; a_0,
+# a_1, ...) with a_ell = 2^ell p_ell
+_LAW: dict[int, tuple[tuple, list[int]]] = {}
 
 
 class CrossValidationError(Exception):
@@ -192,20 +195,30 @@ class ProbTable:
 
 def _law(N: int, max_ell: int) -> list[int]:
     """The memo of mu_N as the integers a_ell = 2^ell p_ell, extended through
-    ``max_ell`` by :func:`~.exactnum.extend_quotient`.
+    ``max_ell`` by :func:`~.exactnum.extend_power`.
 
     The list is append-only: callers index or slice it below ``max_ell``
-    without the lock, and never mutate it.  Raises ArithmeticError if the
-    division by c_0 leaves a remainder, which would mean p_ell is not dyadic.
+    without the lock, and never mutate it.  Raises ArithmeticError if a tap
+    2^i c_i is not a multiple of c_0, which the closed form of the taps
+    rules out.
     """
     with _LAW_LOCK:
         entry = _LAW.get(N)
         if entry is None:
             c = reversed_T(N).coefficients
-            taps = tuple((i, ci << i) for i, ci in enumerate(c) if i and ci)
+            taps = []
+            for i, ci in enumerate(c):
+                if i and ci:
+                    t, remainder = divmod(ci << i, c[0])
+                    if remainder:
+                        raise ArithmeticError(
+                            f"N={N}: tap 2^{i} c_{i} is not a multiple of c_0={c[0]}"
+                        )
+                    taps.append((i, t))
             # a_N = 2^N / c_0 = 2.
-            entry = _LAW[N] = (taps, c[0], [0] * N + [2])
-        return extend_quotient(*entry, max_ell)
+            entry = _LAW[N] = (tuple(taps), [0] * N + [2])
+        taps, values = entry
+        return extend_power(taps, 1, -1, values, max_ell, N)
 
 
 def _gap(numerators: list[int], max_ell: int) -> Fraction:

@@ -1,10 +1,11 @@
 """Truncated power series with exact rational coefficients: the Fraction
-reference for the integer long division of :mod:`.exactnum`.
+reference for the integer power-series kernel of :mod:`.exactnum`.
 
 A :class:`TruncatedSeries` is a prefix of a formal power series: coefficients
 of z^0 .. z^order, all :class:`~fractions.Fraction`.  Its one operation is the
 reciprocal, a plain long division over rationals that shares no code with
-``exactnum.extend_quotient``; the tests hold the law of mu_N against it.
+``exactnum.extend_power``; the tests hold that kernel and the law of mu_N
+against it.
 No library route imports this module.  Values are immutable.
 """
 

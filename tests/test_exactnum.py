@@ -1,8 +1,8 @@
 """Combinatorial primitives against independent oracles.
 
 The binomial oracle is the Pascal-triangle recurrence with big integers; the
-Catalan oracle is the direct quotient formula; convolution powers are checked
-against iterated convolution.
+Catalan oracle is the direct quotient formula; the power kernel is checked
+against Fraction products and the Fraction reciprocal of ``series``.
 """
 
 import math
@@ -16,9 +16,7 @@ from chebprob.exactnum import (
     ballot_number,
     binomial,
     catalan_sequence,
-    convolution_power,
-    convolve,
-    extend_quotient,
+    extend_power,
     float_or_inf,
     format_rational,
 )
@@ -105,71 +103,27 @@ class TestBallot:
                 assert ballot_number(n, k) >= 0, (n, k)
 
 
-class TestConvolve:
-    def test_basic(self):
-        assert convolve([1, 1], [1, 1]) == [1, 2, 1]
-
-    def test_identity_element(self):
-        assert convolve([1], [3, -2, Fraction(1, 7)]) == [3, -2, Fraction(1, 7)]
-
-    def test_catalan_self_convolution(self):
-        # Oracle: from the Catalan recurrence, (C*C)_k = C_{k+1}.  Only the
-        # prefix of length len(input) is meaningful for truncated inputs.
-        c = catalan_sequence(8)
-        square = convolve(c, c, length=8)
-        assert square == catalan_sequence(9)[1:]
-        assert convolve([1, 1, 2, 5], [1, 1, 2, 5], length=4) == [1, 2, 5, 14]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            convolve([], [1])
-
-    @given(
-        st.lists(st.integers(-9, 9), min_size=1, max_size=6),
-        st.lists(st.integers(-9, 9), min_size=1, max_size=6),
-    )
-    def test_against_double_loop(self, a, b):
-        full = convolve(a, b)
-        assert len(full) == len(a) + len(b) - 1
-        for n in range(len(full)):
-            direct = sum(
-                a[j] * b[n - j] for j in range(len(a)) if 0 <= n - j < len(b)
-            )
-            assert full[n] == direct
+def series_product(a, b, order):
+    # The Cauchy product through z^order, term by term.
+    return [
+        sum(a[j] * b[n - j] for j in range(n + 1) if j < len(a) and n - j < len(b))
+        for n in range(order + 1)
+    ]
 
 
-class TestConvolutionPower:
-    def test_power_one(self):
-        assert convolution_power([1, 1, 2, 5], 1) == [1, 1, 2, 5]
-
-    def test_binomial_row(self):
-        assert convolution_power([1, 1], 3) == [1, 3, 3, 1]
-
-    def test_catalan_square_prefix(self):
-        got = convolution_power([1, 1, 2, 5, 14], 2, length=5)
-        assert got == [1, 2, 5, 14, 42]
-
-    def test_invalid_power(self):
-        with pytest.raises(ValueError):
-            convolution_power([1, 2], 0)
-
-    @settings(max_examples=40)
-    @given(
-        st.lists(
-            st.fractions(min_value=-3, max_value=3, max_denominator=6),
-            min_size=1,
-            max_size=4,
-        ),
-        st.integers(1, 8),
-    )
-    def test_squaring_equals_iterated(self, a, N):
-        iterated = list(a)
-        for _ in range(N - 1):
-            iterated = convolve(iterated, a)
-        assert convolution_power(a, N) == iterated
+def series_power(q, alpha, order):
+    # q^alpha through z^order by |alpha| products, and for alpha < 0 the
+    # Fraction reciprocal of q^|alpha|.
+    power = [Fraction(1)]
+    for _ in range(abs(alpha)):
+        power = series_product(power, q, order)
+    if alpha < 0:
+        return list(TruncatedSeries.of(power, order).reciprocal().coefficients)
+    return power + [Fraction(0)] * (order + 1 - len(power))
 
 
 class TestExtendQuotient:
+    # The power kernel at alpha = -1, the reciprocal the law of mu_N takes.
     @settings(max_examples=50)
     @given(
         st.sampled_from([1, -1]),
@@ -178,23 +132,51 @@ class TestExtendQuotient:
     )
     def test_reciprocal_equals_the_fraction_reference(self, c0, tail, order):
         # A unit constant term keeps every coefficient of the reciprocal an
-        # integer; the list is padded with one zero per tap position.
+        # integer, and c0 (q / c0)^(-1) = 1/q.
         taps = [(i, t) for i, t in enumerate(tail, 1) if t]
         pad = len(tail)
-        values = extend_quotient(taps, c0, [0] * pad + [c0], pad + order)
+        values = extend_power(taps, c0, -1, [0] * pad + [c0], pad + order, pad)
         reference = TruncatedSeries.of([c0, *tail], order).reciprocal()
         assert tuple(values[pad:]) == reference.coefficients
 
     def test_extends_in_place_and_keeps_what_it_holds(self):
         values = [0, 1]
-        assert extend_quotient([(1, -1)], 1, values, 4) is values
+        assert extend_power([(1, -1)], 1, -1, values, 4, 1) is values
         assert values == [0, 1, 1, 1, 1]
-        assert extend_quotient([(1, 7)], 1, values, 3) == [0, 1, 1, 1, 1]
+        assert extend_power([(1, 7)], 1, -1, values, 3, 1) == [0, 1, 1, 1, 1]
 
     def test_inexact_division_names_the_index(self):
-        # 1 / (2 + z): a_1 = -1/2.
-        with pytest.raises(ArithmeticError, match="ell=2"):
-            extend_quotient([(1, 1)], 2, [0, 1], 2)
+        # 1 / (2 + z) from index 1: g_1 = -1/2 at index 2.
+        with pytest.raises(ArithmeticError, match="index 2"):
+            extend_power([(1, 1)], 2, -1, [0, 1], 2, 1)
+
+
+class TestExtendPower:
+    @settings(max_examples=80)
+    @given(
+        st.sampled_from([1, -1]),
+        st.lists(st.integers(-5, 5), min_size=1, max_size=5),
+        st.integers(-4, 4),
+        st.integers(0, 3),
+        st.integers(-3, 3).filter(bool),
+        st.integers(0, 10),
+    )
+    def test_power_equals_the_fraction_reference(self, q0, tail, alpha, start, g0, order):
+        # A unit constant term keeps every coefficient of g0 (q / q0)^alpha
+        # an integer.  The entries below start are left as they are.
+        taps = [(j, t) for j, t in enumerate(tail, 1) if t]
+        below = list(range(7, 7 + start))
+        values = extend_power(taps, q0, alpha, below + [g0], start + order, start)
+        q = [Fraction(c, q0) for c in [q0, *tail]]
+        assert values[:start] == below
+        assert values[start:] == [g0 * c for c in series_power(q, alpha, order)]
+
+    def test_catalan_square_and_binomial_row(self):
+        # From the Catalan recurrence, (C*C)_k = C_{k+1}; and (1 + z)^3.
+        catalan = catalan_sequence(9)
+        taps = list(enumerate(catalan[:8]))[1:]
+        assert extend_power(taps, 1, 2, [1], 7) == catalan[1:]
+        assert extend_power([(1, 1)], 1, 3, [1], 5) == [1, 3, 3, 1, 0, 0]
 
 
 class TestRationalBasics:

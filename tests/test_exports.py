@@ -28,8 +28,10 @@ UNUSED_BY_DESIGN = {
 }
 
 # Private names one src module may import from another: the identity's
-# summation reads the integer law memo directly.
+# summation reads the integer law memo directly, and the Catalan prefix check
+# builds the law through 3N under the caps of a table.
 PRIVATE_IMPORTS = {
+    ("identities", "probnum", "_check_table_args"),
     ("identities", "probnum", "_law"),
 }
 

@@ -27,7 +27,7 @@ from chebprob.identities import (
     expectation_form_check,
     reconstruct_euler,
 )
-from chebprob.probnum import probnum_series
+from chebprob.probnum import MAX_LAW_WORK, probnum_series
 
 
 class TestReconstruction:
@@ -329,7 +329,7 @@ class TestLawMemo:
         with probnum_module._LAW_LOCK:
             probnum_module._LAW.clear()
         outcome = reconstruct_euler(n, N, x, tol)
-        return outcome, len(probnum_module._LAW[N][2])
+        return outcome, len(probnum_module._LAW[N][1])
 
     def test_memo_grows_by_a_bounded_block(self):
         # The sum reads the law a fixed block ahead of its term and never
@@ -347,7 +347,7 @@ class TestLawMemo:
         monkeypatch.setattr(identities_module, "_default_max_k", lambda *args: 25)
         with pytest.raises(ConvergenceError):
             self.memo_after(4, 5, Fraction(1, 3), 1e-9)
-        assert len(probnum_module._LAW[5][2]) == 26
+        assert len(probnum_module._LAW[5][1]) == 26
 
 
 class TestDifferenceTable:
@@ -517,4 +517,11 @@ class TestCatalanPrefix:
             report = catalan_prefix_check(N)
             assert report.prefix_equal, N
             assert report.leading_difference != 0, N
+
+    def test_has_the_cap_of_a_law_table(self):
+        # The law is built through 3N, so N * 3N <= MAX_LAW_WORK: N <= 2364.
+        # Without the cap N = 3000 ran for over a minute.
+        assert 2364 * 3 * 2364 <= MAX_LAW_WORK < 2365 * 3 * 2365
+        with pytest.raises(DomainError, match="^catalan_prefix_check requires N "):
+            catalan_prefix_check(2365)
 

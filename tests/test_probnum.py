@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from chebprob import probnum
 from chebprob.chebyshev import reversed_T
-from chebprob.exactnum import DomainError, ballot_number
+from chebprob.exactnum import DensePolynomial, DomainError, ballot_number
 from chebprob.probnum import (
     CrossValidationError,
     catalan_table,
@@ -172,20 +172,18 @@ class TestSeriesMemo:
             assert table.values == oracle[table.N][: table.max_ell + 1]
 
 
-    def test_inexact_division_raises_arithmetic_error(self):
-        # A law whose 2^ell p_ell is not an integer must stop the recurrence
-        # with an ArithmeticError, never a ValueError (the CLI's usage error).
-        # Plant a memo entry with one tap 2 (c_1 = 1) and c_0 = 4: a_3 = -2/4.
+    def test_inexact_division_raises_arithmetic_error(self, monkeypatch):
+        # A law whose 2^ell p_ell is not an integer must stop with an
+        # ArithmeticError, never a ValueError (the CLI's usage error).  With
+        # c_0 = 4 and c_1 = 1 the tap 2 c_1 / c_0 = 1/2 is no integer.
         with probnum._LAW_LOCK:
             probnum._LAW.clear()
-            probnum._LAW[2] = (((1, 2),), 4, [0, 0, 1])
-        try:
-            with pytest.raises(ArithmeticError, match="ell=3") as info:
-                probnum_series(2, 3)
-            assert not isinstance(info.value, ValueError)
-        finally:
-            with probnum._LAW_LOCK:
-                probnum._LAW.clear()
+        monkeypatch.setattr(probnum, "reversed_T", lambda N: DensePolynomial((4, 1)))
+        with pytest.raises(ArithmeticError, match="c_0=4") as info:
+            probnum_series(2, 3)
+        assert not isinstance(info.value, ValueError)
+        assert 2 not in probnum._LAW
+        monkeypatch.undo()
         assert probnum_series(2, 3).values[2] == Fraction(1, 2)
 
 
@@ -384,6 +382,13 @@ class TestCrossValidation:
         report = cross_validate(N, L, 1e-10)
         assert report.indices_checked == L + 1
         assert report.max_trig_deviation <= 1e-10
+
+    def test_law_at_the_ballot_cap(self):
+        # The memo against the ballot kernel at depth, exactly, and the
+        # trig route within its bound, through the last admitted index.
+        report = cross_validate(64, probnum.MAX_BALLOT_ELL)
+        assert report.indices_checked == 8193
+        assert report.max_trig_deviation <= probnum.TRIG_TOL
 
     def test_mismatch_is_named(self):
         with pytest.raises(CrossValidationError) as info:

@@ -45,7 +45,6 @@ RANGE_REFUSALS = [
     ("binomial", lambda: exactnum.binomial(-1, 0)),
     ("catalan_sequence", lambda: exactnum.catalan_sequence(0)),
     ("ballot_number", lambda: exactnum.ballot_number(-1, 0)),
-    ("convolution_power", lambda: exactnum.convolution_power([1, 1], 0)),
     ("reconstruct_euler", lambda: identities.reconstruct_euler(33, 2, 0, 1e-9)),
     ("expectation_form_check", lambda: identities.expectation_form_check(1, 0)),
     ("asymptotic_ratio", lambda: identities.asymptotic_ratio(0, 0.5)),
@@ -82,7 +81,6 @@ INTEGER_ARGUMENTS = [
     ("binomial", "n", lambda v: exactnum.binomial(v, 0)),
     ("catalan_sequence", "count", lambda v: exactnum.catalan_sequence(v)),
     ("ballot_number", "n", lambda v: exactnum.ballot_number(v, 0)),
-    ("convolution_power", "N", lambda v: exactnum.convolution_power([1, 1], v)),
     ("reconstruct_euler", "N", lambda v: identities.reconstruct_euler(1, v, 0, 1e-9)),
     ("expectation_form_check", "n", lambda v: identities.expectation_form_check(v, 2)),
     ("asymptotic_ratio", "N", lambda v: identities.asymptotic_ratio(v, 0.5)),
@@ -121,8 +119,8 @@ MAX_ELL_ARGUMENTS = [
 # Refusals that are no range of one integer, with their own wording, that
 # raised a bare ValueError before.
 OTHER_REFUSALS = [
-    ("convolve", lambda: exactnum.convolve([], [1])),
-    ("convolution_power", lambda: exactnum.convolution_power([], 2)),
+    # The law through 3N has the cap of a table: N * 3N <= MAX_LAW_WORK.
+    ("catalan_prefix_check", lambda: identities.catalan_prefix_check(2365)),
     ("probnum_catalan", lambda: probnum.probnum_catalan(2, 3)),
     ("asymptotic_ratio", lambda: identities.asymptotic_ratio(2, 1.0)),
     ("split", lambda: stochastic.RandomStream(1, 2**64 - 1).split(1)),

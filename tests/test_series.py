@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from chebprob.exactnum import convolve
 from chebprob.series import TruncatedSeries
 
 
@@ -16,7 +15,8 @@ def test_geometric_reciprocal():
 
 def test_reciprocal_roundtrip():
     s = TruncatedSeries.of([2, 1, Fraction(1, 3), 0, -5], 10)
-    product = convolve(s.coefficients, s.reciprocal().coefficients, 11)
+    a, b = s.coefficients, s.reciprocal().coefficients
+    product = [sum(a[j] * b[n - j] for j in range(n + 1)) for n in range(11)]
     assert product == [1] + [0] * 10
 
 
