@@ -11,81 +11,32 @@ tie the two families together, exactly where possible and statistically
 where not.
 """
 
-from .chebyshev import (
-    chebyshev_T,
-    chebyshev_U,
-    reversed_T,
-)
-from .eulerpoly import (
-    euler_numbers,
-    euler_poly,
-    eval_poly,
-    gen_euler_recursive,
-    gen_euler_series,
-    gen_euler_zero,
-)
-from .exactnum import (
-    DensePolynomial,
-    DomainError,
-    ballot_number,
-    binomial,
-    catalan_sequence,
-    format_rational,
-)
-from .identities import (
-    CatalanPrefixReport,
-    ConvergenceError,
-    ReconstructionResult,
-    asymptotic_ratio,
-    catalan_prefix_check,
-    expectation_form_check,
-    reconstruct_euler,
-)
-from .probnum import (
-    CrossValidationError,
-    CrossValidationReport,
-    ProbTable,
-    catalan_table,
-    cross_validate,
-    geometric_tail_bound,
-    probnum_catalan,
-    probnum_series,
-    probnum_trig,
-    root_angles,
-    tail_mass,
-    trig_value,
-)
+from . import chebyshev, eulerpoly, exactnum, identities, probnum
+from .chebyshev import *
+from .eulerpoly import *
+from .exactnum import *
+from .identities import *
+from .probnum import *
 
 __version__ = "0.1.0"
 
 # Reached through __getattr__ below, so that numpy loads only when a
-# stochastic name is first used.
+# stochastic name is first used; tests/test_exports.py ties this list to
+# the functions and classes of stochastic.__all__.
 _STOCHASTIC = (
-    "RandomStream", "MomentEntry", "MomentReport", "sample_sech", "sample_mu",
-    "sech_cdf", "mc_euler_poly", "mc_gen_euler", "mc_klebanov",
+    "RandomStream", "MomentEntry", "MomentReport", "sech_cdf", "sample_sech",
+    "sample_mu", "mc_euler_poly", "mc_gen_euler", "mc_klebanov",
     "moment_integral_check",
 )
 
+# Each module's __all__ is the one list of its public names.
 __all__ = [
     "__version__",
-    # exactnum
-    "DomainError", "binomial", "catalan_sequence", "ballot_number",
-    "format_rational", "DensePolynomial",
-    # chebyshev
-    "chebyshev_T", "chebyshev_U", "reversed_T",
-    # probnum
-    "ProbTable", "CrossValidationError", "CrossValidationReport",
-    "probnum_series", "probnum_trig", "probnum_catalan", "catalan_table",
-    "trig_value", "cross_validate", "tail_mass",
-    "geometric_tail_bound", "root_angles",
-    # eulerpoly
-    "euler_numbers", "euler_poly", "gen_euler_zero", "gen_euler_recursive",
-    "gen_euler_series", "eval_poly",
-    # identities
-    "ConvergenceError", "ReconstructionResult", "CatalanPrefixReport",
-    "reconstruct_euler", "expectation_form_check", "asymptotic_ratio",
-    "catalan_prefix_check",
-    # stochastic
+    *chebyshev.__all__,
+    *eulerpoly.__all__,
+    *exactnum.__all__,
+    *identities.__all__,
+    *probnum.__all__,
     *_STOCHASTIC,
 ]
 

@@ -19,17 +19,12 @@ from typing import Sequence, Union
 Rational = Union[int, Fraction]
 
 __all__ = [
-    "Rational",
     "DomainError",
-    "require",
     "binomial",
     "catalan_sequence",
     "ballot_number",
-    "extend_power",
-    "dyadic",
     "DensePolynomial",
     "format_rational",
-    "float_or_inf",
 ]
 
 

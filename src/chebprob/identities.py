@@ -291,9 +291,10 @@ def asymptotic_ratio(N: int, z: float) -> float:
 
     With a = (1 + sqrt(1-z^2))/z > 1 one has T_N(1/z) = (a^N + a^-N)/2, so
     the ratio equals 2 / (1 + a^(-2N)): finite, positive, increasing in N,
-    and tending to 2.
+    and tending to 2.  An N past 2^53, beyond the integers a float holds, is
+    refused.
     """
-    require("asymptotic_ratio", "N", N, 1)
+    require("asymptotic_ratio", "N", N, 1, 2**53)
     if not 0.0 < z < 1.0:
         raise DomainError(f"z must lie strictly inside (0, 1), got z={z!r}")
     a = (1.0 + math.sqrt(1.0 - z * z)) / z

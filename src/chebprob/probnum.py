@@ -80,7 +80,6 @@ from .exactnum import (
 )
 
 __all__ = [
-    "Method",
     "ProbTable",
     "CrossValidationError",
     "CrossValidationReport",
@@ -241,9 +240,10 @@ def probnum_series(N: int, max_ell: int) -> ProbTable:
 
 def trig_value(N: int, ell: int) -> float:
     """Root-angle formula for p_ell in double precision (compensated sum
-    over the alternating root terms).  Total in ell; returns 0.0 at ell=0."""
+    over the alternating root terms).  Total in ell; returns 0.0 at ell=0.
+    An ell past 2^53, beyond the integers a float holds, is refused."""
     require("trig_value", "N", N, 1)
-    require("trig_value", "ell", ell, 0)
+    require("trig_value", "ell", ell, 0, 2**53)
     if ell == 0:
         return 0.0
     return math.fsum(sign * s * c ** (ell - 1) for sign, s, c in _root_terms(N)) / N
@@ -393,10 +393,16 @@ def tail_mass(N: int, max_ell: int) -> float:
 def geometric_tail_bound(N: int, max_ell: int) -> float:
     """Closed-form tail bound c^max_ell / (1 - c) with c = cos(pi/(2N)):
     every p_ell is at most c^(ell-1), so the geometric sum dominates the
-    tail.  Coarser than :func:`tail_mass` but needs no exact table."""
-    require("geometric_tail_bound", "N", N, 1)
-    require("geometric_tail_bound", "max_ell", max_ell, 0)
+    tail.  Coarser than :func:`tail_mass` but needs no exact table.
+
+    From N = 149078414 on, c rounds to 1.0 and the bound is ``math.inf``,
+    still an upper bound.  An N or a max_ell past 2^53, beyond the integers
+    a float holds, is refused."""
+    require("geometric_tail_bound", "N", N, 1, 2**53)
+    require("geometric_tail_bound", "max_ell", max_ell, 0, 2**53)
     c = math.cos(math.pi / (2 * N))
+    if c == 1.0:
+        return math.inf
     return c**max_ell / (1.0 - c)
 
 

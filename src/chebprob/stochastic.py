@@ -28,8 +28,10 @@ reproduce identical arrays on any platform.
 A large call is cut into contiguous runs, one per CPU this process may use,
 each filled on its own thread (see :func:`_in_runs`).  A call is cut by the
 draws it makes (p per sample, at most 4, for mc_gen_euler; floor(N/2) for
-sample_mu), into runs of at least 2^15 draws.  Every draw is read at its own
-stream position, so the output does not depend on the number of runs.
+sample_mu), into runs of at least 2^15 draws.  A run starts reading the
+stream at its own first draw, wherever that falls (``RandomStream.generator``
+takes any offset), so the output does not depend on the number of runs or
+on where they are cut.
 
 mc_euler_poly and mc_gen_euler share one kernel (:func:`_power_report`):
 each run draws, sums and raises its samples chunk by chunk in reused
@@ -48,6 +50,7 @@ statistic is taken block by block (:func:`_ks_statistic`).
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from dataclasses import asdict, dataclass, field
@@ -141,8 +144,8 @@ _WORKERS = (
     else os.cpu_count() or 1
 )
 _MIN_RUN = 2**15
-# Draws per Philox counter value: a run that starts on a multiple of it
-# shares no counter block with the run before it.
+# Draws per Philox counter value: RandomStream.generator(offset) starts at
+# counter offset // _BLOCK and skips the rest.
 _BLOCK = 4
 
 
@@ -163,17 +166,10 @@ class RandomStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(
-                    f"RandomStream requires an integer {name}, got {name}={value!r}"
-                )
-            value = int(value)
-            if not 0 <= value < 2**64:
-                raise DomainError(
-                    f"RandomStream requires 0 <= {name} < 2^64, got {name}={value}"
-                )
-            object.__setattr__(self, name, value)
+        for name in ("seed", "stream_id"):
+            value = getattr(self, name)
+            require("RandomStream", name, value, 0, 2**64 - 1)
+            object.__setattr__(self, name, operator.index(value))
 
     def generator(self, offset: int = 0) -> np.random.Generator:
         """A generator whose next draw is draw ``offset`` of the stream.
@@ -212,17 +208,11 @@ def sech_cdf(x):
         return (2.0 / np.pi) * np.arctan(np.exp(np.pi * np.asarray(x, dtype=float)))
 
 
-def _cuts(total: int, draws: int = 1) -> list[int]:
-    """Bounds of the near-equal runs of ``total`` items of ``draws`` draws
-    each: one run per worker, each of at least ``_MIN_RUN`` draws, cut on
-    multiples of ``_BLOCK``.  A run that the rounding leaves empty goes."""
-    runs = max(1, min(_WORKERS, total * draws // _MIN_RUN))
-    return sorted({total * r // runs // _BLOCK * _BLOCK for r in range(runs)} | {total})
-
-
-def _in_runs(job, bounds) -> None:
-    """``job(lo, hi)`` for each pair of consecutive ``bounds``: the first run
-    on the calling thread, each other on a thread started for this call.
+def _in_runs(job, total: int, draws: int = 1) -> None:
+    """``job(lo, hi)`` over near-equal runs [lo, hi) of ``total`` items of
+    ``draws`` draws each: one run per worker, but none shorter than one item
+    or ``_MIN_RUN`` draws unless it is the only one.  The first run goes on
+    the calling thread, each other on a thread started for this call.
 
     Every thread is joined before this returns, also when a run raises, and
     the first exception of the other runs is re-raised here.  Runs call only
@@ -236,6 +226,8 @@ def _in_runs(job, bounds) -> None:
         except Exception as exc:  # re-raised on the calling thread
             errors.append(exc)
 
+    runs = max(1, min(_WORKERS, total, total * draws // _MIN_RUN))
+    bounds = [total * r // runs for r in range(runs + 1)]
     started = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
@@ -259,7 +251,7 @@ def sample_sech(stream: RandomStream, count: int) -> np.ndarray:
     def run(lo, hi):
         _sech_fill(stream.generator(lo), out[lo:hi])
 
-    _in_runs(run, _cuts(count))
+    _in_runs(run, count)
     return out
 
 
@@ -323,7 +315,7 @@ def sample_mu(stream: RandomStream, N: int, count: int) -> np.ndarray:
             total += N
             out[a:a + len(g)] = total
 
-    _in_runs(run, _cuts(count, K))
+    _in_runs(run, count, K)
     return out
 
 
@@ -463,7 +455,7 @@ def _power_report(
                 real_parts[a:a + m] = chunk.real
                 imag_parts[a:a + m] = chunk.imag
 
-    _in_runs(run, _cuts(count, min(len(streams), 4)))
+    _in_runs(run, count, min(len(streams), 4))
     entries = (
         _entry("real", real_parts, reference),
         _entry("imag", imag_parts, 0.0),
@@ -500,9 +492,9 @@ def mc_gen_euler(
     return _power_report(stream.split(p), shift - 0.5 * p, n, reference, count)
 
 
-def _random_sums(stream: RandomStream, mu: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` in place with the sums of consecutive sech draws of
-    ``stream``, mu[i] of them for sum i, and return it.
+def _random_sums(stream: RandomStream, mu: np.ndarray) -> np.ndarray:
+    """The sums of consecutive sech draws of ``stream``, mu[i] of them for
+    sum i.
 
     Byte for byte they are ``np.add.reduceat(sample_sech(stream, mu.sum()),
     starts)``, segment i starting at starts[i] = sum(mu[:i]): each sum adds
@@ -513,9 +505,11 @@ def _random_sums(stream: RandomStream, mu: np.ndarray, out: np.ndarray) -> np.nd
     reads it through its own reused buffer, in chunks of about ``_CHUNK``
     draws that end on segment boundaries.  A chunk's segments are found by a
     cumulative sum of the lengths of the next few segments, twice as many as
-    hold ``_CHUNK`` draws on the run's average, so memory beyond ``out`` is
+    hold ``_CHUNK`` draws on the run's average, so memory beyond the sums is
     O(runs (_CHUNK + max(mu))).
     """
+    out = np.empty(len(mu))
+
     def run(lo, hi):
         buffer = np.empty(_CHUNK + int(mu[lo:hi].max()))
         span = min(hi - lo, 2 * _CHUNK * (hi - lo) // int(mu[lo:hi].sum()) + 1)
@@ -531,7 +525,7 @@ def _random_sums(stream: RandomStream, mu: np.ndarray, out: np.ndarray) -> np.nd
             np.add.reduceat(draws, offsets[:j], out=out[k:k + j])
             k += j
 
-    _in_runs(run, _cuts(len(mu), int(mu.sum()) // len(mu)))
+    _in_runs(run, len(mu), int(mu.sum()) // len(mu))
     return out
 
 
@@ -590,7 +584,7 @@ def mc_klebanov(stream: RandomStream, N: int, count: int) -> MomentReport:
     require("mc_klebanov", "N", N, 2, MAX_KLEBANOV_N)
     require("mc_klebanov", "count", count, MIN_KLEBANOV_SAMPLES, MAX_SAMPLES)
     mu_stream, sech_stream = stream.split(2)
-    sums = _random_sums(sech_stream, sample_mu(mu_stream, N, count), np.empty(count))
+    sums = _random_sums(sech_stream, sample_mu(mu_stream, N, count))
     sums /= N
 
     numbers = euler_numbers(6)

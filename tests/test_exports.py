@@ -47,6 +47,33 @@ def test_package_all_resolves():
     assert missing == []
 
 
+def test_stochastic_names_are_those_of_its_all():
+    # The package names the stochastic exports itself, since reading
+    # stochastic.__all__ at import would load numpy; its constants stay in
+    # the module.
+    stochastic = importlib.import_module("chebprob.stochastic")
+    assert chebprob._STOCHASTIC == tuple(
+        name for name in stochastic.__all__ if not name.isupper()
+    )
+
+
+def test_package_names_no_eager_export():
+    # An eager module's __all__ is the one list of its public names: the
+    # package re-exports it and spells none of them.
+    tree = ast.parse((ROOT / "src" / "chebprob" / "__init__.py").read_text())
+    strings = {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    eager = {
+        name
+        for module in (chebprob.chebyshev, chebprob.eulerpoly, chebprob.exactnum,
+                       chebprob.identities, chebprob.probnum)
+        for name in module.__all__
+    }
+    assert sorted(strings & eager) == []
+
+
 def _referenced_names(paths) -> set:
     """Names read as a variable or an attribute in ``paths``: a definition,
     an import and an ``__all__`` string are not references."""

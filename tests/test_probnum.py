@@ -427,8 +427,16 @@ class TestTailMass:
         # returned c^max_ell / (1 - c) > 1 for it.
         assert geometric_tail_bound(2, 0) == 1 / (1 - math.cos(math.pi / 4))
         with pytest.raises(DomainError, match=r"^geometric_tail_bound requires "
-                           r"max_ell >= 0, got max_ell=-1$"):
+                           r"0 <= max_ell <= 9007199254740992, got max_ell=-1$"):
             geometric_tail_bound(2, -1)
+
+    def test_geometric_bound_is_infinite_once_the_root_rounds_to_one(self):
+        # cos(pi/(2N)) rounds to 1.0 from N = 149078414 on; 1 / (1 - c)
+        # raised ZeroDivisionError there.
+        assert math.cos(math.pi / (2 * 149078413)) < 1.0
+        assert geometric_tail_bound(149078413, 10) < math.inf
+        for N, max_ell in ((149078414, 0), (149078414, 10**6), (2**53, 2**53)):
+            assert geometric_tail_bound(N, max_ell) == math.inf
 
 
 class TestSerialization:

@@ -9,6 +9,7 @@ raise DomainError with their own wording.
 
 from fractions import Fraction
 
+import functools
 import re
 
 import numpy as np
@@ -66,6 +67,20 @@ RANGE_REFUSALS = [
     ("mc_gen_euler", lambda: stochastic.mc_gen_euler(STREAM, 1, 11, 0, 10**4)),
     ("mc_klebanov", lambda: stochastic.mc_klebanov(STREAM, 2, 10**4)),
     ("moment_integral_check", lambda: stochastic.moment_integral_check(15)),
+]
+
+# The float routes raised OverflowError past the float range: an ell, a
+# max_ell or an N past 2^53 is refused.
+FLOAT_RANGE_REFUSALS = [
+    ("trig_value", lambda: probnum.trig_value(3, 10**400)),
+    ("geometric_tail_bound", lambda: probnum.geometric_tail_bound(3, 10**400)),
+    ("asymptotic_ratio", lambda: identities.asymptotic_ratio(10**400, 0.5)),
+]
+
+# The two words of a RandomStream's key, each refused outside [0, 2^64).
+KEY_WORDS = [
+    ("seed", lambda v: stochastic.RandomStream(v)),
+    ("stream_id", lambda v: stochastic.RandomStream(1, v)),
 ]
 
 # (name the message starts with, integer argument, call with it as v)
@@ -134,7 +149,12 @@ OTHER_REFUSALS = [
 
 
 @pytest.mark.parametrize(
-    "caller, call", RANGE_REFUSALS, ids=[row[0] for row in RANGE_REFUSALS]
+    "caller, call",
+    RANGE_REFUSALS + FLOAT_RANGE_REFUSALS
+    + [("RandomStream", functools.partial(call, 2**64)) for _, call in KEY_WORDS],
+    ids=[row[0] for row in RANGE_REFUSALS]
+    + [f"{row[0]}-past-2^53" for row in FLOAT_RANGE_REFUSALS]
+    + [f"RandomStream-{name}" for name, _ in KEY_WORDS],
 )
 def test_range_refusal_is_a_domain_error(caller, call):
     with pytest.raises(DomainError) as info:
@@ -151,9 +171,11 @@ def test_range_refusal_is_a_domain_error(caller, call):
 @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
 @pytest.mark.parametrize(
     "caller, name, call",
-    INTEGER_ARGUMENTS + [(caller, "max_ell", call) for caller, call in MAX_ELL_ARGUMENTS],
+    INTEGER_ARGUMENTS + [(caller, "max_ell", call) for caller, call in MAX_ELL_ARGUMENTS]
+    + [("RandomStream", name, call) for name, call in KEY_WORDS],
     ids=[row[0] for row in INTEGER_ARGUMENTS]
-    + [f"{row[0]}-max_ell" for row in MAX_ELL_ARGUMENTS],
+    + [f"{row[0]}-max_ell" for row in MAX_ELL_ARGUMENTS]
+    + [f"RandomStream-{name}" for name, _ in KEY_WORDS],
 )
 def test_non_integer_is_a_domain_error(caller, name, call, value):
     with pytest.raises(DomainError) as info:

@@ -591,7 +591,7 @@ class TestRandomSums:
             patch.setattr(stochastic_module, "_MIN_RUN", 16)
             for workers in WORKER_COUNTS:
                 patch.setattr(stochastic_module, "_WORKERS", workers)
-                got = stochastic_module._random_sums(stream, mu, np.empty(len(mu)))
+                got = stochastic_module._random_sums(stream, mu)
                 assert got.tobytes() == expected, workers
 
     # 2_450_000 starts the second run at two workers, and 4_899_999 is its
@@ -622,7 +622,7 @@ class TestRandomSums:
             tracemalloc.start()
             try:
                 with np.errstate(divide="raise", invalid="raise"):
-                    got = stochastic_module._random_sums(stream, mu, np.empty(len(mu)))
+                    got = stochastic_module._random_sums(stream, mu)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -875,9 +875,15 @@ class TestRuns:
         runs = []
         real = stochastic_module._in_runs
 
-        def counting(job, bounds):
-            runs.append(len(bounds) - 1)
-            real(job, bounds)
+        def counting(job, total, draws=1):
+            calls = []
+
+            def counted(lo, hi):
+                calls.append(lo)
+                job(lo, hi)
+
+            real(counted, total, draws)
+            runs.append(len(calls))
 
         monkeypatch.setattr(stochastic_module, "_WORKERS", 2)
         monkeypatch.setattr(stochastic_module, "_in_runs", counting)
@@ -920,7 +926,7 @@ class TestRuns:
         assert threading.enumerate() == before
         with pytest.raises(RuntimeError, match="a worker's run failed"):
             mu = np.full(10**3, 9, dtype=np.int64)
-            stochastic_module._random_sums(RandomStream(1), mu, np.empty(len(mu)))
+            stochastic_module._random_sums(RandomStream(1), mu)
         assert threading.enumerate() == before
         assert len(failed) == 2
 
