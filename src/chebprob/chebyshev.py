@@ -1,6 +1,7 @@
 """Chebyshev polynomials of the first and second kind with exact integer
-coefficients, plus the reversed first-kind polynomial whose reciprocal series
-drives everything downstream.
+coefficients, plus the reversed first-kind polynomial, whose reciprocal
+series is the law of mu_N.  The law builds its taps in closed form
+(``probnum._law``); T_N is their oracle in the tests.
 
 T_N is defined by T_N(cos t) = cos(N t) and computed here from the recurrence
 T_0 = 1, T_1 = z, T_{n+1} = 2z T_n - T_{n-1}; U_N likewise with U_0 = 1,
@@ -11,8 +12,6 @@ so its reciprocal power series exists.
 
 from __future__ import annotations
 
-import functools
-
 from .exactnum import DensePolynomial, require
 
 __all__ = [
@@ -22,17 +21,15 @@ __all__ = [
 ]
 
 
-@functools.lru_cache(maxsize=None)
 def chebyshev_T(N: int) -> DensePolynomial:
     """First-kind Chebyshev polynomial T_N, exact coefficients."""
-    require("chebyshev_T", "N", N, 0)
+    N = require("chebyshev_T", "N", N, 0)
     return _recurrence(N, u_kind=False)
 
 
-@functools.lru_cache(maxsize=None)
 def chebyshev_U(N: int) -> DensePolynomial:
     """Second-kind Chebyshev polynomial U_N, exact coefficients."""
-    require("chebyshev_U", "N", N, 0)
+    N = require("chebyshev_U", "N", N, 0)
     return _recurrence(N, u_kind=True)
 
 
@@ -52,5 +49,5 @@ def _recurrence(N: int, u_kind: bool) -> DensePolynomial:
 def reversed_T(N: int) -> DensePolynomial:
     """Coefficient reversal of T_N: the coefficient of z^j is the coefficient
     of z^{N-j} in T_N.  Its constant term is the leading 2^{N-1} of T_N."""
-    require("reversed_T", "N", N, 1)
+    N = require("reversed_T", "N", N, 1)
     return DensePolynomial.of(tuple(reversed(chebyshev_T(N).coefficients)))

@@ -35,6 +35,7 @@ required to agree coefficient-for-coefficient:
 The Euler numbers come from their own recurrence, the one of 1/cosh z, which
 shares nothing with the values at zero of either route; E_n = 2^n E_n(1/2)
 therefore compares two independent recurrences (acceptance criterion 6).
+Each call runs it afresh, O(n^2); the library asks for n <= 14 only.
 
 The value-at-zero rows of the recursive route are memoized per order behind
 a lock; the identity seeds its difference table from n//2 + 1 orders.  The
@@ -49,7 +50,9 @@ import math
 import threading
 from fractions import Fraction
 
-from .exactnum import DensePolynomial, Rational, dyadic, extend_power, require
+from .exactnum import (
+    DensePolynomial, Rational, dyadic, extend_power, require, require_rational,
+)
 
 __all__ = [
     "euler_numbers",
@@ -61,22 +64,9 @@ __all__ = [
 ]
 
 _CACHE_LOCK = threading.Lock()
-_EULER_NUMBERS: list[int] = [1]
 # Value-at-zero rows by order, as integers: row p holds 2^n E_n^{(p)}(0) for
 # n = 0, 1, ...
 _ZERO_ROWS: dict[int, list[int]] = {0: [1]}
-
-
-def _euler_numbers_upto(max_n: int) -> list[int]:
-    # Caller holds _CACHE_LOCK.  Recurrence from cosh z * sum E_n z^n/n! = 1:
-    # sum over even k <= m of binom(m, k) E_k = 0 for even m >= 2.
-    for m in range(len(_EULER_NUMBERS), max_n + 1):
-        if m % 2 == 1:
-            _EULER_NUMBERS.append(0)
-        else:
-            acc = sum(math.comb(m, k) * _EULER_NUMBERS[k] for k in range(0, m, 2))
-            _EULER_NUMBERS.append(-acc)
-    return _EULER_NUMBERS[: max_n + 1]
 
 
 def _zero_rows_upto(p: int, max_n: int) -> list[int]:
@@ -104,16 +94,19 @@ def _zero_rows_upto(p: int, max_n: int) -> list[int]:
 
 
 def euler_numbers(max_n: int) -> tuple[int, ...]:
-    """Euler numbers E_0..E_max_n, exact."""
-    require("euler_numbers", "max_n", max_n, 0)
-    with _CACHE_LOCK:
-        return tuple(_euler_numbers_upto(max_n))
+    """Euler numbers E_0..E_max_n, exact, from cosh z * sum E_n z^n/n! = 1:
+    sum over even k <= m of binom(m, k) E_k = 0 for even m >= 2."""
+    max_n = require("euler_numbers", "max_n", max_n, 0)
+    E = [1]
+    for m in range(1, max_n + 1):
+        E.append(0 if m % 2 else -sum(math.comb(m, k) * E[k] for k in range(0, m, 2)))
+    return tuple(E)
 
 
 def gen_euler_zero(p: int, max_n: int) -> tuple[Fraction, ...]:
     """E_0^{(p)}(0)..E_max_n^{(p)}(0), exact and memoized per order."""
-    require("gen_euler_zero", "p", p, 0)
-    require("gen_euler_zero", "max_n", max_n, 0)
+    p = require("gen_euler_zero", "p", p, 0)
+    max_n = require("gen_euler_zero", "max_n", max_n, 0)
     with _CACHE_LOCK:
         row = _zero_rows_upto(p, max_n)[: max_n + 1]
     return tuple(dyadic(b, n) for n, b in enumerate(row))
@@ -121,7 +114,7 @@ def gen_euler_zero(p: int, max_n: int) -> tuple[Fraction, ...]:
 
 def euler_poly(n: int) -> DensePolynomial:
     """Euler polynomial E_n(x), the order-1 case of the recursive route."""
-    require("euler_poly", "n", n, 0)
+    n = require("euler_poly", "n", n, 0)
     return gen_euler_recursive(n, 1)
 
 
@@ -130,8 +123,8 @@ def gen_euler_recursive(n: int, p: int) -> DensePolynomial:
 
     Order p = 0 is admitted as the empty product, E_n^{(0)}(x) = x^n.
     """
-    require("gen_euler_recursive", "n", n, 0)
-    require("gen_euler_recursive", "p", p, 0)
+    n = require("gen_euler_recursive", "n", n, 0)
+    p = require("gen_euler_recursive", "p", p, 0)
     with _CACHE_LOCK:
         row = _zero_rows_upto(p, n)[: n + 1]
     # binom(n, k) E_{n-k}^{(p)}(0) = binom(n, k) b_{n-k} / 2^(n-k).
@@ -143,8 +136,8 @@ def gen_euler_recursive(n: int, p: int) -> DensePolynomial:
 def gen_euler_series(n: int, p: int) -> DensePolynomial:
     """E_n^{(p)}(x) from the generating function directly; independent of the
     recursive route and required to match it exactly."""
-    require("gen_euler_series", "n", n, 0)
-    require("gen_euler_series", "p", p, 0)
+    n = require("gen_euler_series", "n", n, 0)
+    p = require("gen_euler_series", "p", p, 0)
     # g = (2/(1 + e^z))^p = h^(-p), h = (1 + e^z)/2, by the power kernel.
     # Scaled by K = 2^n n!, h_0 = K and h_j = K/(2 j!) are integers, and so
     # is G_m = K g_m = K E_m^{(p)}(0)/m! for m <= n, since that denominator
@@ -171,7 +164,7 @@ def eval_poly(poly: DensePolynomial, x: Rational) -> Fraction:
     of at every step.
     """
     coefficients = poly.coefficients
-    x = Fraction(x)
+    x = require_rational("eval_poly", "x", x)
     den = math.lcm(*(c.denominator for c in coefficients))
     value, q_power = 0, 1
     for c in reversed(coefficients):

@@ -12,6 +12,7 @@ to share between threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -30,8 +31,9 @@ __all__ = [
 
 class DomainError(ValueError):
     """An argument outside the domain of a public function, raised before any
-    work is done: by :func:`require` for one integer and its range, inline for
-    the rest (a float, two arguments at once, an empty sequence, a parity).
+    work is done: by :func:`require` for one integer and its range, by
+    :func:`require_rational` for a rational, inline for the rest (a float,
+    two arguments at once, an empty sequence, a parity).
     The command line reports it as a usage error; every other exception is a
     fault of the program."""
 
@@ -39,25 +41,29 @@ class DomainError(ValueError):
 def require(
     caller: str, name: str, value: int, low: int | None = None,
     high: int | None = None,
-) -> None:
-    """Refuse argument ``name`` of ``caller`` outside low <= value <= high
-    (no upper bound when ``high`` is None) with a DomainError: "<caller>
-    requires <low> <= <name> <= <high>, got <name>=<value>", or "<caller>
-    requires <name> >= <low>, got <name>=<value>".  With no ``low`` either,
-    only an integer is required, for a caller that words its range itself.
+) -> int:
+    """Argument ``name`` of ``caller`` as a plain int, refused outside
+    low <= value <= high (no upper bound when ``high`` is None) with a
+    DomainError: "<caller> requires <low> <= <name> <= <high>, got
+    <name>=<value>", or "<caller> requires <name> >= <low>, got
+    <name>=<value>".  With no ``low`` either, only an integer is required,
+    for a caller that words its range itself.
 
     A bool, or a value with no ``__index__`` (a float, a Fraction), is no
     integer and is refused first, as "<caller> requires an integer <name>,
-    got <name>=<value!r>"; numpy integers pass.  A plain int passes on one
-    type test, since the law routes check an index per term."""
-    if type(value) is not int and (
-        isinstance(value, bool) or not hasattr(value, "__index__")
-    ):
-        raise DomainError(
-            f"{caller} requires an integer {name}, got {name}={value!r}"
-        )
+    got <name>=<value!r>".  A numpy integer passes and is returned as the
+    int of ``operator.index``, so callers bind the result: a numpy scalar
+    in the exact arithmetic overflows, or makes numpy scalars of what it
+    touches.  A plain int passes on one type test and is returned as it is,
+    since the law routes check an index per term."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not hasattr(value, "__index__"):
+            raise DomainError(
+                f"{caller} requires an integer {name}, got {name}={value!r}"
+            )
+        value = operator.index(value)
     if low is None:
-        return
+        return value
     if high is None:
         if value < low:
             raise DomainError(f"{caller} requires {name} >= {low}, got {name}={value}")
@@ -65,6 +71,26 @@ def require(
         raise DomainError(
             f"{caller} requires {low} <= {name} <= {high}, got {name}={value}"
         )
+    return value
+
+
+def require_rational(caller: str, name: str, value: Rational) -> Fraction:
+    """Argument ``name`` of ``caller`` as a Fraction of plain ints: whatever
+    ``Fraction(value)`` takes, an int, a finite float, a Fraction, a numpy
+    integer or a string such as "1/3".  Where it fails (a NaN, an infinity,
+    None, a malformed string), a DomainError in the shape of
+    :func:`require`'s: "<caller> requires a rational <name>, got
+    <name>=<value!r>"."""
+    try:
+        x = Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError(
+            f"{caller} requires a rational {name}, got {name}={value!r}"
+        ) from None
+    if type(x.numerator) is not int or type(x.denominator) is not int:
+        # Fraction keeps the numpy scalars of a numpy integer.
+        x = Fraction(int(x.numerator), int(x.denominator))
+    return x
 
 
 def binomial(n: int, k: int) -> int:
@@ -73,7 +99,8 @@ def binomial(n: int, k: int) -> int:
     Summation formulas downstream run their index over ranges that leave the
     triangle; the zero convention keeps them total.
     """
-    require("binomial", "n", n, 0)
+    n = require("binomial", "n", n, 0)
+    k = require("binomial", "k", k)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -81,7 +108,7 @@ def binomial(n: int, k: int) -> int:
 
 def catalan_sequence(count: int) -> list[int]:
     """First ``count`` Catalan numbers [C_0, ..., C_{count-1}]."""
-    require("catalan_sequence", "count", count, 1)
+    count = require("catalan_sequence", "count", count, 1)
     out = [1]
     for n in range(count - 1):
         # C_{n+1} = C_n * 2(2n+1)/(n+2); the division is exact.
@@ -97,7 +124,8 @@ def ballot_number(n: int, k: int) -> int:
     difference is binom(n, k) (n - 2k + 1) / (n - k + 1), an exact division,
     so one binomial is computed instead of two.
     """
-    require("ballot_number", "n", n, 0)
+    n = require("ballot_number", "n", n, 0)
+    k = require("ballot_number", "k", k)
     if 0 <= k <= n:
         return math.comb(n, k) * (n - 2 * k + 1) // (n - k + 1)
     return -1 if k == n + 1 else 0

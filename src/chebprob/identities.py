@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 from .eulerpoly import euler_poly, eval_poly, gen_euler_recursive
 from .exactnum import (
@@ -33,6 +34,7 @@ from .exactnum import (
     float_or_inf,
     format_rational,
     require,
+    require_rational,
 )
 from .probnum import _check_table_args, _law
 
@@ -145,17 +147,19 @@ def _reconstruct(
     n: int,
     N: int,
     x: Rational,
-    scale: int,
+    divided: bool,
     tol: float,
 ) -> ReconstructionResult:
     """The one summation of the identity: sum S_k / scale for k = N, N+2, ...
     (off-parity weights vanish), S_k = sum_{j <= k} p_j E_n^{(j)}(j/2 +
     N(x - 1/2)), until it is within ``tol`` of N^n E_n(x) / scale, with k at
-    most the term budget ``_default_max_k(n, N, tol, x)``.
+    most the term budget ``_default_max_k(n, N, tol, x)``; scale is N^n if
+    ``divided``, else 1.
 
-    The domain: 0 <= n <= MAX_DEGREE, 1 <= N <= MAX_N, a finite tol > 0 and
-    a term budget of at most MAX_K; ``caller`` names the entry point in the
-    DomainError, ``what`` the sum in the ConvergenceError.
+    The domain: 0 <= n <= MAX_DEGREE, 1 <= N <= MAX_N, a rational x, a real
+    finite tol > 0 and a term budget of at most MAX_K; ``caller`` names the
+    entry point in the DomainError, ``what`` the sum in the
+    ConvergenceError.
 
     With x = u/q, the argument is Y_k / 2q for Y_k = kq + N(2u - q), and
     H_k = (2q)^n E_n^{(k)}(Y_k / 2q) is an integer.  E_n^{(k)}(k/2 + w) has
@@ -169,11 +173,12 @@ def _reconstruct(
     The law memo is read _LAW_BLOCK indices ahead, so its lock is taken once
     per block of terms, and the memo is never extended past the budget.
     """
-    require(caller, "n", n, 0, MAX_DEGREE)
-    require(caller, "N", N, 1, MAX_N)
-    if not (math.isfinite(tol) and tol > 0):
+    n = require(caller, "n", n, 0, MAX_DEGREE)
+    N = require(caller, "N", N, 1, MAX_N)
+    if not (isinstance(tol, Real) and 0 < tol < math.inf):
         raise DomainError(f"{caller}: tol must be positive and finite, got {tol}")
-    x = Fraction(x)
+    x = require_rational(caller, "x", x)
+    scale = N**n if divided else 1
     budget = _default_max_k(n, N, tol, x)
     if budget > MAX_K:
         raise DomainError(
@@ -266,7 +271,7 @@ def reconstruct_euler(
     """
     return _reconstruct(
         "reconstruct_euler", f"series for E_{n}(x) with N={N}",
-        n, N, x, N**n, tol,
+        n, N, x, True, tol,
     )
 
 
@@ -281,7 +286,7 @@ def expectation_form_check(
     :func:`reconstruct_euler` at x = 1/2, not divided by N^n."""
     result = _reconstruct(
         "expectation_form_check", f"expectation identity for n={n}, N={N}",
-        n, N, Fraction(1, 2), 1, tol,
+        n, N, Fraction(1, 2), False, tol,
     )
     return abs(result.partial_value - result.target)
 
@@ -294,8 +299,8 @@ def asymptotic_ratio(N: int, z: float) -> float:
     and tending to 2.  An N past 2^53, beyond the integers a float holds, is
     refused.
     """
-    require("asymptotic_ratio", "N", N, 1, 2**53)
-    if not 0.0 < z < 1.0:
+    N = require("asymptotic_ratio", "N", N, 1, 2**53)
+    if not (isinstance(z, Real) and 0.0 < z < 1.0):
         raise DomainError(f"z must lie strictly inside (0, 1), got z={z!r}")
     a = (1.0 + math.sqrt(1.0 - z * z)) / z
     return 2.0 / (1.0 + math.exp(-2.0 * N * math.log(a)))
@@ -332,7 +337,7 @@ def catalan_prefix_check(N: int) -> CatalanPrefixReport:
     N * 3N <= ``probnum.MAX_LAW_WORK``, so N <= 2364.  The observed leading
     difference is reported, not asserted to any particular value.
     """
-    _check_table_args("catalan_prefix_check", N, 3 * N)
+    N, _ = _check_table_args("catalan_prefix_check", N, 3 * N)
     # q_ell = a_ell / 2 with a_ell = 2^ell p_ell the integers of the law memo.
     law = _law(N, 3 * N)
     q_prefix = tuple(Fraction(law[N + 2 * k], 2) for k in range(N))

@@ -47,17 +47,18 @@ p_ell = -(c_1 p_{ell-1} + ... + c_N p_{ell-N}) / c_0.  The values are dyadic
 (the denominator of p_ell divides 2^ell), so the memo holds the integers
 a_ell = 2^ell p_ell.  With c_0 = 2^(N-1), their series is
 2 / (1 + t_1 z + ... + t_N z^N) over the integer taps
-t_{2k} = 2^{2k} c_{2k} / c_0 = (-1)^k N/(N-k) binom(N-k, k) (the odd c_i
-vanish), so
+t_{2k} = 2^{2k} c_{2k} / c_0 (the odd c_i vanish), so
 
     a_ell = -(t_1 a_{ell-1} + t_2 a_{ell-2} + ... + t_N a_{ell-N}):
 
 the power -1 of the package's one integer power-series kernel,
 ``exactnum.extend_power``, with a_N = 2 at index N after N leading zeros.
-The taps are divided by c_0 once, checked to be exact, when the memo entry
-is built.  Each new term costs O(N) integer operations (only the nonzero
-taps are kept) and no gcd, a longer table never redoes the terms already
-held, and a Fraction is made only where a public function returns one.
+The taps are built in closed form (Rivlin, *Chebyshev Polynomials*, ch. 1),
+t_{2k} = (-1)^k N/(N-k) binom(N-k, k) = (-1)^k (binom(N-k, k) +
+binom(N-k-1, k-1)) for k = 1..N//2; the tests hold them against
+``chebyshev.reversed_T``.  Each new term costs O(N) integer operations and
+no gcd, a longer table never redoes the terms already held, and a Fraction
+is made only where a public function returns one.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ import math
 import threading
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Iterator, Literal
 
-from .chebyshev import reversed_T
 from .exactnum import (
     DomainError,
     ballot_number,
@@ -114,8 +115,8 @@ MAX_BALLOT_ELL = 2**13
 TRIG_TOL = 1e-10
 
 _LAW_LOCK = threading.Lock()
-# N -> (nonzero taps (i, 2^i c_i / c_0), i >= 1, of the reversed T_N; a_0,
-# a_1, ...) with a_ell = 2^ell p_ell
+# N -> (the taps (2k, t_2k), k = 1..N//2; a_0, a_1, ...) with
+# a_ell = 2^ell p_ell
 _LAW: dict[int, tuple[tuple, list[int]]] = {}
 
 
@@ -132,13 +133,14 @@ class CrossValidationError(Exception):
 def root_angles(N: int) -> tuple[float, ...]:
     """The root angles t_k = (2k-1) pi / (2N) for k = 1..N; the cos(t_k) are
     the roots of T_N."""
-    require("root_angles", "N", N, 1)
+    N = require("root_angles", "N", N, 1)
     return tuple((2 * k - 1) * math.pi / (2 * N) for k in range(1, N + 1))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def _root_terms(N: int) -> tuple[tuple[float, float, float], ...]:
-    # (sign (-1)^(k+1), sin t_k, cos t_k) per root angle, for trig_value.
+    # (sign (-1)^(k+1), sin t_k, cos t_k) per root angle, for trig_value;
+    # only the last N's are held.
     return tuple(
         (-1.0 if i % 2 else 1.0, math.sin(t), math.cos(t))
         for i, t in enumerate(root_angles(N))
@@ -197,25 +199,17 @@ def _law(N: int, max_ell: int) -> list[int]:
     ``max_ell`` by :func:`~.exactnum.extend_power`.
 
     The list is append-only: callers index or slice it below ``max_ell``
-    without the lock, and never mutate it.  Raises ArithmeticError if a tap
-    2^i c_i is not a multiple of c_0, which the closed form of the taps
-    rules out.
+    without the lock, and never mutate it.
     """
     with _LAW_LOCK:
         entry = _LAW.get(N)
         if entry is None:
-            c = reversed_T(N).coefficients
-            taps = []
-            for i, ci in enumerate(c):
-                if i and ci:
-                    t, remainder = divmod(ci << i, c[0])
-                    if remainder:
-                        raise ArithmeticError(
-                            f"N={N}: tap 2^{i} c_{i} is not a multiple of c_0={c[0]}"
-                        )
-                    taps.append((i, t))
+            taps = tuple(
+                (2 * k, (-1) ** k * (math.comb(N - k, k) + math.comb(N - k - 1, k - 1)))
+                for k in range(1, N // 2 + 1)
+            )
             # a_N = 2^N / c_0 = 2.
-            entry = _LAW[N] = (tuple(taps), [0] * N + [2])
+            entry = _LAW[N] = (taps, [0] * N + [2])
         taps, values = entry
         return extend_power(taps, 1, -1, values, max_ell, N)
 
@@ -232,7 +226,7 @@ def _gap(numerators: list[int], max_ell: int) -> Fraction:
 def probnum_series(N: int, max_ell: int) -> ProbTable:
     """Exact table of p_0..p_max_ell via the reciprocal series of the
     reversed polynomial (method tag "series")."""
-    _check_table_args("probnum_series", N, max_ell)
+    N, max_ell = _check_table_args("probnum_series", N, max_ell)
     law = _law(N, max_ell)
     values = tuple(dyadic(law[ell], ell) for ell in range(max_ell + 1))
     return ProbTable(N, max_ell, values, "series", _round_up(_gap(law, max_ell)))
@@ -242,8 +236,8 @@ def trig_value(N: int, ell: int) -> float:
     """Root-angle formula for p_ell in double precision (compensated sum
     over the alternating root terms).  Total in ell; returns 0.0 at ell=0.
     An ell past 2^53, beyond the integers a float holds, is refused."""
-    require("trig_value", "N", N, 1)
-    require("trig_value", "ell", ell, 0, 2**53)
+    N = require("trig_value", "N", N, 1)
+    ell = require("trig_value", "ell", ell, 0, 2**53)
     if ell == 0:
         return 0.0
     return math.fsum(sign * s * c ** (ell - 1) for sign, s, c in _root_terms(N)) / N
@@ -254,7 +248,7 @@ def probnum_trig(N: int, max_ell: int) -> ProbTable:
     "trig").  Off-support entries carry the formula's cancellation residue,
     of the order of machine epsilon.  The tail bound is the geometric bound
     from the dominant root cos(pi/(2N))."""
-    _check_table_args("probnum_trig", N, max_ell)
+    N, max_ell = _check_table_args("probnum_trig", N, max_ell)
     values = tuple(trig_value(N, ell) for ell in range(max_ell + 1))
     return ProbTable(N, max_ell, values, "trig", geometric_tail_bound(N, max_ell))
 
@@ -272,8 +266,8 @@ def probnum_catalan(N: int, ell: int) -> Fraction:
     k = (ell - (2t+1)N)/2.  ell must equal N mod 2; below N the sum is empty
     and the value is zero.
     """
-    require("probnum_catalan", "N", N, 1)
-    require("probnum_catalan", "ell", ell, 1)
+    N = require("probnum_catalan", "N", N, 1)
+    ell = require("probnum_catalan", "ell", ell, 1)
     if (ell - N) % 2 != 0:
         raise DomainError(
             f"parity mismatch: ell={ell} must equal N={N} mod 2 "
@@ -324,7 +318,7 @@ def _ballot_numerators(N: int, max_ell: int) -> list[int]:
 def catalan_table(N: int, max_ell: int) -> ProbTable:
     """Exact table from the ballot kernel :func:`_ballot_numerators`
     (method tag "catalan"); off-support entries are zero."""
-    _check_table_args("catalan_table", N, max_ell, MAX_BALLOT_ELL)
+    N, max_ell = _check_table_args("catalan_table", N, max_ell, MAX_BALLOT_ELL)
     numerators = _ballot_numerators(N, max_ell)
     values = tuple(dyadic(a, ell) for ell, a in enumerate(numerators))
     tail = _round_up(_gap(numerators, max_ell))
@@ -354,9 +348,9 @@ def cross_validate(
     :class:`CrossValidationError` naming (N, ell, method pair) on the first
     disagreement.
     """
-    if not (math.isfinite(tol) and tol > 0):
+    if not (isinstance(tol, Real) and 0 < tol < math.inf):
         raise DomainError(f"cross_validate: tol must be positive and finite, got {tol}")
-    _check_table_args("cross_validate", N, max_ell, MAX_BALLOT_ELL)
+    N, max_ell = _check_table_args("cross_validate", N, max_ell, MAX_BALLOT_ELL)
     law = _law(N, max_ell)
     ballot = _ballot_numerators(N, max_ell)
     worst = 0.0
@@ -386,7 +380,7 @@ def cross_validate(
 def tail_mass(N: int, max_ell: int) -> float:
     """Upper bound on the mass beyond max_ell: one minus the exact partial
     sum, rounded up to the next float."""
-    _check_table_args("tail_mass", N, max_ell)
+    N, max_ell = _check_table_args("tail_mass", N, max_ell)
     return _round_up(_gap(_law(N, max_ell), max_ell))
 
 
@@ -398,8 +392,8 @@ def geometric_tail_bound(N: int, max_ell: int) -> float:
     From N = 149078414 on, c rounds to 1.0 and the bound is ``math.inf``,
     still an upper bound.  An N or a max_ell past 2^53, beyond the integers
     a float holds, is refused."""
-    require("geometric_tail_bound", "N", N, 1, 2**53)
-    require("geometric_tail_bound", "max_ell", max_ell, 0, 2**53)
+    N = require("geometric_tail_bound", "N", N, 1, 2**53)
+    max_ell = require("geometric_tail_bound", "max_ell", max_ell, 0, 2**53)
     c = math.cos(math.pi / (2 * N))
     if c == 1.0:
         return math.inf
@@ -408,11 +402,12 @@ def geometric_tail_bound(N: int, max_ell: int) -> float:
 
 def _check_table_args(
     caller: str, N: int, max_ell: int, longest: int = MAX_ELL
-) -> None:
+) -> tuple[int, int]:
     """The domain of a table of the law: N >= 1, N <= max_ell <= longest and
-    N max_ell <= MAX_LAW_WORK, which bound its time and memory."""
-    require(caller, "N", N, 1)
-    require(caller, "max_ell", max_ell)
+    N max_ell <= MAX_LAW_WORK, which bound its time and memory.  Returns
+    (N, max_ell) as plain ints (:func:`~.exactnum.require`)."""
+    N = require(caller, "N", N, 1)
+    max_ell = require(caller, "max_ell", max_ell)
     if not N <= max_ell <= longest:
         raise DomainError(
             f"{caller} requires N <= max_ell <= {longest}, got max_ell={max_ell}, N={N}"
@@ -422,6 +417,7 @@ def _check_table_args(
             f"{caller} requires N * max_ell <= {MAX_LAW_WORK}, "
             f"got N={N}, max_ell={max_ell}"
         )
+    return N, max_ell
 
 
 def _round_up(gap: Fraction) -> float:

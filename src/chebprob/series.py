@@ -28,7 +28,7 @@ class TruncatedSeries:
     def of(cls, values: Iterable[Rational], order: int) -> "TruncatedSeries":
         """Series with the given leading coefficients, zero-padded/truncated
         to exactly ``order + 1`` entries."""
-        require("TruncatedSeries.of", "order", order, 0)
+        order = require("TruncatedSeries.of", "order", order, 0)
         coeffs = [Fraction(v) for v in values][: order + 1]
         coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
         return cls(tuple(coeffs))

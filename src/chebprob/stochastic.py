@@ -50,18 +50,20 @@ statistic is taken block by block (:func:`_ks_statistic`).
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
 from .eulerpoly import (
     euler_numbers, euler_poly, eval_poly, gen_euler_recursive,
 )
-from .exactnum import DensePolynomial, DomainError, Rational, require
+from .exactnum import (
+    DensePolynomial, DomainError, Rational, require, require_rational,
+)
 # Kept for the benchmark's tracer, which rebinds this name.
 from .probnum import probnum_series
 
@@ -167,9 +169,8 @@ class RandomStream:
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
-            value = getattr(self, name)
-            require("RandomStream", name, value, 0, 2**64 - 1)
-            object.__setattr__(self, name, operator.index(value))
+            value = require("RandomStream", name, getattr(self, name), 0, 2**64 - 1)
+            object.__setattr__(self, name, value)
 
     def generator(self, offset: int = 0) -> np.random.Generator:
         """A generator whose next draw is draw ``offset`` of the stream.
@@ -190,7 +191,7 @@ class RandomStream:
         RandomStream(s, 1)``.  A count above 2^16 is refused, since its last
         ids would be those of the next stream's children, and so is a count
         whose last id would reach 2^64."""
-        require("split", "count", count, 1, 2**16)
+        count = require("split", "count", count, 1, 2**16)
         base = self.stream_id * 2**16
         if base + count >= 2**64:
             raise DomainError(
@@ -245,7 +246,7 @@ def _in_runs(job, total: int, draws: int = 1) -> None:
 def sample_sech(stream: RandomStream, count: int) -> np.ndarray:
     """i.i.d. draws from the sech(pi x) law by exact CDF inversion at the
     uniforms of ``stream`` (see :func:`_sech_fill`), filled in runs."""
-    require("sample_sech", "count", count, 1, MAX_SAMPLES)
+    count = require("sample_sech", "count", count, 1, MAX_SAMPLES)
     out = np.empty(count)
 
     def run(lo, hi):
@@ -292,8 +293,8 @@ def sample_mu(stream: RandomStream, N: int, count: int) -> np.ndarray:
     place, in a reused buffer; the terms are integer-valued floats, so the
     sums are exact.
     """
-    require("sample_mu", "N", N, 2, MAX_KLEBANOV_N)
-    require("sample_mu", "count", count, 1, MAX_SAMPLES)
+    N = require("sample_mu", "N", N, 2, MAX_KLEBANOV_N)
+    count = require("sample_mu", "count", count, 1, MAX_SAMPLES)
     rates = _mu_table(N)
     K = len(rates)
     out = np.empty(count, dtype=np.int64)
@@ -356,7 +357,7 @@ class MomentReport:
     def ok(self, band: float = DEFAULT_BAND) -> bool:
         # A NaN compares false with everything, so every test is written to
         # pass only on finite figures inside their bounds.
-        if not (math.isfinite(band) and band > 0):
+        if not (isinstance(band, Real) and 0 < band < math.inf):
             raise DomainError(f"band must be finite and positive, got {band}")
         for entry in self.entries:
             if not (math.isfinite(entry.estimate) and math.isfinite(entry.std_error)
@@ -394,15 +395,18 @@ def _entry(label: str, values: np.ndarray, reference: float) -> MomentEntry:
 
 def _point(caller: str, poly: DensePolynomial, x: Rational) -> tuple[float, float]:
     """x as the float the samples are shifted by, and the float of the
-    reference value poly(x); a DomainError, before any sampling, when either
-    would not be finite."""
-    try:
-        x = Fraction(x)
-        return float(x), float(eval_poly(poly, x))
-    except OverflowError:
-        raise DomainError(
-            f"{caller} requires x within the float range, and its reference value too"
-        ) from None
+    reference value poly(x); a DomainError, before any sampling, when x is
+    no rational (a NaN, None) or either float would not be finite (an
+    infinite x included)."""
+    if not (isinstance(x, float) and math.isinf(x)):
+        x = require_rational(caller, "x", x)
+        try:
+            return float(x), float(eval_poly(poly, x))
+        except OverflowError:
+            pass
+    raise DomainError(
+        f"{caller} requires x within the float range, and its reference value too"
+    )
 
 
 def _power_report(
@@ -473,8 +477,8 @@ def mc_euler_poly(
     the standard-error bands to mean anything at desk-scale sample sizes
     (``MAX_REP_ORDER``).
     """
-    require("mc_euler_poly", "n", n, 0, MAX_REP_ORDER)
-    require("mc_euler_poly", "count", count, MIN_SAMPLES, MAX_SAMPLES)
+    n = require("mc_euler_poly", "n", n, 0, MAX_REP_ORDER)
+    count = require("mc_euler_poly", "count", count, MIN_SAMPLES, MAX_SAMPLES)
     shift, reference = _point("mc_euler_poly", euler_poly(n), x)
     return _power_report((stream,), shift - 0.5, n, reference, count)
 
@@ -485,9 +489,9 @@ def mc_gen_euler(
     """Monte Carlo estimate of E_n^{(p)}(x) as the mean of
     (x - p/2 + i (L_1 + ... + L_p))^n over independent sech draws, L_j
     drawn from child j of ``stream.split(p)``."""
-    require("mc_gen_euler", "n", n, 0, MAX_GEN_ORDER)
-    require("mc_gen_euler", "p", p, 1, MAX_GEN_P)
-    require("mc_gen_euler", "count", count, MIN_SAMPLES, MAX_SAMPLES)
+    n = require("mc_gen_euler", "n", n, 0, MAX_GEN_ORDER)
+    p = require("mc_gen_euler", "p", p, 1, MAX_GEN_P)
+    count = require("mc_gen_euler", "count", count, MIN_SAMPLES, MAX_SAMPLES)
     shift, reference = _point("mc_gen_euler", gen_euler_recursive(n, p), x)
     return _power_report(stream.split(p), shift - 0.5 * p, n, reference, count)
 
@@ -581,8 +585,8 @@ def mc_klebanov(stream: RandomStream, N: int, count: int) -> MomentReport:
     ``MomentReport.ok`` fails a report of a correct sampler on the KS entry
     with probability at most ``_KS_ALPHA``.
     """
-    require("mc_klebanov", "N", N, 2, MAX_KLEBANOV_N)
-    require("mc_klebanov", "count", count, MIN_KLEBANOV_SAMPLES, MAX_SAMPLES)
+    N = require("mc_klebanov", "N", N, 2, MAX_KLEBANOV_N)
+    count = require("mc_klebanov", "count", count, MIN_KLEBANOV_SAMPLES, MAX_SAMPLES)
     mu_stream, sech_stream = stream.split(2)
     sums = _random_sums(sech_stream, sample_mu(mu_stream, N, count))
     sums /= N
@@ -625,7 +629,7 @@ def moment_integral_check(k: int) -> float:
     ``INTEGRAL_TOL[k % 2]``.  Orders above ``MAX_MOMENT_ORDER``, where
     rounding alone exceeds that bound, are refused.
     """
-    require("moment_integral_check", "k", k, 0, MAX_MOMENT_ORDER)
+    k = require("moment_integral_check", "k", k, 0, MAX_MOMENT_ORDER)
     value = _trapezoid_moment(k, _QUAD_STEP)
     if k % 2 == 1:
         return abs(value)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from chebprob import probnum
 from chebprob.chebyshev import reversed_T
-from chebprob.exactnum import DensePolynomial, DomainError, ballot_number
+from chebprob.exactnum import DomainError, ballot_number, dyadic
 from chebprob.probnum import (
     CrossValidationError,
     catalan_table,
@@ -172,19 +172,61 @@ class TestSeriesMemo:
             assert table.values == oracle[table.N][: table.max_ell + 1]
 
 
-    def test_inexact_division_raises_arithmetic_error(self, monkeypatch):
-        # A law whose 2^ell p_ell is not an integer must stop with an
-        # ArithmeticError, never a ValueError (the CLI's usage error).  With
-        # c_0 = 4 and c_1 = 1 the tap 2 c_1 / c_0 = 1/2 is no integer.
-        with probnum._LAW_LOCK:
-            probnum._LAW.clear()
-        monkeypatch.setattr(probnum, "reversed_T", lambda N: DensePolynomial((4, 1)))
-        with pytest.raises(ArithmeticError, match="c_0=4") as info:
-            probnum_series(2, 3)
-        assert not isinstance(info.value, ValueError)
-        assert 2 not in probnum._LAW
-        monkeypatch.undo()
-        assert probnum_series(2, 3).values[2] == Fraction(1, 2)
+def reversed_T_taps(N: int) -> tuple:
+    """The law's taps the long way: (i, 2^i c_i / c_0) over the nonzero
+    coefficients c_i, i >= 1, of the reversed T_N, each division checked
+    exact."""
+    c = reversed_T(N).coefficients
+    taps = []
+    for i, ci in enumerate(c):
+        if i and ci:
+            t, remainder = divmod(ci << i, c[0])
+            assert remainder == 0, (N, i)
+            taps.append((i, t))
+    return tuple(taps)
+
+
+def memo_taps(N: int) -> tuple:
+    probnum._law(N, N)
+    return probnum._LAW[N][0]
+
+
+class TestTaps:
+    def test_closed_form_equals_the_reversed_chebyshev_polynomial(self):
+        # The memo builds t_2k = (-1)^k (C(N-k, k) + C(N-k-1, k-1)); T_N's
+        # three-term recurrence is its oracle.
+        for N in range(1, 257):
+            assert memo_taps(N) == reversed_T_taps(N), N
+
+
+class TestRootTerms:
+    def test_only_the_last_N_is_held(self):
+        # The terms of N = 10^6 took 184 MB, and were held until exit.
+        trig_value(10**5, 5)
+        trig_value(3, 5)
+        assert probnum._root_terms.cache_info().currsize == 1
+
+
+@pytest.mark.slow
+class TestDepth:
+    def test_taps_at_the_cap_of_N(self):
+        # N max_ell <= 2^24 with max_ell >= N admits N up to 2^12.
+        for N in (1000, 4095, 4096):
+            assert memo_taps(N) == reversed_T_taps(N), N
+            with probnum._LAW_LOCK:
+                del probnum._LAW[N]
+
+    def test_ballot_sum_against_the_memo_at_the_series_cap(self):
+        # The law through ell = 2^15 (about 3 s) against one folded ballot
+        # sum per index (about 1 s each) at the last two support indices.
+        N, L = 128, probnum.MAX_ELL
+        law = probnum._law(N, L)
+        try:
+            for ell in (L - 2, L):
+                assert probnum_catalan(N, ell) == dyadic(law[ell], ell), ell
+        finally:
+            with probnum._LAW_LOCK:
+                del probnum._LAW[N]
 
 
 class TestTrig:

@@ -1,14 +1,16 @@
-"""Every public refusal is a DomainError.
+"""Every public refusal is a DomainError, and a numpy integer is an integer.
 
 A range of one integer is refused by ``exactnum.require`` in one of its two
 message shapes, which start with the name of the refusing function, and a
-value that is no integer (a float, a bool) in its third; the checks that are
+value that is no integer (a float, a bool) in its third; a value that is no
+rational by ``exactnum.require_rational`` in a fourth.  The checks that are
 no such range (a float, two arguments at once, an empty sequence, a parity)
 raise DomainError with their own wording.
 """
 
 from fractions import Fraction
 
+import dataclasses
 import functools
 import re
 
@@ -24,7 +26,7 @@ from chebprob import (
     series,
     stochastic,
 )
-from chebprob.exactnum import DomainError, require
+from chebprob.exactnum import DomainError, require, require_rational
 
 SHAPES = (
     r"(?P<name>\w+) >= -?\d+, got (?P=name)=-?\d+",
@@ -119,6 +121,13 @@ INTEGER_ARGUMENTS = [
     ("moment_integral_check", "k", lambda v: stochastic.moment_integral_check(v)),
 ]
 
+# k was not checked: a float raised a TypeError in math.comb, and a numpy
+# integer overflowed.
+K_ARGUMENTS = [
+    ("binomial", lambda v: exactnum.binomial(5, v)),
+    ("ballot_number", lambda v: exactnum.ballot_number(5, v)),
+]
+
 # max_ell was checked outside require: a float raised a TypeError deep
 # inside, a bool was taken as an integer, and geometric_tail_bound(2, 2.5)
 # returned 1.4355.
@@ -147,6 +156,32 @@ OTHER_REFUSALS = [
     ("MomentReport.ok", lambda: stochastic.MomentReport(10, ()).ok(band=0.0)),
 ]
 
+# A tolerance, a band or a point that is no real number, refused with the
+# message each gives a real one out of range; each raised TypeError deep
+# inside before.  (message, refused call)
+NON_REAL_REFUSALS = [
+    ("cross_validate: tol must be positive and finite, got None",
+     lambda: probnum.cross_validate(3, 20, None)),
+    ("reconstruct_euler: tol must be positive and finite, got 1e-9",
+     lambda: identities.reconstruct_euler(2, 3, Fraction(1, 3), "1e-9")),
+    ("expectation_form_check: tol must be positive and finite, got 1j",
+     lambda: identities.expectation_form_check(2, 3, 1j)),
+    ("band must be finite and positive, got 4",
+     lambda: stochastic.MomentReport(1, ()).ok("4")),
+    ("z must lie strictly inside (0, 1), got z='0.5'",
+     lambda: identities.asymptotic_ratio(3, "0.5")),
+    ("z must lie strictly inside (0, 1), got z=0.5j",
+     lambda: identities.asymptotic_ratio(3, 0.5j)),
+]
+
+# (name the message starts with, call with the rational argument x as v)
+RATIONAL_ARGUMENTS = [
+    ("reconstruct_euler", lambda v: identities.reconstruct_euler(2, 3, v, 1e-9)),
+    ("eval_poly", lambda v: eulerpoly.eval_poly(eulerpoly.euler_poly(2), v)),
+    ("mc_euler_poly", lambda v: stochastic.mc_euler_poly(STREAM, 1, v, 10**4)),
+    ("mc_gen_euler", lambda v: stochastic.mc_gen_euler(STREAM, 1, 2, v, 10**4)),
+]
+
 
 @pytest.mark.parametrize(
     "caller, call",
@@ -172,9 +207,11 @@ def test_range_refusal_is_a_domain_error(caller, call):
 @pytest.mark.parametrize(
     "caller, name, call",
     INTEGER_ARGUMENTS + [(caller, "max_ell", call) for caller, call in MAX_ELL_ARGUMENTS]
+    + [(caller, "k", call) for caller, call in K_ARGUMENTS]
     + [("RandomStream", name, call) for name, call in KEY_WORDS],
     ids=[row[0] for row in INTEGER_ARGUMENTS]
     + [f"{row[0]}-max_ell" for row in MAX_ELL_ARGUMENTS]
+    + [f"{row[0]}-k" for row in K_ARGUMENTS]
     + [f"RandomStream-{name}" for name, _ in KEY_WORDS],
 )
 def test_non_integer_is_a_domain_error(caller, name, call, value):
@@ -191,6 +228,51 @@ def test_other_refusal_is_a_domain_error(caller, call):
         call()
 
 
+@pytest.mark.parametrize(
+    "message, call", NON_REAL_REFUSALS, ids=[row[0] for row in NON_REAL_REFUSALS]
+)
+def test_non_real_is_a_domain_error(message, call):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_tolerance_past_the_float_range_is_taken():
+    # math.isfinite raised OverflowError on an int past the float range,
+    # which is finite and positive.
+    huge = 10**400
+    assert probnum.cross_validate(3, 20, huge).tol == huge
+    assert identities.reconstruct_euler(2, 3, Fraction(1, 3), huge).terms_used == 1
+    assert stochastic.MomentReport(1, ()).ok(huge)
+
+
+# Fraction raised ValueError on a NaN, OverflowError on an infinity,
+# TypeError on None and ZeroDivisionError on "1/0".  The Monte Carlo checks
+# word an infinite x as one beyond the float range.
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), None, "1/0"],
+    ids=["nan", "inf", "None", "1/0"],
+)
+@pytest.mark.parametrize(
+    "caller, call", RATIONAL_ARGUMENTS, ids=[row[0] for row in RATIONAL_ARGUMENTS]
+)
+def test_non_rational_is_a_domain_error(caller, call, value):
+    with pytest.raises(DomainError) as info:
+        call(value)
+    if caller.startswith("mc_") and value == float("inf"):
+        assert str(info.value).startswith(f"{caller} requires x within the float range")
+    else:
+        assert str(info.value) == f"{caller} requires a rational x, got x={value!r}"
+
+
+def test_every_value_fraction_takes_is_still_taken():
+    poly = eulerpoly.euler_poly(3)
+    expected = eulerpoly.eval_poly(poly, Fraction(1, 4))
+    for value in (0.25, np.float64(0.25), "1/4", " 1/4 ", "0.25", Fraction(2, 8)):
+        assert eulerpoly.eval_poly(poly, value) == expected, value
+    assert eulerpoly.eval_poly(poly, np.int64(3)) == eulerpoly.eval_poly(poly, 3)
+
+
 def test_require_message_shapes():
     with pytest.raises(DomainError) as info:
         require("f", "n", -1, 0)
@@ -203,17 +285,112 @@ def test_require_message_shapes():
     assert str(info.value) == "f requires 2 <= count <= 65536, got count=1"
     # Both bounds are inclusive, and a DomainError is a ValueError.
     for low, high, value in ((0, None, 0), (0, 8, 0), (0, 8, 8), (1, None, 10**30)):
-        assert require("f", "n", value, low, high) is None
+        assert require("f", "n", value, low, high) is value
     assert issubclass(DomainError, ValueError)
+    with pytest.raises(DomainError) as info:
+        require_rational("f", "x", float("nan"))
+    assert str(info.value) == "f requires a rational x, got x=nan"
 
 
 def test_require_takes_integers_alone():
-    # numpy integers are integers; a numpy bool, a float of integer value
-    # and an integer Fraction are not.
-    assert require("f", "n", np.int64(3), 0, 8) is None
+    # numpy integers are integers, returned as plain ints; a numpy bool, a
+    # float of integer value and an integer Fraction are not.
+    for value in (np.int64(3), np.uint8(3)):
+        out = require("f", "n", value, 0, 8)
+        assert type(out) is int and out == 3
+    assert type(require("f", "n", np.int64(-2))) is int
     with pytest.raises(DomainError, match=r"^f requires 0 <= n <= 8, got n=9$"):
         require("f", "n", np.uint8(9), 0, 8)
     for value in (np.True_, 3.0, np.float64(3), Fraction(3)):
         with pytest.raises(DomainError) as info:
             require("f", "n", value, 0)
         assert str(info.value) == f"f requires an integer n, got n={value!r}"
+
+
+def _typed(value):
+    """``value`` as nested tuples of (type, value) leaves, so that equality
+    also compares the type of every number: a Fraction by its numerator and
+    denominator, an array by its dtype and entries."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.tolist())
+    if isinstance(value, Fraction):
+        return (Fraction, _typed(value.numerator), _typed(value.denominator))
+    if dataclasses.is_dataclass(value):
+        return (type(value),) + tuple(
+            _typed(getattr(value, f.name)) for f in dataclasses.fields(value)
+        )
+    if isinstance(value, (tuple, list)):
+        return (type(value),) + tuple(_typed(item) for item in value)
+    if isinstance(value, dict):
+        return tuple((key, _typed(item)) for key, item in sorted(value.items()))
+    return (type(value), value)
+
+
+def _stream(i):
+    return stochastic.RandomStream(i(1), i(2))
+
+
+# (function, call with every integer argument passed through i): each
+# integer parameter of every public function.
+NUMPY_CALLS = [
+    ("chebyshev_T", lambda i: chebyshev.chebyshev_T(i(5))),
+    ("chebyshev_U", lambda i: chebyshev.chebyshev_U(i(5))),
+    ("reversed_T", lambda i: chebyshev.reversed_T(i(5))),
+    ("euler_numbers", lambda i: eulerpoly.euler_numbers(i(30))),
+    ("gen_euler_zero", lambda i: eulerpoly.gen_euler_zero(i(3), i(30))),
+    ("euler_poly", lambda i: eulerpoly.euler_poly(i(30))),
+    ("gen_euler_recursive", lambda i: eulerpoly.gen_euler_recursive(i(30), i(3))),
+    ("gen_euler_series", lambda i: eulerpoly.gen_euler_series(i(30), i(3))),
+    ("eval_poly", lambda i: eulerpoly.eval_poly(eulerpoly.euler_poly(30), i(3))),
+    ("binomial", lambda i: exactnum.binomial(i(100), i(40))),
+    ("catalan_sequence", lambda i: exactnum.catalan_sequence(i(40))),
+    ("ballot_number", lambda i: exactnum.ballot_number(i(100), i(40))),
+    ("reconstruct_euler",
+     lambda i: identities.reconstruct_euler(i(3), i(5), Fraction(1, 3), 1e-9)),
+    ("reconstruct_euler-x", lambda i: identities.reconstruct_euler(2, 3, i(2), 1e-9)),
+    ("expectation_form_check", lambda i: identities.expectation_form_check(i(4), i(3))),
+    ("asymptotic_ratio", lambda i: identities.asymptotic_ratio(i(3), 0.5)),
+    ("catalan_prefix_check", lambda i: identities.catalan_prefix_check(i(30))),
+    ("root_angles", lambda i: probnum.root_angles(i(5))),
+    ("trig_value", lambda i: probnum.trig_value(i(5), i(61))),
+    ("probnum_series", lambda i: probnum.probnum_series(i(5), i(60))),
+    ("probnum_trig", lambda i: probnum.probnum_trig(i(5), i(60))),
+    ("probnum_catalan", lambda i: probnum.probnum_catalan(i(3), i(201))),
+    ("catalan_table", lambda i: probnum.catalan_table(i(5), i(60))),
+    ("cross_validate", lambda i: probnum.cross_validate(i(5), i(60))),
+    ("tail_mass", lambda i: probnum.tail_mass(i(5), i(60))),
+    ("geometric_tail_bound", lambda i: probnum.geometric_tail_bound(i(5), i(60))),
+    ("TruncatedSeries.of", lambda i: series.TruncatedSeries.of([1, 2], i(5))),
+    ("RandomStream", _stream),
+    ("split", lambda i: _stream(i).split(i(3))),
+    ("sample_sech", lambda i: stochastic.sample_sech(_stream(i), i(100))),
+    ("sample_mu", lambda i: stochastic.sample_mu(_stream(i), i(5), i(100))),
+    ("mc_euler_poly",
+     lambda i: stochastic.mc_euler_poly(_stream(i), i(3), i(1), i(10**4))),
+    ("mc_gen_euler",
+     lambda i: stochastic.mc_gen_euler(_stream(i), i(3), i(2), i(1), i(10**4))),
+    ("mc_klebanov", lambda i: stochastic.mc_klebanov(_stream(i), i(3), i(10**5))),
+    ("moment_integral_check", lambda i: stochastic.moment_integral_check(i(4))),
+]
+
+
+# require admitted numpy integers but handed them on: probnum_series(
+# np.int64(5), 60) stored numpy terms in the law memo and raised
+# AttributeError, and gen_euler_series(np.int64(30), 3) OverflowError.
+@pytest.mark.parametrize("name, call", NUMPY_CALLS, ids=[row[0] for row in NUMPY_CALLS])
+def test_numpy_integers_give_the_plain_int_result(name, call):
+    expected = _typed(call(int))
+    assert _typed(call(np.int64)) == expected
+
+
+def test_a_numpy_law_call_leaves_the_memo_plain():
+    with probnum._LAW_LOCK:
+        probnum._LAW.pop(5, None)
+    probnum.probnum_series(np.int64(5), 60)
+    taps, values = probnum._LAW[5]
+    assert all(type(v) is int for tap in taps for v in tap)
+    assert all(type(a) is int for a in values)
+    # These failed for the rest of the process once the memo held numpy
+    # terms.
+    assert probnum.probnum_series(5, 61).values[61] == probnum.probnum_catalan(5, 61)
+    identities.reconstruct_euler(3, 5, Fraction(1, 3), 1e-9)
