@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 _STOCHASTIC = (
     "RandomStream", "MomentEntry", "MomentReport", "sech_cdf", "sample_sech",
     "sample_mu", "mc_euler_poly", "mc_gen_euler", "mc_klebanov",
-    "moment_integral_check",
 )
 
 # Each module's __all__ is the one list of its public names.

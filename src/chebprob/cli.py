@@ -167,12 +167,9 @@ def cmd_identity(args: argparse.Namespace) -> bool:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> bool:
-    # numpy loads here, so the exact subcommands never pay for it.
-    from . import stochastic
-
     if args.kind == "integral":
-        deviation = stochastic.moment_integral_check(args.k)
-        tolerance = stochastic.INTEGRAL_TOL[args.k % 2]
+        deviation = identities.moment_integral_check(args.k)
+        tolerance = identities.INTEGRAL_TOL[args.k % 2]
         passed = deviation <= tolerance
 
         def fields():
@@ -184,6 +181,9 @@ def cmd_montecarlo(args: argparse.Namespace) -> bool:
     else:
         if args.kind != "klebanov" and args.x is None:
             raise UsageError(f"--x is required for kind {args.kind!r}")
+        # numpy loads here, so only the sampling kinds pay for it.
+        from . import stochastic
+
         stream = stochastic.RandomStream(args.seed)
         if args.kind == "rep":
             x = parse_rational(args.x)
@@ -250,20 +250,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--out", default=None)
     p_id.set_defaults(handler=cmd_identity)
 
+    # Each kind declares only the flags it reads, so argparse refuses any other.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=["json", "pretty"], default="pretty")
+    output.add_argument("--out", default=None)
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--samples", type=int, default=10**5)
+    sampling.add_argument("--seed", type=int, default=DEFAULT_SEED)
+
     p_mc = sub.add_parser("montecarlo", help="seeded statistical checks")
-    p_mc.add_argument("kind", choices=["rep", "gen", "klebanov", "integral"])
-    p_mc.add_argument("--n", type=int, default=1)
-    p_mc.add_argument("--p", type=int, default=1)
-    p_mc.add_argument("--N", type=int, default=2)
-    p_mc.add_argument("--x", default=None, help="rational evaluation point")
-    p_mc.add_argument("--k", type=int, default=0,
-                      help="moment order for 'integral'; orders beyond the "
-                           "reach of its 1e-10 bound are refused")
-    p_mc.add_argument("--samples", type=int, default=10**5)
-    p_mc.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_mc.add_argument("--format", choices=["json", "pretty"], default="pretty")
-    p_mc.add_argument("--out", default=None)
     p_mc.set_defaults(handler=cmd_montecarlo)
+    kinds = p_mc.add_subparsers(dest="kind", required=True)
+    p_rep = kinds.add_parser("rep", parents=[sampling, output])
+    p_gen = kinds.add_parser("gen", parents=[sampling, output])
+    for p_kind in (p_rep, p_gen):
+        p_kind.add_argument("--n", type=int, default=1)
+        p_kind.add_argument("--x", default=None, help="rational evaluation point")
+    p_gen.add_argument("--p", type=int, default=1)
+    p_kl = kinds.add_parser("klebanov", parents=[sampling, output])
+    p_kl.add_argument("--N", type=int, default=2)
+    p_int = kinds.add_parser("integral", parents=[output])
+    p_int.add_argument("--k", type=int, default=0,
+                       help="moment order; orders beyond the reach of its "
+                            "1e-10 bound are refused")
 
     return parser
 

@@ -213,9 +213,10 @@ class DensePolynomial:
 
 def format_rational(x: Rational) -> str:
     """Render an exact value as "num/den", omitting "/den" when den == 1.
+    A value that is no rational is a DomainError (:func:`require_rational`).
     Past Python's int-to-str digit limit it raises ValueError: the library
     leaves interpreter state alone, and ``cli.main`` lifts the limit."""
-    f = Fraction(x)
+    f = require_rational("format_rational", "x", x)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

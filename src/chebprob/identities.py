@@ -16,6 +16,9 @@
 * ``catalan_prefix_check`` verifies that the normalized coefficients
   q_ell = 2^{ell-1} p_ell start out as the coefficients of C(z)^N, the N-th
   power of the Catalan series, and first disagree exactly at ell = 3N.
+* ``moment_integral_check`` checks the moments of the sech(pi t) density,
+  integral of t^k sech(pi t) dt = |E_k| / 2^k (0 for odd k), by the
+  trapezoid rule in stdlib floats, so the check loads no numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 
-from .eulerpoly import euler_poly, eval_poly, gen_euler_recursive
+from .eulerpoly import euler_numbers, euler_poly, eval_poly, gen_euler_recursive
 from .exactnum import (
     DomainError,
     Rational,
@@ -46,6 +49,9 @@ __all__ = [
     "expectation_form_check",
     "asymptotic_ratio",
     "catalan_prefix_check",
+    "moment_integral_check",
+    "INTEGRAL_TOL",
+    "MAX_MOMENT_ORDER",
 ]
 
 # The least term budget; the budget grows from here (_default_max_k).
@@ -64,6 +70,18 @@ MAX_N = 2**7
 # The law memo is read this many indices ahead of the current term (never
 # past the budget), so a sum takes its lock once per block, not per term.
 _LAW_BLOCK = 2**7
+# Bounds of moment_integral_check's deviation, by k % 2: an absolute 1e-10
+# for even k, and 1e-12 for odd k, whose moments vanish identically.
+INTEGRAL_TOL = (1e-10, 1e-12)
+# The moment |E_k| / 2^k grows fast (1.2e4 at k = 14), so the rounding of the
+# sum alone exceeds the 1e-10 bound past this order (k = 14 gives 7e-12,
+# k = 16 2e-10).
+MAX_MOMENT_ORDER = 14
+# Trapezoid step of the moment integrals.  Their integrands are analytic in
+# the strip |Im t| < 1/2, so the rule's error is about 4 exp(-pi / h) 2^-k,
+# 6e-22 at h = 1/16, far below rounding; a power of two keeps every node
+# exact.
+_QUAD_STEP = 1 / 16
 
 
 class ConvergenceError(RuntimeError):
@@ -355,3 +373,40 @@ def catalan_prefix_check(N: int) -> CatalanPrefixReport:
         convolution_at_mismatch=power[N],
         leading_difference=power[N] - q_at_mismatch,
     )
+
+
+def moment_integral_check(k: int) -> float:
+    """Quadrature check of the sech moment integral: the k-th absolute moment
+    of the sech(pi x) density equals |E_k| / 2^k for even k and vanishes for
+    odd k.
+
+    Returns the absolute deviation of the trapezoid rule (step ``_QUAD_STEP``)
+    from the exact value; the check passes when it is at most
+    ``INTEGRAL_TOL[k % 2]``.  Orders above ``MAX_MOMENT_ORDER``, where
+    rounding alone exceeds that bound, are refused.
+    """
+    k = require("moment_integral_check", "k", k, 0, MAX_MOMENT_ORDER)
+    value = _trapezoid_moment(k, _QUAD_STEP)
+    if k % 2 == 1:
+        return abs(value)
+    reference = Fraction(abs(euler_numbers(k)[k]), 2**k)
+    return abs(value - float(reference))
+
+
+def _trapezoid_moment(k: int, h: float) -> float:
+    """Trapezoid rule of step h for the integral of t^k sech(pi t) over
+    [-c, c], c = 14 + 2k, summed exactly by ``math.fsum``.
+
+    The cutoff grows with k so the discarded tail stays far below
+    ``INTEGRAL_TOL`` (the integrand at the cutoff is below 1e-18); the rule
+    has 2c/h + 1 nodes.  The integrand is evaluated at the positive nodes
+    only and mirrored with the sign (-1)^k: libm's pow and cosh are exactly
+    odd and even, so this gives the values at every node, at half the cost,
+    and an odd moment sums to exactly 0.
+    """
+    cutoff = 14.0 + 2.0 * k
+    half = [(j * h) ** k / math.cosh(math.pi * (j * h))
+            for j in range(1, round(cutoff / h) + 1)]
+    half[-1] *= 0.5
+    sign = -1.0 if k % 2 else 1.0
+    return h * math.fsum([0.0**k, *half, *(sign * value for value in half)])

@@ -2,11 +2,11 @@
 
 The continuous ingredient is the hyperbolic secant law with density
 sech(pi x) on the real line (normalization constant 1 in this convention;
-checked numerically by :func:`moment_integral_check`).  Its distribution
-function is F(x) = (2/pi) arctan(e^{pi x}), so exact inverse-CDF sampling
-uses x = ln(tan(pi u / 2)) / pi, evaluated as -ln(tan(pi (1 - u) / 2)) / pi
-(see :func:`_sech_fill`); differentiating F recovers sech(pi x), so the
-sampler is unbiased.
+checked numerically by :func:`identities.moment_integral_check`).  Its
+distribution function is F(x) = (2/pi) arctan(e^{pi x}), so exact
+inverse-CDF sampling uses x = ln(tan(pi u / 2)) / pi, evaluated as
+-ln(tan(pi (1 - u) / 2)) / pi (see :func:`_sech_fill`); differentiating F
+recovers sech(pi x), so the sampler is unbiased.
 
 The discrete ingredient is the random index mu_N, drawn as N plus twice a
 sum of floor(N/2) independent geometric variables, one uniform each (see
@@ -15,9 +15,7 @@ sum of floor(N/2) independent geometric variables, one uniform each (see
 numpy is the only dependency beyond the standard library: the
 Kolmogorov-Smirnov test of the Klebanov check compares its random sums with
 F itself and bounds the p-value by Massart's form of the
-Dvoretzky-Kiefer-Wolfowitz inequality (see :func:`mc_klebanov`), and the
-moment integrals use the trapezoid rule, which converges geometrically on
-these integrands.
+Dvoretzky-Kiefer-Wolfowitz inequality (see :func:`mc_klebanov`).
 
 Streams are immutable values: a :class:`RandomStream` names a reproducible
 sequence (counter-based generator keyed by seed and stream id), any position
@@ -64,6 +62,9 @@ from .eulerpoly import (
 from .exactnum import (
     DensePolynomial, DomainError, Rational, require, require_rational,
 )
+# Kept for the benchmark, which calls and wraps this name; the check is
+# stdlib floats and lives in identities.
+from .identities import moment_integral_check
 # Kept for the benchmark's tracer, which rebinds this name.
 from .probnum import probnum_series
 
@@ -72,15 +73,12 @@ __all__ = [
     "MomentEntry",
     "MomentReport",
     "DEFAULT_BAND",
-    "INTEGRAL_TOL",
     "sech_cdf",
     "sample_sech",
     "sample_mu",
     "mc_euler_poly",
     "mc_gen_euler",
     "mc_klebanov",
-    "moment_integral_check",
-    "MAX_MOMENT_ORDER",
     "MAX_REP_ORDER",
     "MAX_GEN_ORDER",
     "MAX_GEN_P",
@@ -100,13 +98,6 @@ _POWER_CHUNK = 2**15
 
 # Band, in standard errors, of the Monte Carlo checks (MomentReport.ok).
 DEFAULT_BAND = 4.0
-# Bounds of moment_integral_check's deviation, by k % 2: an absolute 1e-10
-# for even k, and 1e-12 for odd k, whose moments vanish identically.
-INTEGRAL_TOL = (1e-10, 1e-12)
-# The moment |E_k| / 2^k grows fast (1.2e4 at k = 14), so the rounding of the
-# sum alone exceeds the 1e-10 bound past this order (k = 14 gives 7e-12,
-# k = 16 2e-10).
-MAX_MOMENT_ORDER = 14
 # Input limits of the Monte Carlo checks.  Above these orders the integrands'
 # variance grows too fast for the standard-error bands to mean anything at
 # desk-scale sample sizes; below these sizes the bands and the KS test have
@@ -127,11 +118,6 @@ MAX_SAMPLES = 10**7
 MAX_KLEBANOV_N = 30
 # MomentReport.ok fails a report whose KS p-value is below this level.
 _KS_ALPHA = 0.01
-# Trapezoid step of the moment integrals.  Their integrands are analytic in
-# the strip |Im t| < 1/2, so the rule's error is about 4 exp(-pi / h) 2^-k,
-# 6e-22 at h = 1/16, far below rounding; a power of two keeps every node
-# exact.
-_QUAD_STEP = 1 / 16
 
 # Threads of one Monte Carlo call: the CPUs this process may run on, read
 # once.  A call is cut by the draws it makes: a run has at least _MIN_RUN
@@ -617,36 +603,3 @@ def mc_klebanov(stream: RandomStream, N: int, count: int) -> MomentReport:
         entries=tuple(entries),
         extras={"ks_statistic": statistic, "ks_pvalue": p_value},
     )
-
-
-def moment_integral_check(k: int) -> float:
-    """Quadrature check of the sech moment integral: the k-th absolute moment
-    of the sech(pi x) density equals |E_k| / 2^k for even k and vanishes for
-    odd k.
-
-    Returns the absolute deviation of the trapezoid rule (step ``_QUAD_STEP``)
-    from the exact value; the check passes when it is at most
-    ``INTEGRAL_TOL[k % 2]``.  Orders above ``MAX_MOMENT_ORDER``, where
-    rounding alone exceeds that bound, are refused.
-    """
-    k = require("moment_integral_check", "k", k, 0, MAX_MOMENT_ORDER)
-    value = _trapezoid_moment(k, _QUAD_STEP)
-    if k % 2 == 1:
-        return abs(value)
-    reference = Fraction(abs(euler_numbers(k)[k]), 2**k)
-    return abs(value - float(reference))
-
-
-def _trapezoid_moment(k: int, h: float) -> float:
-    """Trapezoid rule of step h for the integral of t^k sech(pi t) over
-    [-c, c], c = 14 + 2k, summed exactly by ``math.fsum``.
-
-    The cutoff grows with k so the discarded tail stays far below
-    ``INTEGRAL_TOL`` (the integrand at the cutoff is below 1e-18); the rule
-    has 2c/h + 1 nodes.
-    """
-    cutoff = 14.0 + 2.0 * k
-    nodes = np.arange(-round(cutoff / h), round(cutoff / h) + 1) * h
-    values = nodes**k / np.cosh(np.pi * nodes)
-    values[[0, -1]] *= 0.5
-    return h * math.fsum(values)

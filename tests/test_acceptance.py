@@ -33,6 +33,7 @@ from chebprob.eulerpoly import (
 from chebprob.identities import (
     asymptotic_ratio,
     catalan_prefix_check,
+    moment_integral_check,
     reconstruct_euler,
 )
 from chebprob.probnum import (
@@ -44,7 +45,6 @@ from chebprob.probnum import (
 from chebprob.stochastic import (
     RandomStream,
     mc_klebanov,
-    moment_integral_check,
     sample_mu,
 )
 

@@ -496,6 +496,18 @@ class TestMonteCarlo:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("montecarlo", "integral", "--k", "4", "--samples", "5", "--seed", "3"),
+        ("montecarlo", "rep", "--x", "0", "--p", "3"),
+        ("montecarlo", "klebanov", "--x", "1/3"),
+    ], ids=["integral-samples-seed", "rep-p", "klebanov-x"])
+    def test_flags_the_kind_does_not_read(self, capsys, argv):
+        # Each kind declares only its own flags: any other is refused, not dropped.
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 # (id, CLI arguments, the library call they reach with the CLI's defaults).
 # Every range is the library's: the command line checks syntax only.
@@ -550,11 +562,11 @@ REFUSED = [
      ("identity", "--n", "1", "--N", "2", "--x", "1" + "0" * 10000),
      lambda: identities.reconstruct_euler(1, 2, 10**10000, 1e-9)),
     ("integral-k-15", ("montecarlo", "integral", "--k", "15"),
-     lambda: stochastic.moment_integral_check(15)),
+     lambda: identities.moment_integral_check(15)),
     ("integral-k-150", ("montecarlo", "integral", "--k", "150"),
-     lambda: stochastic.moment_integral_check(150)),
+     lambda: identities.moment_integral_check(150)),
     ("integral-k-negative", ("montecarlo", "integral", "--k", "-1"),
-     lambda: stochastic.moment_integral_check(-1)),
+     lambda: identities.moment_integral_check(-1)),
     ("rep-samples", ("montecarlo", "rep", "--x", "0", "--samples", "100"),
      lambda: stochastic.mc_euler_poly(STREAM, 1, 0, 100)),
     ("gen-samples", ("montecarlo", "gen", "--x", "0", "--samples", "9999"),
@@ -632,10 +644,19 @@ class TestParser:
             if isinstance(action, argparse._SubParsersAction)
         ]
         assert len(commands) == 1
+
+        def flags_of(name, sub):
+            # A command's flags, and those of its own subcommands (the
+            # montecarlo kinds).
+            for action in sub._actions:
+                yield name, action.dest, action.type
+                if isinstance(action, argparse._SubParsersAction):
+                    for kind, kind_parser in action.choices.items():
+                        yield from flags_of(f"{name} {kind}", kind_parser)
+
         flags = [
-            (name, action.dest, action.type)
-            for name, sub in commands[0].choices.items()
-            for action in sub._actions
+            flag for name, sub in commands[0].choices.items()
+            for flag in flags_of(name, sub)
         ]
         assert len(flags) > 20
         assert [f for f in flags if f[2] not in (None, int, float)] == []
@@ -683,8 +704,22 @@ class TestImportCost:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_integral_loads_no_numpy(self):
+        # The moment quadrature is stdlib floats: it loads neither numpy nor
+        # the sampling module, and runs with every numpy import failing.
+        for first in ("", "sys.modules['numpy'] = None\n"):
+            proc = run_fresh(
+                "import sys\n"
+                f"{first}"
+                "from chebprob.cli import main\n"
+                "assert main(['montecarlo', 'integral', '--k', '4']) == 0\n"
+                "assert 'chebprob.stochastic' not in sys.modules\n"
+                "assert sys.modules.get('numpy') is None\n"
+            )
+            assert proc.returncode == 0, proc.stderr
+
     def test_montecarlo_loads_no_scipy(self):
-        # The KS test and the quadrature are numpy and stdlib only.
+        # The KS test is numpy only.
         proc = run_fresh(
             "import sys\n"
             "from chebprob.cli import main\n"

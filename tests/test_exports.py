@@ -57,6 +57,16 @@ def test_stochastic_names_are_those_of_its_all():
     )
 
 
+def test_each_public_name_has_one_module():
+    # A name moved to another module leaves the __all__ of the one it left.
+    owners = {}
+    for name in MODULES:
+        module = importlib.import_module(f"chebprob.{name}")
+        for export in getattr(module, "__all__", ()):
+            owners.setdefault(export, []).append(name)
+    assert {n: m for n, m in owners.items() if len(m) > 1} == {}
+
+
 def test_package_names_no_eager_export():
     # An eager module's __all__ is the one list of its public names: the
     # package re-exports it and spells none of them.

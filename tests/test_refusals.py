@@ -68,7 +68,7 @@ RANGE_REFUSALS = [
     ("mc_euler_poly", lambda: stochastic.mc_euler_poly(STREAM, 9, 0, 10**4)),
     ("mc_gen_euler", lambda: stochastic.mc_gen_euler(STREAM, 1, 11, 0, 10**4)),
     ("mc_klebanov", lambda: stochastic.mc_klebanov(STREAM, 2, 10**4)),
-    ("moment_integral_check", lambda: stochastic.moment_integral_check(15)),
+    ("moment_integral_check", lambda: identities.moment_integral_check(15)),
 ]
 
 # The float routes raised OverflowError past the float range: an ell, a
@@ -118,7 +118,7 @@ INTEGER_ARGUMENTS = [
     ("mc_euler_poly", "n", lambda v: stochastic.mc_euler_poly(STREAM, v, 0, 10**4)),
     ("mc_gen_euler", "p", lambda v: stochastic.mc_gen_euler(STREAM, 1, v, 0, 10**4)),
     ("mc_klebanov", "N", lambda v: stochastic.mc_klebanov(STREAM, v, 10**5)),
-    ("moment_integral_check", "k", lambda v: stochastic.moment_integral_check(v)),
+    ("moment_integral_check", "k", lambda v: identities.moment_integral_check(v)),
 ]
 
 # k was not checked: a float raised a TypeError in math.comb, and a numpy
@@ -176,6 +176,7 @@ NON_REAL_REFUSALS = [
 
 # (name the message starts with, call with the rational argument x as v)
 RATIONAL_ARGUMENTS = [
+    ("format_rational", lambda v: exactnum.format_rational(v)),
     ("reconstruct_euler", lambda v: identities.reconstruct_euler(2, 3, v, 1e-9)),
     ("eval_poly", lambda v: eulerpoly.eval_poly(eulerpoly.euler_poly(2), v)),
     ("mc_euler_poly", lambda v: stochastic.mc_euler_poly(STREAM, 1, v, 10**4)),
@@ -370,7 +371,7 @@ NUMPY_CALLS = [
     ("mc_gen_euler",
      lambda i: stochastic.mc_gen_euler(_stream(i), i(3), i(2), i(1), i(10**4))),
     ("mc_klebanov", lambda i: stochastic.mc_klebanov(_stream(i), i(3), i(10**5))),
-    ("moment_integral_check", lambda i: stochastic.moment_integral_check(i(4))),
+    ("moment_integral_check", lambda i: identities.moment_integral_check(i(4))),
 ]
 
 

@@ -26,12 +26,16 @@ import chebprob.stochastic as stochastic_module
 from chebprob import probnum
 from chebprob.eulerpoly import euler_numbers, euler_poly, eval_poly, gen_euler_recursive
 from chebprob.exactnum import DomainError
+from chebprob.identities import (
+    _QUAD_STEP,
+    MAX_MOMENT_ORDER,
+    _trapezoid_moment,
+    moment_integral_check,
+)
 from chebprob.probnum import MAX_ELL, probnum_series
 from chebprob.stochastic import (
     _CHUNK,
-    _QUAD_STEP,
     MAX_GEN_ORDER,
-    MAX_MOMENT_ORDER,
     MAX_REP_ORDER,
     MAX_SAMPLES,
     MomentEntry,
@@ -40,7 +44,6 @@ from chebprob.stochastic import (
     mc_euler_poly,
     mc_gen_euler,
     mc_klebanov,
-    moment_integral_check,
     sample_mu,
     sample_sech,
     sech_cdf,
@@ -983,9 +986,28 @@ class TestMomentIntegral:
     def test_halving_the_step_agrees(self, k):
         # The rule has converged: half the step moves it by less than the
         # contract, so the deviation measures rounding, not discretization.
-        coarse = stochastic_module._trapezoid_moment(k, _QUAD_STEP)
-        fine = stochastic_module._trapezoid_moment(k, _QUAD_STEP / 2)
+        coarse = _trapezoid_moment(k, _QUAD_STEP)
+        fine = _trapezoid_moment(k, _QUAD_STEP / 2)
         assert abs(coarse - fine) <= (1e-12 if k % 2 else 1e-10)
+
+    @pytest.mark.parametrize("k", range(MAX_MOMENT_ORDER + 1))
+    def test_stdlib_rule_agrees_with_the_numpy_rule(self, k):
+        # The rule as numpy evaluated it, at every node.  The two agree within
+        # 4 ulps of the absolute moment, which is |E_k| / 2^k for even k; the
+        # stdlib rule mirrors its nodes, so an odd moment cancels exactly.
+        h = _QUAD_STEP
+        m = round((14.0 + 2.0 * k) / h)
+        nodes = np.arange(-m, m + 1) * h
+        values = nodes**k / np.cosh(np.pi * nodes)
+        values[[0, -1]] *= 0.5
+        oracle = h * math.fsum(values)
+        scale = h * math.fsum(np.abs(values))
+        value = _trapezoid_moment(k, h)
+        if k % 2 == 0:
+            assert scale == pytest.approx(abs(euler_numbers(k)[k]) / 2**k)
+        else:
+            assert value == 0.0
+        assert abs(value - oracle) <= 4 * math.ulp(scale)
 
     def test_order_above_the_cap_rejected(self):
         with pytest.raises(ValueError, match=f"k <= {MAX_MOMENT_ORDER}"):
