@@ -15,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -32,10 +33,10 @@ __all__ = [
 class DomainError(ValueError):
     """An argument outside the domain of a public function, raised before any
     work is done: by :func:`require` for one integer and its range, by
-    :func:`require_rational` for a rational, inline for the rest (a float,
-    two arguments at once, an empty sequence, a parity).
-    The command line reports it as a usage error; every other exception is a
-    fault of the program."""
+    :func:`require_rational` for a rational, by :func:`require_positive` for
+    a tolerance or a band, inline for the rest (a float, two arguments at
+    once, an empty sequence, a parity).  The command line reports it as a
+    usage error; every other exception is a fault of the program."""
 
 
 def require(
@@ -76,12 +77,13 @@ def require(
 
 def require_rational(caller: str, name: str, value: Rational) -> Fraction:
     """Argument ``name`` of ``caller`` as a Fraction of plain ints: whatever
-    ``Fraction(value)`` takes, an int, a finite float, a Fraction, a numpy
-    integer or a string such as "1/3".  Where it fails (a NaN, an infinity,
-    None, a malformed string), a DomainError in the shape of
-    :func:`require`'s: "<caller> requires a rational <name>, got
-    <name>=<value!r>"."""
+    ``Fraction(value)`` takes but a bool (an int, a finite float, a Fraction,
+    a numpy integer, a string such as "1/3").  Anything else is a DomainError
+    in the shape of :func:`require`'s: "<caller> requires a rational <name>,
+    got <name>=<value!r>"."""
     try:
+        if isinstance(value, bool):
+            raise TypeError  # Fraction takes a bool as 0 or 1
         x = Fraction(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise DomainError(
@@ -91,6 +93,14 @@ def require_rational(caller: str, name: str, value: Rational) -> Fraction:
         # Fraction keeps the numpy scalars of a numpy integer.
         x = Fraction(int(x.numerator), int(x.denominator))
     return x
+
+
+def require_positive(caller: str, name: str, value: float) -> float:
+    """Argument ``name`` of ``caller``, a tolerance or a band, as it is: a real
+    0 < value < inf and no bool; an int past the float range is finite."""
+    if type(value) is bool or not (isinstance(value, Real) and 0 < value < math.inf):
+        raise DomainError(f"{caller}: {name} must be positive and finite, got {value}")
+    return value
 
 
 def binomial(n: int, k: int) -> int:

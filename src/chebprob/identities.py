@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 
-from .eulerpoly import euler_numbers, euler_poly, eval_poly, gen_euler_recursive
+from .eulerpoly import euler_numbers, euler_poly, eval_poly
 from .exactnum import (
     DomainError,
     Rational,
@@ -37,6 +37,7 @@ from .exactnum import (
     float_or_inf,
     format_rational,
     require,
+    require_positive,
     require_rational,
 )
 from .probnum import _check_table_args, _law
@@ -180,21 +181,19 @@ def _reconstruct(
     ConvergenceError.
 
     With x = u/q, the argument is Y_k / 2q for Y_k = kq + N(2u - q), and
-    H_k = (2q)^n E_n^{(k)}(Y_k / 2q) is an integer.  E_n^{(k)}(k/2 + w) has
-    the egf sech(t/2)^k e^{wt} and log sech(t/2) = O(t^2), so H_k is a
-    polynomial of degree at most n//2 in k (Noerlund).  Seeded at k = N, ...,
-    N + 2(n//2) (ArithmeticError if a seed is no integer) and differenced, a
-    term is a_k H_k, a_k = 2^k p_k, and n//2 additions step the table.  S_k =
-    total / den with den = 2^(n+k) q^n; no gcd is taken.  With target = g / h
-    and tol = e / f, the stop test and the small-term test are multiplied
-    through by scale den h f > 0, and den enters them as a shift by n + k.
-    The law memo is read _LAW_BLOCK indices ahead, so its lock is taken once
-    per block of terms, and the memo is never extended past the budget.
+    H_k = (2q)^n E_n^{(k)}(Y_k / 2q) is an integer polynomial of degree at
+    most n//2 in k, whose difference table :func:`_seed_table` builds at
+    k = N; a term is a_k H_k, a_k = 2^k p_k, and n//2 additions step the
+    table.  S_k = total / den with den = 2^(n+k) q^n; no gcd is taken.  With
+    target = g / h and tol = e / f, the stop test and the small-term test are
+    multiplied through by scale den h f > 0, and den enters them as a shift
+    by n + k.  The law memo is read _LAW_BLOCK indices ahead, so its lock is
+    taken once per block of terms, and the memo is never extended past the
+    budget.
     """
     n = require(caller, "n", n, 0, MAX_DEGREE)
     N = require(caller, "N", N, 1, MAX_N)
-    if not (isinstance(tol, Real) and 0 < tol < math.inf):
-        raise DomainError(f"{caller}: tol must be positive and finite, got {tol}")
+    tol = require_positive(caller, "tol", tol)
     x = require_rational(caller, "x", x)
     scale = N**n if divided else 1
     budget = _default_max_k(n, N, tol, x)
@@ -210,18 +209,8 @@ def _reconstruct(
     e, f = tol_exact.numerator, tol_exact.denominator
     u, q = x.numerator, x.denominator
     q_n = q**n
-    offset = N * (2 * u - q)
     order = n // 2
-    table = []
-    for k in range(N, N + 2 * order + 1, 2):
-        point = Fraction(k * q + offset, 2 * q)
-        seed = eval_poly(gen_euler_recursive(n, k), point) * (2 * q) ** n
-        if seed.denominator != 1:
-            raise ArithmeticError(f"(2q)^n E_{n}^({k})({point}) is not an integer")
-        table.append(seed.numerator)
-    for i in range(1, order + 1):
-        for j in range(order, i - 1, -1):
-            table[j] -= table[j - 1]
+    table = _seed_table(n, N, q, N * (2 * u - q))
     # den = q^n 2^(n+k), so g den and e scale den are shifts of g q^n and
     # e scale q^n, made once.
     g_q = g * q_n
@@ -269,6 +258,30 @@ def _reconstruct(
         f"{what} not within {tol} by k={budget}, the end of the term budget",
         achieved_error=float_or_inf(abs(Fraction(total, scale * den) - target)),
     )
+
+
+def _seed_table(n: int, N: int, q: int, offset: int) -> list[int]:
+    """H_k = (2q)^n E_n^{(k)}(k/2 + w), w = offset / 2q, and its differences
+    of orders 1..n//2, step 2, at k = N.  The egf sech(t/2)^k e^{wt} has
+    log sech(t/2) = O(t^2), so H_k is a polynomial of degree at most n//2 in
+    k (Noerlund).  At k = -r the egf is cosh(t/2)^r e^{wt} =
+    E[e^{(w + R_r/2) t}], R_r a sum of r independent +-1 signs, so H_-r =
+    E[(offset + q R_r)^n]; the table is seeded at r = r0, r0 + 2, ...,
+    r0 + 2(n//2), r0 = N % 2, and stepped to k = N."""
+    order = n // 2
+    # Every moment of R_r is an integer, so the shift by r bits is exact.
+    table = [
+        sum(math.comb(r, i) * (offset + q * (r - 2 * i)) ** n
+            for i in range(r + 1)) >> r
+        for r in range(N % 2 + 2 * order, -1, -2)
+    ]
+    for i in range(1, order + 1):
+        for j in range(order, i - 1, -1):
+            table[j] -= table[j - 1]
+    for _ in range((N + 1) // 2 + order):
+        for i in range(order):
+            table[i] += table[i + 1]
+    return table
 
 
 def reconstruct_euler(

@@ -14,8 +14,8 @@ routes and cross-validates:
   p_ell = (1/N) sum_{k=1}^{N} (-1)^{k+1} sin(t_k) cos(t_k)^{ell-1}
   with t_k = (2k-1) pi / (2N).
 * ``probnum_catalan`` -- exact: an alternating ballot-number (Catalan
-  triangle) sum, folded into one branch (below); ``catalan_table`` runs it
-  for a whole table in one pass of running binomials.
+  triangle) sum, folded into one branch (below); ``catalan_table`` counts
+  the exit paths it counts, for a whole table, by additions alone.
 
 Exact routes must agree identically; the trig route agrees to float
 accuracy.  ``cross_validate`` enforces both.
@@ -35,10 +35,9 @@ t < 0 repeat those with t >= 0 and
 about ell/N terms.  It is the method-of-images count of the +-1 paths from
 0 that first reach -N or N at step ell, so mu_N is the exit time of simple
 random walk from (-N, N) (Feller, *An Introduction to Probability Theory*,
-Vol. 1, Ch. XIV).  Along the support n grows by 2, and B(n, d) at a fixed
-offset d moves from n - 2 to n by one multiply and one exact division, so a
-table through L costs about L^2/(4N) such steps on numbers of about L bits and
-no fresh binomial.  This route shares nothing with the recurrence below.
+Vol. 1, Ch. XIV).  ``catalan_table`` counts those paths directly, about N L
+additions of numbers of at most L bits for a table through L; this route
+shares nothing with the recurrence below.
 
 The series values live in one append-only memo per N, lock-guarded and
 held for the life of the process; the identity layer reads it.
@@ -68,7 +67,7 @@ import math
 import threading
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from numbers import Real
+from operator import add
 from typing import Iterator, Literal
 
 from .exactnum import (
@@ -78,6 +77,7 @@ from .exactnum import (
     extend_power,
     format_rational,
     require,
+    require_positive,
 )
 
 __all__ = [
@@ -105,8 +105,8 @@ MAX_ELL = 2**15
 # ell bits, so a table at most about (N max_ell)^2 bit operations, and a trig
 # table N max_ell float operations.  As max_ell >= N, this bounds N by 2^12.
 MAX_LAW_WORK = 2**24
-# The ballot route (catalan_table, cross_validate) costs about max_ell^3 / N
-# bit operations, so its tables stop sooner.
+# The walk's table (catalan_table, cross_validate) makes N max_ell additions
+# of up to max_ell bits, about N max_ell^2 bit operations; it stops sooner.
 MAX_BALLOT_ELL = 2**13
 
 # The series-vs-trig bound of cross_validate.  The worst deviation of the trig
@@ -281,45 +281,23 @@ def probnum_catalan(N: int, ell: int) -> Fraction:
     return dyadic(2 * acc, ell)
 
 
-def _ballot_numerators(N: int, max_ell: int) -> list[int]:
-    """a_ell = 2^ell p_ell for ell = 0..max_ell by the folded ballot sum of
-    :func:`probnum_catalan`, in one pass over the support.
-
-    Each offset d = (2t+1)N -/+ 1 keeps one running binomial, signed
-    (+/-)(-1)^t.  It enters at n = ell - 1 = d as B(d, d) = 1, and each step
-    of the support moves it from n - 2 to n by
-    binom(n, k) = binom(n-2, k-1) n (n-1) / (k (n-k)) with k = (n - d)/2: one
-    multiply and one division, checked to be exact (ArithmeticError on a
-    remainder).  Off-support entries are zero.
-    """
-    # (d, sign) in increasing d: centre - 1 < centre + 1 <= next centre - 1.
-    offsets = [
-        (centre + e, e if t % 2 else -e)
-        for t, centre in enumerate(range(N, max_ell + 1, 2 * N))
-        for e in (-1, 1)
-    ]
-    values = [0] * (max_ell + 1)
-    running: list[int] = []  # the signed B(n, d), in the order of offsets
-    for ell in range(N, max_ell + 1, 2):
-        n = ell - 1
-        step = n * (n - 1)
-        for i, b in enumerate(running):
-            k = (n - offsets[i][0]) >> 1
-            b, remainder = divmod(b * step, k * (n - k))
-            if remainder:
-                raise ArithmeticError(f"N={N}: binom({n}, {k}) is not an integer")
-            running[i] = b
-        while len(running) < len(offsets) and offsets[len(running)][0] == n:
-            running.append(offsets[len(running)][1])
-        values[ell] = 2 * sum(running)
-    return values
+def _exit_path_counts(N: int, max_ell: int) -> list[int]:
+    """a_ell = 2^ell p_ell for ell = 0..max_ell: the +-1 paths from 0 that
+    first reach -N or N at step ell.  paths[i] counts those at i - N still
+    inside; the ends -N and N stay 0, and every count moves by one a step."""
+    paths = [0] * N + [1] + [0] * N
+    counts = [0] * (max_ell + 1)
+    for ell in range(1, max_ell + 1):
+        counts[ell] = paths[1] + paths[-2]
+        paths = [0, *map(add, paths, paths[2:]), 0]
+    return counts
 
 
 def catalan_table(N: int, max_ell: int) -> ProbTable:
-    """Exact table from the ballot kernel :func:`_ballot_numerators`
+    """Exact table from the walk's exit-path counts :func:`_exit_path_counts`
     (method tag "catalan"); off-support entries are zero."""
     N, max_ell = _check_table_args("catalan_table", N, max_ell, MAX_BALLOT_ELL)
-    numerators = _ballot_numerators(N, max_ell)
+    numerators = _exit_path_counts(N, max_ell)
     values = tuple(dyadic(a, ell) for ell, a in enumerate(numerators))
     tail = _round_up(_gap(numerators, max_ell))
     return ProbTable(N, max_ell, values, "catalan", tail)
@@ -344,25 +322,24 @@ def cross_validate(
     index through max_ell; returns the worst trig deviation seen.
 
     The exact routes are compared as the integers a_ell = 2^ell p_ell: the
-    law memo against one table of the ballot kernel.  Raises
+    law memo against one table of the walk's exit-path counts.  Raises
     :class:`CrossValidationError` naming (N, ell, method pair) on the first
     disagreement.
     """
-    if not (isinstance(tol, Real) and 0 < tol < math.inf):
-        raise DomainError(f"cross_validate: tol must be positive and finite, got {tol}")
+    tol = require_positive("cross_validate", "tol", tol)
     N, max_ell = _check_table_args("cross_validate", N, max_ell, MAX_BALLOT_ELL)
     law = _law(N, max_ell)
-    ballot = _ballot_numerators(N, max_ell)
+    walk = _exit_path_counts(N, max_ell)
     worst = 0.0
     for ell in range(max_ell + 1):
         a = law[ell]
-        if a != ballot[ell]:
+        if a != walk[ell]:
             exact = dyadic(a, ell)
             if ell >= N and (ell - N) % 2 == 0:
                 raise CrossValidationError(
                     N, ell, "series/catalan",
                     f"{format_rational(exact)} != "
-                    f"{format_rational(dyadic(ballot[ell], ell))}",
+                    f"{format_rational(dyadic(walk[ell], ell))}",
                 )
             raise CrossValidationError(
                 N, ell, "series", f"expected 0 off support, got {exact}"
@@ -390,14 +367,15 @@ def geometric_tail_bound(N: int, max_ell: int) -> float:
     tail.  Coarser than :func:`tail_mass` but needs no exact table.
 
     From N = 149078414 on, c rounds to 1.0 and the bound is ``math.inf``,
-    still an upper bound.  An N or a max_ell past 2^53, beyond the integers
-    a float holds, is refused."""
+    still an upper bound; where it underflows (N = 2 from max_ell = 2151 on)
+    it is the least positive float, for the tail of N >= 2 is positive.  An N
+    or a max_ell past 2^53, beyond the integers a float holds, is refused."""
     N = require("geometric_tail_bound", "N", N, 1, 2**53)
     max_ell = require("geometric_tail_bound", "max_ell", max_ell, 0, 2**53)
     c = math.cos(math.pi / (2 * N))
     if c == 1.0:
         return math.inf
-    return c**max_ell / (1.0 - c)
+    return max(c**max_ell / (1.0 - c), math.ulp(0.0) if N > 1 else 0.0)
 
 
 def _check_table_args(

@@ -52,7 +52,6 @@ import os
 import threading
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from numbers import Real
 
 import numpy as np
 
@@ -60,7 +59,7 @@ from .eulerpoly import (
     euler_numbers, euler_poly, eval_poly, gen_euler_recursive,
 )
 from .exactnum import (
-    DensePolynomial, DomainError, Rational, require, require_rational,
+    DensePolynomial, DomainError, Rational, require, require_positive, require_rational,
 )
 # Kept for the benchmark, which calls and wraps this name; the check is
 # stdlib floats and lives in identities.
@@ -343,8 +342,7 @@ class MomentReport:
     def ok(self, band: float = DEFAULT_BAND) -> bool:
         # A NaN compares false with everything, so every test is written to
         # pass only on finite figures inside their bounds.
-        if not (isinstance(band, Real) and 0 < band < math.inf):
-            raise DomainError(f"band must be finite and positive, got {band}")
+        require_positive("MomentReport.ok", "band", band)
         for entry in self.entries:
             if not (math.isfinite(entry.estimate) and math.isfinite(entry.std_error)
                     and entry.standardized <= band):

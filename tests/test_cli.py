@@ -278,9 +278,19 @@ DEEP_COMMANDS = [
     ("identity_n8_N10_x100000_json",
      ("identity", "--n", "8", "--N", "10", "--x", "100000", "--tol", "1e-9",
       "--format", "json")),
-    # The top degree: its difference table reads the rows at orders 8..40.
+    # The top degree: its difference table is seeded at orders -32..0 and
+    # stepped to k = 8.
     ("identity_n32_N8_json",
      ("identity", "--n", "32", "--N", "8", "--x", "1/3", "--tol", "1e-6",
+      "--format", "json")),
+    # N = 1 at the top degree: odd N seeds at orders -33..-1, and the sum
+    # stops at its one term.
+    ("identity_n32_N1_x1e20_json",
+     ("identity", "--n", "32", "--N", "1", "--x", "100000000000000000000",
+      "--format", "json")),
+    # Odd n and odd N: 367 terms.
+    ("identity_n31_N3_json",
+     ("identity", "--n", "31", "--N", "3", "--x", "5/2", "--tol", "1e-9",
       "--format", "json")),
 ]
 

@@ -15,7 +15,7 @@ from chebprob.chebyshev import chebyshev_T
 from chebprob.eulerpoly import (
     euler_poly, eval_poly, gen_euler_recursive, gen_euler_zero,
 )
-from chebprob.exactnum import DensePolynomial, DomainError
+from chebprob.exactnum import DomainError
 from chebprob.identities import (
     DEFAULT_MAX_K,
     MAX_K,
@@ -391,12 +391,28 @@ class TestDifferenceTable:
             want = abs(want.partial_value - want.target)
         assert expectation == want
 
-    def test_a_seed_that_is_no_integer_is_refused(self, monkeypatch):
-        # (2q)^n E_n^{(k)} at the point is an integer; a third is not.
-        third = DensePolynomial((Fraction(1, 3),))
-        monkeypatch.setattr(identities_module, "gen_euler_recursive", lambda n, k: third)
-        with pytest.raises(ArithmeticError, match=r"E_2\^\(3\)\(0\) is not an integer"):
-            reconstruct_euler(2, 3, 0, 1e-9)
+    def test_walk_moment_seeds_equal_the_euler_layer(self):
+        # The table seeded at the negative orders and stepped to k = N, held
+        # exactly against (2q)^n E_n^{(k)}(k/2 + N(x - 1/2)) read from the
+        # Euler rows at k = N..N + 2(n//2) and differenced.  The term budget
+        # refuses some of these (n, N, x); the seeds do not depend on it.
+        for n in range(33):
+            order = n // 2
+            for N in (1, 2, 3, 8, 128):
+                for x in (Fraction(0), Fraction(1, 2), Fraction(1, 3),
+                          Fraction(-7, 4), Fraction(10**6)):
+                    u, q = x.numerator, x.denominator
+                    w = N * (x - Fraction(1, 2))
+                    table = [
+                        eval_poly(gen_euler_recursive(n, k), Fraction(k, 2) + w)
+                        * (2 * q) ** n
+                        for k in range(N, N + 2 * order + 1, 2)
+                    ]
+                    for i in range(1, order + 1):
+                        for j in range(order, i - 1, -1):
+                            table[j] -= table[j - 1]
+                    got = identities_module._seed_table(n, N, q, N * (2 * u - q))
+                    assert got == table, (n, N, x)
 
     def test_degree_in_the_order_is_at_most_n_over_2(self):
         # E_n^{(k)}(k/2 + w) has the egf sech(t/2)^k e^{wt} and log sech(t/2)

@@ -122,7 +122,7 @@ MEMO_MAX_ELL = 600
 
 @functools.lru_cache(maxsize=None)
 def catalan_prefix(N: int) -> tuple:
-    # The ballot kernel runs up from ell = N and no entry depends on L, so
+    # The walk steps up from ell = 0 and no entry depends on L, so
     # catalan_table(N, L) is this prefix through L; one table per N keeps the
     # property test fast.
     return catalan_table(N, MEMO_MAX_ELL).values
@@ -356,36 +356,29 @@ class TestBallotKernel:
     def test_cross_validate_catches_one_perturbed_value(self, monkeypatch):
         # cross_validate compares integers from one kernel table; a wrong
         # entry in it must still be named.
-        kernel = probnum._ballot_numerators
+        kernel = probnum._exit_path_counts
 
         def perturbed(N, max_ell):
             values = kernel(N, max_ell)
             values[N + 10] += 2
             return values
 
-        monkeypatch.setattr(probnum, "_ballot_numerators", perturbed)
+        monkeypatch.setattr(probnum, "_exit_path_counts", perturbed)
         with pytest.raises(CrossValidationError, match="series/catalan") as info:
             cross_validate(5, 40, 1e-10)
         assert (info.value.N, info.value.ell) == (5, 15)
 
 
-def exit_path_counts(N: int, L: int) -> list[int]:
-    """counts[ell] for ell <= L: the +-1 paths from 0 that first reach -N or
-    N at step ell, by stepping the path counts at positions -(N-1)..N-1."""
-    paths = [0] * (N - 1) + [1] + [0] * (N - 1)  # index i: position i - N + 1
-    counts = [0] * (L + 1)
-    for ell in range(1, L + 1):
-        counts[ell] = paths[0] + paths[-1]  # the end positions step out
-        paths = [left + right for left, right in zip([0] + paths[:-1], paths[1:] + [0])]
-    return counts
-
-
 class TestWalkReading:
     def test_law_is_the_exit_time_of_simple_random_walk(self):
-        # a_ell = 2^ell p_ell counts the paths of simple random walk from 0
-        # that first leave (-N, N) at step ell (Feller, Vol. 1, Ch. XIV).
+        # The walk's exit-path counts against the method of images, the
+        # folded ballot sum, at every support index; the law memo is held
+        # against the same counts by test_table_equals_the_series_law and
+        # every cross_validate (Feller, Vol. 1, Ch. XIV).
         for N in range(1, 16):
-            assert probnum._law(N, 300)[:301] == exit_path_counts(N, 300), N
+            counts = probnum._exit_path_counts(N, 300)
+            for ell in range(N, 301, 2):
+                assert probnum_catalan(N, ell) == dyadic(counts[ell], ell), (N, ell)
 
 
 class TestCrossValidation:
@@ -426,9 +419,17 @@ class TestCrossValidation:
         assert report.max_trig_deviation <= 1e-10
 
     def test_law_at_the_ballot_cap(self):
-        # The memo against the ballot kernel at depth, exactly, and the
-        # trig route within its bound, through the last admitted index.
+        # The memo against the walk's table at depth, exactly, and the trig
+        # route within its bound, through the last admitted index.
         report = cross_validate(64, probnum.MAX_BALLOT_ELL)
+        assert report.indices_checked == 8193
+        assert report.max_trig_deviation <= probnum.TRIG_TOL
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_smallest_N_at_the_ballot_cap(self, N):
+        # The smallest N at the deepest table: the walk steps a list of
+        # 2N + 1 counts per index, so each takes a few hundredths of a second.
+        report = cross_validate(N, probnum.MAX_BALLOT_ELL)
         assert report.indices_checked == 8193
         assert report.max_trig_deviation <= probnum.TRIG_TOL
 
@@ -463,6 +464,15 @@ class TestTailMass:
             for max_ell in (N, N + 9, N + 30):
                 true_tail = 1 - sum(probnum_series(N, max_ell).values)
                 assert Fraction(geometric_tail_bound(N, max_ell)) >= true_tail
+
+    def test_geometric_bound_is_at_least_the_tail_mass(self):
+        # The float c^max_ell / (1 - c) underflowed to 0.0 over a positive
+        # tail (N = 2 from max_ell = 2151 on); the least positive float
+        # bounds it there.
+        for N in (2, 3, 4):
+            for max_ell in range(N, 3001):
+                bound = geometric_tail_bound(N, max_ell)
+                assert bound >= tail_mass(N, max_ell) > 0, (N, max_ell)
 
     def test_geometric_bound_refuses_a_negative_max_ell(self):
         # A tail past a negative index is no tail of the law; the bound

@@ -158,16 +158,25 @@ OTHER_REFUSALS = [
 
 # A tolerance, a band or a point that is no real number, refused with the
 # message each gives a real one out of range; each raised TypeError deep
-# inside before.  (message, refused call)
+# inside before.  A bool was taken as a tolerance or a band of 1.
+# (message, refused call)
 NON_REAL_REFUSALS = [
     ("cross_validate: tol must be positive and finite, got None",
      lambda: probnum.cross_validate(3, 20, None)),
+    ("cross_validate: tol must be positive and finite, got True",
+     lambda: probnum.cross_validate(2, 10, True)),
+    ("reconstruct_euler: tol must be positive and finite, got True",
+     lambda: identities.reconstruct_euler(2, 3, Fraction(1, 3), True)),
+    ("expectation_form_check: tol must be positive and finite, got True",
+     lambda: identities.expectation_form_check(2, 2, True)),
     ("reconstruct_euler: tol must be positive and finite, got 1e-9",
      lambda: identities.reconstruct_euler(2, 3, Fraction(1, 3), "1e-9")),
     ("expectation_form_check: tol must be positive and finite, got 1j",
      lambda: identities.expectation_form_check(2, 3, 1j)),
-    ("band must be finite and positive, got 4",
+    ("MomentReport.ok: band must be positive and finite, got 4",
      lambda: stochastic.MomentReport(1, ()).ok("4")),
+    ("MomentReport.ok: band must be positive and finite, got True",
+     lambda: stochastic.MomentReport(1, ()).ok(True)),
     ("z must lie strictly inside (0, 1), got z='0.5'",
      lambda: identities.asymptotic_ratio(3, "0.5")),
     ("z must lie strictly inside (0, 1), got z=0.5j",
@@ -248,11 +257,11 @@ def test_a_tolerance_past_the_float_range_is_taken():
 
 
 # Fraction raised ValueError on a NaN, OverflowError on an infinity,
-# TypeError on None and ZeroDivisionError on "1/0".  The Monte Carlo checks
-# word an infinite x as one beyond the float range.
+# TypeError on None and ZeroDivisionError on "1/0", and took a bool as 0 or
+# 1.  The Monte Carlo checks word an infinite x as one beyond the float range.
 @pytest.mark.parametrize(
-    "value", [float("nan"), float("inf"), None, "1/0"],
-    ids=["nan", "inf", "None", "1/0"],
+    "value", [float("nan"), float("inf"), None, "1/0", True],
+    ids=["nan", "inf", "None", "1/0", "bool"],
 )
 @pytest.mark.parametrize(
     "caller, call", RATIONAL_ARGUMENTS, ids=[row[0] for row in RATIONAL_ARGUMENTS]
