@@ -38,7 +38,8 @@ therefore compares two independent recurrences (acceptance criterion 6).
 Each call runs it afresh, O(n^2); the library asks for n <= 14 only.
 
 The value-at-zero rows of the recursive route are memoized per order behind
-a lock; the identity seeds its difference table from n//2 + 1 orders.  The
+a lock, read by ``gen_euler_zero`` and ``gen_euler_recursive`` (so by
+``euler_poly``, the identity's target); its difference table reads none.  The
 values at zero are dyadic (2^n E_n^{(p)}(0) is an integer), so the rows are
 held as those integers and the recurrence runs in ``int``; a Fraction is
 made only on the way out.

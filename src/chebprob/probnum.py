@@ -35,9 +35,9 @@ t < 0 repeat those with t >= 0 and
 about ell/N terms.  It is the method-of-images count of the +-1 paths from
 0 that first reach -N or N at step ell, so mu_N is the exit time of simple
 random walk from (-N, N) (Feller, *An Introduction to Probability Theory*,
-Vol. 1, Ch. XIV).  ``catalan_table`` counts those paths directly, about N L
-additions of numbers of at most L bits for a table through L; this route
-shares nothing with the recurrence below.
+Vol. 1, Ch. XIV).  ``catalan_table`` counts those paths on the half-line
+0..N, as they are symmetric about 0: about N L additions of at most L bits
+for a table through L.  This route shares nothing with the recurrence below.
 
 The series values live in one append-only memo per N, lock-guarded and
 held for the life of the process; the identity layer reads it.
@@ -62,7 +62,6 @@ is made only where a public function returns one.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import asdict, dataclass
@@ -105,8 +104,8 @@ MAX_ELL = 2**15
 # ell bits, so a table at most about (N max_ell)^2 bit operations, and a trig
 # table N max_ell float operations.  As max_ell >= N, this bounds N by 2^12.
 MAX_LAW_WORK = 2**24
-# The walk's table (catalan_table, cross_validate) makes N max_ell additions
-# of up to max_ell bits, about N max_ell^2 bit operations; it stops sooner.
+# The walk's table (catalan_table, cross_validate) adds the N counts of its
+# half-line a step, of up to max_ell bits (N max_ell^2 bit operations).
 MAX_BALLOT_ELL = 2**13
 
 # The series-vs-trig bound of cross_validate.  The worst deviation of the trig
@@ -137,14 +136,18 @@ def root_angles(N: int) -> tuple[float, ...]:
     return tuple((2 * k - 1) * math.pi / (2 * N) for k in range(1, N + 1))
 
 
-@functools.lru_cache(maxsize=1)
-def _root_terms(N: int) -> tuple[tuple[float, float, float], ...]:
-    # (sign (-1)^(k+1), sin t_k, cos t_k) per root angle, for trig_value;
-    # only the last N's are held.
-    return tuple(
+def _trig_values(N: int, ells: range) -> list[float]:
+    """The root-angle formula at each ell of ``ells`` (0.0 at ell = 0), from
+    one list of the terms (sign (-1)^(k+1), sin t_k, cos t_k)."""
+    terms = [
         (-1.0 if i % 2 else 1.0, math.sin(t), math.cos(t))
         for i, t in enumerate(root_angles(N))
-    )
+    ]
+    return [
+        math.fsum(sign * s * c ** (ell - 1) for sign, s, c in terms) / N
+        if ell else 0.0
+        for ell in ells
+    ]
 
 
 @dataclass(frozen=True)
@@ -214,13 +217,18 @@ def _law(N: int, max_ell: int) -> list[int]:
         return extend_power(taps, 1, -1, values, max_ell, N)
 
 
-def _gap(numerators: list[int], max_ell: int) -> Fraction:
+def _gap_up(numerators: list[int], max_ell: int) -> float:
     """The exact mass beyond max_ell, 1 - sum_{ell <= max_ell} p_ell, from
-    the numerators a_ell = 2^ell p_ell, as one integer sum over 2^max_ell."""
+    the numerators a_ell = 2^ell p_ell as one integer sum over 2^max_ell,
+    rounded up to the next float."""
     total = 0
     for a in numerators[: max_ell + 1]:
         total = (total << 1) + a
-    return dyadic((1 << max_ell) - total, max_ell)
+    gap = dyadic((1 << max_ell) - total, max_ell)
+    approx = float(gap)
+    if Fraction(approx) < gap:
+        approx = math.nextafter(approx, math.inf)
+    return approx
 
 
 def probnum_series(N: int, max_ell: int) -> ProbTable:
@@ -229,7 +237,7 @@ def probnum_series(N: int, max_ell: int) -> ProbTable:
     N, max_ell = _check_table_args("probnum_series", N, max_ell)
     law = _law(N, max_ell)
     values = tuple(dyadic(law[ell], ell) for ell in range(max_ell + 1))
-    return ProbTable(N, max_ell, values, "series", _round_up(_gap(law, max_ell)))
+    return ProbTable(N, max_ell, values, "series", _gap_up(law, max_ell))
 
 
 def trig_value(N: int, ell: int) -> float:
@@ -238,9 +246,7 @@ def trig_value(N: int, ell: int) -> float:
     An ell past 2^53, beyond the integers a float holds, is refused."""
     N = require("trig_value", "N", N, 1)
     ell = require("trig_value", "ell", ell, 0, 2**53)
-    if ell == 0:
-        return 0.0
-    return math.fsum(sign * s * c ** (ell - 1) for sign, s, c in _root_terms(N)) / N
+    return _trig_values(N, range(ell, ell + 1))[0]
 
 
 def probnum_trig(N: int, max_ell: int) -> ProbTable:
@@ -249,7 +255,7 @@ def probnum_trig(N: int, max_ell: int) -> ProbTable:
     of the order of machine epsilon.  The tail bound is the geometric bound
     from the dominant root cos(pi/(2N))."""
     N, max_ell = _check_table_args("probnum_trig", N, max_ell)
-    values = tuple(trig_value(N, ell) for ell in range(max_ell + 1))
+    values = tuple(_trig_values(N, range(max_ell + 1)))
     return ProbTable(N, max_ell, values, "trig", geometric_tail_bound(N, max_ell))
 
 
@@ -283,13 +289,15 @@ def probnum_catalan(N: int, ell: int) -> Fraction:
 
 def _exit_path_counts(N: int, max_ell: int) -> list[int]:
     """a_ell = 2^ell p_ell for ell = 0..max_ell: the +-1 paths from 0 that
-    first reach -N or N at step ell.  paths[i] counts those at i - N still
-    inside; the ends -N and N stay 0, and every count moves by one a step."""
-    paths = [0] * N + [1] + [0] * N
+    first reach -N or N at step ell.  The paths still inside are symmetric
+    about 0, so h[i] counts those at i (and at -i), i = 0..N: every count
+    moves by one a step, those at 1 and -1 onto 0, those at +-(N - 1) step
+    out, and the end h[N] stays 0."""
+    h = [1] + [0] * N
     counts = [0] * (max_ell + 1)
     for ell in range(1, max_ell + 1):
-        counts[ell] = paths[1] + paths[-2]
-        paths = [0, *map(add, paths, paths[2:]), 0]
+        counts[ell] = 2 * h[N - 1]
+        h = [2 * h[1], *map(add, h, h[2:]), 0]
     return counts
 
 
@@ -299,7 +307,7 @@ def catalan_table(N: int, max_ell: int) -> ProbTable:
     N, max_ell = _check_table_args("catalan_table", N, max_ell, MAX_BALLOT_ELL)
     numerators = _exit_path_counts(N, max_ell)
     values = tuple(dyadic(a, ell) for ell, a in enumerate(numerators))
-    tail = _round_up(_gap(numerators, max_ell))
+    tail = _gap_up(numerators, max_ell)
     return ProbTable(N, max_ell, values, "catalan", tail)
 
 
@@ -330,22 +338,18 @@ def cross_validate(
     N, max_ell = _check_table_args("cross_validate", N, max_ell, MAX_BALLOT_ELL)
     law = _law(N, max_ell)
     walk = _exit_path_counts(N, max_ell)
+    trig = _trig_values(N, range(max_ell + 1))
     worst = 0.0
     for ell in range(max_ell + 1):
         a = law[ell]
         if a != walk[ell]:
-            exact = dyadic(a, ell)
-            if ell >= N and (ell - N) % 2 == 0:
-                raise CrossValidationError(
-                    N, ell, "series/catalan",
-                    f"{format_rational(exact)} != "
-                    f"{format_rational(dyadic(walk[ell], ell))}",
-                )
             raise CrossValidationError(
-                N, ell, "series", f"expected 0 off support, got {exact}"
+                N, ell, "series/catalan",
+                f"{format_rational(dyadic(a, ell))} != "
+                f"{format_rational(dyadic(walk[ell], ell))}",
             )
         # int / int is correctly rounded, so this is float(p_ell).
-        deviation = abs(a / (1 << ell) - trig_value(N, ell))
+        deviation = abs(a / (1 << ell) - trig[ell])
         worst = max(worst, deviation)
         if deviation > tol:
             raise CrossValidationError(
@@ -358,7 +362,7 @@ def tail_mass(N: int, max_ell: int) -> float:
     """Upper bound on the mass beyond max_ell: one minus the exact partial
     sum, rounded up to the next float."""
     N, max_ell = _check_table_args("tail_mass", N, max_ell)
-    return _round_up(_gap(_law(N, max_ell), max_ell))
+    return _gap_up(_law(N, max_ell), max_ell)
 
 
 def geometric_tail_bound(N: int, max_ell: int) -> float:
@@ -396,10 +400,3 @@ def _check_table_args(
             f"got N={N}, max_ell={max_ell}"
         )
     return N, max_ell
-
-
-def _round_up(gap: Fraction) -> float:
-    approx = float(gap)
-    if Fraction(approx) < gap:
-        approx = math.nextafter(approx, math.inf)
-    return approx

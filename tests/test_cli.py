@@ -268,8 +268,8 @@ README_COMMANDS = [
 
 
 # Deeper commands whose stdout is kept in golden/: an identity of 8296 terms,
-# whose sum runs far past the README examples, and the README's identity
-# whose term budget grows with |x|.
+# whose sum runs far past the README examples, the README's identity whose
+# term budget grows with |x|, and the walk's table of the law.
 DEEP_COMMANDS = [
     ("identity_n12_N20_json",
      ("identity", "--n", "12", "--N", "20", "--x", "3/7", "--tol", "1e-12",
@@ -291,6 +291,11 @@ DEEP_COMMANDS = [
     # Odd n and odd N: 367 terms.
     ("identity_n31_N3_json",
      ("identity", "--n", "31", "--N", "3", "--x", "5/2", "--tol", "1e-9",
+      "--format", "json")),
+    # The walk's table alone: exact values and their correctly rounded
+    # floats, so no libm rounding enters it.
+    ("probnums_N7_catalan_json",
+     ("probnums", "--N", "7", "--max-ell", "60", "--method", "catalan",
       "--format", "json")),
 ]
 

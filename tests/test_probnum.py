@@ -8,6 +8,7 @@ closed form for N=4 built from the quadratic surds 2(2 +/- sqrt 2).
 import functools
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -199,12 +200,23 @@ class TestTaps:
             assert memo_taps(N) == reversed_T_taps(N), N
 
 
-class TestRootTerms:
-    def test_only_the_last_N_is_held(self):
-        # The terms of N = 10^6 took 184 MB, and were held until exit.
-        trig_value(10**5, 5)
-        trig_value(3, 5)
-        assert probnum._root_terms.cache_info().currsize == 1
+class TestTrigTerms:
+    def test_nothing_is_held_once_trig_value_returns(self):
+        # The root terms are built per call: those of N = 10^5, about 15 MB,
+        # were once cached until the next N.
+        tracemalloc.start()
+        try:
+            trig_value(10**5, 5)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 64])
+    def test_table_is_trig_value_bit_for_bit(self, N):
+        L = 3 * N + 40
+        values = probnum_trig(N, L).values
+        assert all(values[ell] == trig_value(N, ell) for ell in range(L + 1))
 
 
 @pytest.mark.slow
@@ -353,20 +365,29 @@ class TestBallotKernel:
         ell = data.draw(st.integers(0, (L - N) // 2).map(lambda j: N + 2 * j))
         assert probnum_catalan(N, ell) == table.values[ell]
 
-    def test_cross_validate_catches_one_perturbed_value(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "offset, expected",
+        [(10, "125/2048 != 1001/16384"), (1, "0 != 1/32")],
+        ids=["on-support", "off-support"],
+    )
+    def test_cross_validate_catches_one_perturbed_value(
+        self, monkeypatch, offset, expected
+    ):
         # cross_validate compares integers from one kernel table; a wrong
-        # entry in it must still be named.
+        # entry in it must still be named, with both exact values, on the
+        # support or off it.
         kernel = probnum._exit_path_counts
 
         def perturbed(N, max_ell):
             values = kernel(N, max_ell)
-            values[N + 10] += 2
+            values[N + offset] += 2
             return values
 
         monkeypatch.setattr(probnum, "_exit_path_counts", perturbed)
-        with pytest.raises(CrossValidationError, match="series/catalan") as info:
+        with pytest.raises(CrossValidationError) as info:
             cross_validate(5, 40, 1e-10)
-        assert (info.value.N, info.value.ell) == (5, 15)
+        assert (info.value.N, info.value.ell) == (5, 5 + offset)
+        assert str(info.value) == f"N=5, ell={5 + offset}, series/catalan: {expected}"
 
 
 class TestWalkReading:
@@ -428,7 +449,7 @@ class TestCrossValidation:
     @pytest.mark.parametrize("N", [1, 2])
     def test_smallest_N_at_the_ballot_cap(self, N):
         # The smallest N at the deepest table: the walk steps a list of
-        # 2N + 1 counts per index, so each takes a few hundredths of a second.
+        # N + 1 counts per index, so each takes a few hundredths of a second.
         report = cross_validate(N, probnum.MAX_BALLOT_ELL)
         assert report.indices_checked == 8193
         assert report.max_trig_deviation <= probnum.TRIG_TOL
