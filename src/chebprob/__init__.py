@@ -5,14 +5,14 @@ The probability numbers p_ell are the power-series coefficients of
 1/T_N(1/z), where T_N is the first-kind Chebyshev polynomial; they form the
 law of a random index mu_N supported on {N, N+2, ...}.  The package computes
 them by three independent algorithms (exact series reciprocal, root-angle
-trigonometry, ballot-number sums), builds classical and generalized Euler
-polynomials by two independent algorithms, and verifies the identities that
-tie the two families together, exactly where possible and statistically
-where not.
+trigonometry, a count of a walk's exit paths), builds classical and
+generalized Euler polynomials by two independent algorithms, and verifies
+the identities that tie the two families together, exactly where possible
+and statistically where not.  It loads neither test oracle, ``chebyshev``
+nor ``series``: import them by name.
 """
 
-from . import chebyshev, eulerpoly, exactnum, identities, probnum
-from .chebyshev import *
+from . import eulerpoly, exactnum, identities, probnum
 from .eulerpoly import *
 from .exactnum import *
 from .identities import *
@@ -31,7 +31,6 @@ _STOCHASTIC = (
 # Each module's __all__ is the one list of its public names.
 __all__ = [
     "__version__",
-    *chebyshev.__all__,
     *eulerpoly.__all__,
     *exactnum.__all__,
     *identities.__all__,

@@ -1,7 +1,8 @@
 """Chebyshev polynomials of the first and second kind with exact integer
 coefficients, plus the reversed first-kind polynomial, whose reciprocal
 series is the law of mu_N.  The law builds its taps in closed form
-(``probnum._law``); T_N is their oracle in the tests.
+(``probnum._law``); T_N is their oracle in the tests.  The package does not
+load this module; U_N waits on the Bernoulli companion (ROADMAP item 6).
 
 T_N is defined by T_N(cos t) = cos(N t) and computed here from the recurrence
 T_0 = 1, T_1 = z, T_{n+1} = 2z T_n - T_{n-1}; U_N likewise with U_0 = 1,

@@ -87,13 +87,10 @@ __all__ = [
     "MAX_KLEBANOV_N",
 ]
 
-# Uniforms per chunk of sample_mu and of the random sums: 0.5 MiB, small enough
-# to stay in cache, large enough that the per-chunk Python overhead is small.
-_CHUNK = 2**16
-# Samples per chunk of the rep and gen kernel (_power_report): its buffers
-# hold 48 bytes a sample, 1.5 MiB a run, inside a 2 MiB L2 cache.  At 10^6
-# samples, chunks of 2^13 made gen (n = 6, p = 10) about 25% slower.
-_POWER_CHUNK = 2**15
+# Items per chunk of every chunked kernel; no output depends on where a chunk
+# ends.  _power_report's 48 bytes a sample make 1.5 MiB a run, inside a 2 MiB
+# L2; chunks of 2^13 made gen (n = 6, p = 10, 10^6 samples) 25% slower.
+_CHUNK = 2**15
 
 # Band, in standard errors, of the Monte Carlo checks (MomentReport.ok).
 DEFAULT_BAND = 4.0
@@ -410,25 +407,25 @@ def _power_report(
     at 10^4 samples, 0.95 times at 1.5 10^4 and 0.83 times at 2 10^4.
 
     A run draws, sums and raises chunk by chunk through its own reused
-    buffers of ``_POWER_CHUNK`` samples and writes only the real and
-    imaginary parts of the powers, the two arrays the report reduces, so
-    memory beyond them is O(runs _POWER_CHUNK).
+    buffers of ``_CHUNK`` samples and writes only the real and imaginary
+    parts of the powers, the two arrays the report reduces, so memory beyond
+    them is O(runs _CHUNK).
     """
     real_parts = np.empty(count)
     imag_parts = np.empty(count)
 
     def run(lo, hi):
         first, *rest = [stream.generator(lo) for stream in streams]
-        total = np.empty(_POWER_CHUNK)
-        draws = np.empty(_POWER_CHUNK)
-        base = np.empty(_POWER_CHUNK, dtype=complex)
+        total = np.empty(_CHUNK)
+        draws = np.empty(_CHUNK)
+        base = np.empty(_CHUNK, dtype=complex)
         base.real = real
         powers = np.empty_like(base)
         # numpy's error state is per thread; a report of overflowed powers
         # says so itself.
         with np.errstate(over="ignore", invalid="ignore"):
-            for a in range(lo, hi, _POWER_CHUNK):
-                m = min(_POWER_CHUNK, hi - a)
+            for a in range(lo, hi, _CHUNK):
+                m = min(_CHUNK, hi - a)
                 _sech_fill(first, total[:m])
                 for rng in rest:
                     total[:m] += _sech_fill(rng, draws[:m])

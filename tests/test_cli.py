@@ -710,11 +710,13 @@ def run_fresh(code):
 
 class TestImportCost:
     def test_exact_path_loads_no_numpy(self):
-        # numpy belongs to the montecarlo path only, and the Fraction
-        # reference series to the tests.
+        # numpy belongs to the montecarlo path only, and the two oracles,
+        # the Chebyshev polynomials and the Fraction reference series, to
+        # the tests.
         proc = run_fresh(
             "import sys, chebprob, chebprob.cli\n"
-            "heavy = sorted({'numpy', 'scipy', 'chebprob.series'} & set(sys.modules))\n"
+            "heavy = {'numpy', 'scipy', 'chebprob.chebyshev', 'chebprob.series'}\n"
+            "heavy = sorted(heavy & set(sys.modules))\n"
             "assert not heavy, heavy\n"
         )
         assert proc.returncode == 0, proc.stderr

@@ -24,7 +24,6 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(chebprob.__path__))
 UNUSED_BY_DESIGN = {
     "__version__": "package metadata",
     "asymptotic_ratio": "acceptance criterion 9, the large-N ratio of 1/T_N(1/z)",
-    "chebyshev_U": "the Bernoulli companion through U_(N-1) (ROADMAP item 6)",
 }
 
 # Private names one src module may import from another: the identity's
@@ -77,8 +76,8 @@ def test_package_names_no_eager_export():
     }
     eager = {
         name
-        for module in (chebprob.chebyshev, chebprob.eulerpoly, chebprob.exactnum,
-                       chebprob.identities, chebprob.probnum)
+        for module in (chebprob.eulerpoly, chebprob.exactnum, chebprob.identities,
+                       chebprob.probnum)
         for name in module.__all__
     }
     assert sorted(strings & eager) == []
@@ -103,8 +102,17 @@ def test_every_export_is_used():
     used = _referenced_names(code + sorted((ROOT / "bench").glob("*.py")))
     unused = sorted(set(chebprob.__all__) - used - set(UNUSED_BY_DESIGN))
     assert unused == []
-    # An allowed name that gains a caller leaves the list.
+    # An allowed name that gains a caller, or leaves the package, leaves the list.
     assert sorted(set(UNUSED_BY_DESIGN) & used) == []
+    assert sorted(set(UNUSED_BY_DESIGN) - set(chebprob.__all__)) == []
+
+
+@pytest.mark.parametrize("name", ["chebyshev", "series"])
+def test_oracles_are_not_exported(name):
+    # The test oracles are imported by name (tests/test_cli.py checks that
+    # the package does not load them).
+    oracle = importlib.import_module(f"chebprob.{name}")
+    assert sorted(set(oracle.__all__) & set(chebprob.__all__)) == []
 
 
 def test_no_private_imports_between_modules():

@@ -778,7 +778,7 @@ class TestPowerKernel:
         # buffers per run; 256 KiB cover its small objects (measured 25 KB).
         monkeypatch.setattr(stochastic_module, "_WORKERS", 2)
         count = 10**6
-        buffers = 2 * 48 * stochastic_module._POWER_CHUNK + 2**18
+        buffers = 2 * 48 * stochastic_module._CHUNK + 2**18
         calls = {
             "gen": lambda: mc_gen_euler(RandomStream(4), 6, 10, Fraction(1, 3), count),
             "rep": lambda: mc_euler_poly(RandomStream(4), 8, Fraction(1, 3), count),
