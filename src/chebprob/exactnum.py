@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -196,8 +195,7 @@ def dyadic(numerator: int, exponent: int) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
-class DensePolynomial:
+class DensePolynomial(NamedTuple):
     """Polynomial as a dense coefficient tuple, index = degree; evaluate it
     with :func:`~.eulerpoly.eval_poly`.
 

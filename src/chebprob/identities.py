@@ -24,9 +24,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
+from typing import NamedTuple
 
 from .eulerpoly import euler_numbers, euler_poly, eval_poly
 from .exactnum import (
@@ -93,8 +93,7 @@ class ConvergenceError(RuntimeError):
         super().__init__(f"{message} (achieved error {achieved_error:.3e})")
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
+class ReconstructionResult(NamedTuple):
     """Outcome of one truncated reconstruction of E_n(x).
 
     ``abs_error`` is the float image of the exact difference between
@@ -337,8 +336,7 @@ def asymptotic_ratio(N: int, z: float) -> float:
     return 2.0 / (1.0 + math.exp(-2.0 * N * math.log(a)))
 
 
-@dataclass(frozen=True)
-class CatalanPrefixReport:
+class CatalanPrefixReport(NamedTuple):
     """Comparison of q_{N+2k} against the coefficients of z^k in C(z)^N, the
     N-th power of the Catalan series, for k = 0..N, with the first
     disagreement pinned at ell = 3N."""

@@ -64,10 +64,9 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterator, Literal
+from typing import Iterator, Literal, NamedTuple
 
 from .exactnum import (
     DomainError,
@@ -150,8 +149,7 @@ def _trig_values(N: int, ells: range) -> list[float]:
     ]
 
 
-@dataclass(frozen=True)
-class ProbTable:
+class ProbTable(NamedTuple):
     """Prefix of the law of mu_N: values[ell] approximates or equals p_ell
     for ell = 0..max_ell, tagged with the producing method and an upper
     bound on the mass beyond max_ell."""
@@ -311,8 +309,7 @@ def catalan_table(N: int, max_ell: int) -> ProbTable:
     return ProbTable(N, max_ell, values, "catalan", tail)
 
 
-@dataclass(frozen=True)
-class CrossValidationReport:
+class CrossValidationReport(NamedTuple):
     N: int
     max_ell: int
     tol: float
@@ -320,7 +317,7 @@ class CrossValidationReport:
     indices_checked: int
 
     def json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def cross_validate(

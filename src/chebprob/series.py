@@ -11,17 +11,15 @@ No library route imports this module.  Values are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .exactnum import Rational, require
 
 __all__ = ["TruncatedSeries"]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(NamedTuple):
     coefficients: tuple[Fraction, ...]
 
     @classmethod

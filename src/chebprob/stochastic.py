@@ -17,11 +17,12 @@ Kolmogorov-Smirnov test of the Klebanov check compares its random sums with
 F itself and bounds the p-value by Massart's form of the
 Dvoretzky-Kiefer-Wolfowitz inequality (see :func:`mc_klebanov`).
 
-Streams are immutable values: a :class:`RandomStream` names a reproducible
-sequence (counter-based generator keyed by seed and stream id), any position
-of which can be read directly, and independence between consumers is
-obtained by splitting.  Identical (seed, stream id, draw count) therefore
-reproduce identical arrays on any platform.
+Streams and reports are immutable NamedTuples, a report's ``extras`` a
+read-only mapping.  A :class:`RandomStream` names a reproducible sequence
+(counter-based generator keyed by seed and stream id), any position of which
+can be read directly, and independence between consumers is obtained by
+splitting.  Identical (seed, stream id, draw count) therefore reproduce
+identical arrays on any platform.
 
 A large call is cut into contiguous runs, one per CPU this process may use,
 each filled on its own thread (see :func:`_in_runs`).  A call is cut by the
@@ -50,8 +51,9 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -133,8 +135,14 @@ _MIN_RUN = 2**15
 _BLOCK = 4
 
 
-@dataclass(frozen=True)
-class RandomStream:
+# A NamedTuple body cannot define __new__, so the two records whose fields
+# are checked or copied on construction subclass a plain one.
+class _StreamKey(NamedTuple):
+    seed: int
+    stream_id: int
+
+
+class RandomStream(_StreamKey):
     """Name of a deterministic random sequence.
 
     Drawing does not mutate the stream: two calls that consume the same
@@ -146,13 +154,19 @@ class RandomStream:
     where it would wrap onto another stream.
     """
 
-    seed: int
-    stream_id: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("seed", "stream_id"):
-            value = require("RandomStream", name, getattr(self, name), 0, 2**64 - 1)
-            object.__setattr__(self, name, value)
+    def __new__(cls, seed: int, stream_id: int = 0) -> "RandomStream":
+        return super().__new__(
+            cls,
+            require("RandomStream", "seed", seed, 0, 2**64 - 1),
+            require("RandomStream", "stream_id", stream_id, 0, 2**64 - 1),
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> "RandomStream":
+        # _replace builds through _make, so its fields are checked too.
+        return cls(*iterable)
 
     def generator(self, offset: int = 0) -> np.random.Generator:
         """A generator whose next draw is draw ``offset`` of the stream.
@@ -302,8 +316,7 @@ def sample_mu(stream: RandomStream, N: int, count: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MomentEntry:
+class MomentEntry(NamedTuple):
     label: str
     estimate: float
     std_error: float
@@ -320,16 +333,41 @@ class MomentEntry:
         return gap / max(self.std_error, floor)
 
     def json_dict(self) -> dict:
-        return {**asdict(self), "standardized": self.standardized}
+        return {**self._asdict(), "standardized": self.standardized}
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """Empirical-versus-reference summary of one Monte Carlo run."""
-
+class _ReportFields(NamedTuple):
     sample_size: int
     entries: tuple[MomentEntry, ...]
-    extras: dict = field(default_factory=dict)
+    extras: Mapping[str, float]
+
+
+class MomentReport(_ReportFields):
+    """Empirical-versus-reference summary of one Monte Carlo run.
+
+    ``extras`` is held as a read-only copy of the mapping it is given, so no
+    one can change a verdict (:meth:`ok`) after the report is made.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, sample_size: int, entries: tuple[MomentEntry, ...],
+                extras: Mapping[str, float] = MappingProxyType({})) -> "MomentReport":
+        return super().__new__(cls, sample_size, entries, MappingProxyType(dict(extras)))
+
+    @classmethod
+    def _make(cls, iterable) -> "MomentReport":
+        # _replace builds through _make, so its extras are copied too.
+        return cls(*iterable)
+
+    def __getnewargs__(self):
+        # A mappingproxy cannot be pickled or copied; its dict can.
+        return self.sample_size, self.entries, dict(self.extras)
+
+    def __repr__(self) -> str:
+        # extras prints as the dict it holds, not as mappingproxy({...}).
+        return (f"MomentReport(sample_size={self.sample_size!r}, "
+                f"entries={self.entries!r}, extras={dict(self.extras)!r})")
 
     @property
     def max_standardized_deviation(self) -> float:

@@ -712,10 +712,12 @@ class TestImportCost:
     def test_exact_path_loads_no_numpy(self):
         # numpy belongs to the montecarlo path only, and the two oracles,
         # the Chebyshev polynomials and the Fraction reference series, to
-        # the tests.
+        # the tests.  The records are NamedTuples: dataclasses, and the
+        # inspect it loads, cost an exact command about 15 ms of start-up.
         proc = run_fresh(
             "import sys, chebprob, chebprob.cli\n"
-            "heavy = {'numpy', 'scipy', 'chebprob.chebyshev', 'chebprob.series'}\n"
+            "heavy = {'numpy', 'scipy', 'chebprob.chebyshev', 'chebprob.series',\n"
+            "         'dataclasses', 'inspect'}\n"
             "heavy = sorted(heavy & set(sys.modules))\n"
             "assert not heavy, heavy\n"
         )

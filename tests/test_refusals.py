@@ -8,9 +8,9 @@ no such range (a float, two arguments at once, an empty sequence, a parity)
 raise DomainError with their own wording.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 
-import dataclasses
 import functools
 import re
 
@@ -320,18 +320,16 @@ def test_require_takes_integers_alone():
 def _typed(value):
     """``value`` as nested tuples of (type, value) leaves, so that equality
     also compares the type of every number: a Fraction by its numerator and
-    denominator, an array by its dtype and entries."""
+    denominator, an array by its dtype and entries.  A record is a tuple, so
+    its type and every field are compared in order; a report's read-only
+    extras are a Mapping, not a dict."""
     if isinstance(value, np.ndarray):
         return (value.dtype.str, value.tolist())
     if isinstance(value, Fraction):
         return (Fraction, _typed(value.numerator), _typed(value.denominator))
-    if dataclasses.is_dataclass(value):
-        return (type(value),) + tuple(
-            _typed(getattr(value, f.name)) for f in dataclasses.fields(value)
-        )
     if isinstance(value, (tuple, list)):
         return (type(value),) + tuple(_typed(item) for item in value)
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return tuple((key, _typed(item)) for key, item in sorted(value.items()))
     return (type(value), value)
 

@@ -106,6 +106,13 @@ class TestRandomStream:
         assert type(stream.seed) is int and type(stream.stream_id) is int
         assert stream.split(1)[0].stream_id == 40000 * 2**16 + 1
 
+    def test_replace_checks_key_words(self):
+        # _replace runs the constructor's checks and int coercion.
+        stream = RandomStream(9)._replace(stream_id=np.int32(3))
+        assert stream == RandomStream(9, 3) and type(stream.stream_id) is int
+        with pytest.raises(DomainError, match="RandomStream requires 0 <= seed"):
+            RandomStream(9)._replace(seed=-1)
+
     def test_key_words_at_the_top_of_64_bits(self):
         top = RandomStream(2**64 - 1, 2**64 - 1)
         assert np.array_equal(sample_sech(top, 16), sample_sech(top, 16))
@@ -444,6 +451,24 @@ class TestMomentReports:
             mc_euler_poly(RandomStream(7), 1, x, 10**4)
         with pytest.raises(ValueError, match="mc_gen_euler requires x within"):
             mc_gen_euler(RandomStream(7), 1, 2, x, 10**4)
+
+    def test_extras_are_read_only(self):
+        # A verdict cannot be changed after the fact: with a writable
+        # extras, setting ks_pvalue to 0 would flip ok().
+        report = mc_klebanov(RandomStream(3), 2, 10**5)
+        assert report.ok()
+        with pytest.raises(TypeError):
+            report.extras["ks_pvalue"] = 0.0
+        assert report.ok()
+        # A report copies the mapping it is given, and its default is empty.
+        extras = {"ks_pvalue": 0.5}
+        made = MomentReport(10, (), extras)
+        extras["ks_pvalue"] = 0.0
+        assert made.extras == {"ks_pvalue": 0.5}
+        assert made._replace(extras=extras).extras == {"ks_pvalue": 0.0}
+        assert dict(MomentReport(10, ()).extras) == {}
+        with pytest.raises(TypeError):
+            MomentReport(10, ()).extras["ks_pvalue"] = 0.0
 
     def test_report_json(self):
         report = mc_gen_euler(RandomStream(5), 1, 2, 0, 10**4)
