@@ -8,8 +8,9 @@ them by three independent algorithms (exact series reciprocal, root-angle
 trigonometry, a count of a walk's exit paths), builds classical and
 generalized Euler polynomials by two independent algorithms, and verifies
 the identities that tie the two families together, exactly where possible
-and statistically where not.  It loads neither test oracle, ``chebyshev``
-nor ``series``: import them by name.
+and statistically where not.  The package namespace is the exact layer.
+Import the Monte Carlo layer, ``chebprob.stochastic`` (which loads numpy),
+and the test oracles ``chebyshev`` and ``series`` by module name.
 """
 
 from . import eulerpoly, exactnum, identities, probnum
@@ -20,14 +21,6 @@ from .probnum import *
 
 __version__ = "0.1.0"
 
-# Reached through __getattr__ below, so that numpy loads only when a
-# stochastic name is first used; tests/test_exports.py ties this list to
-# the functions and classes of stochastic.__all__.
-_STOCHASTIC = (
-    "RandomStream", "MomentEntry", "MomentReport", "sech_cdf", "sample_sech",
-    "sample_mu", "mc_euler_poly", "mc_gen_euler", "mc_klebanov",
-)
-
 # Each module's __all__ is the one list of its public names.
 __all__ = [
     "__version__",
@@ -35,13 +28,4 @@ __all__ = [
     *exactnum.__all__,
     *identities.__all__,
     *probnum.__all__,
-    *_STOCHASTIC,
 ]
-
-
-def __getattr__(name: str):
-    if name in _STOCHASTIC:
-        from . import stochastic
-
-        return getattr(stochastic, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

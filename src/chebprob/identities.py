@@ -115,17 +115,9 @@ class ReconstructionResult(NamedTuple):
     first_small_term_k: int | None
 
     def json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "N": self.N,
-            "x": format_rational(self.x),
-            "terms_used": self.terms_used,
-            "partial_value": format_rational(self.partial_value),
-            "target": format_rational(self.target),
-            "abs_error": self.abs_error,
-            "tail_estimate": self.tail_estimate,
-            "first_small_term_k": self.first_small_term_k,
-        }
+        return {**self._asdict(), "x": format_rational(self.x),
+                "partial_value": format_rational(self.partial_value),
+                "target": format_rational(self.target)}
 
 
 def _default_max_k(n: int, N: int, tol: float, x: Rational = Fraction(1, 2)) -> int:

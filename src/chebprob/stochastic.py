@@ -386,12 +386,10 @@ class MomentReport(_ReportFields):
         return p_value is None or p_value >= _KS_ALPHA
 
     def json_dict(self) -> dict:
-        return {
-            "sample_size": self.sample_size,
-            "entries": [entry.json_dict() for entry in self.entries],
-            "extras": dict(self.extras),
-            "max_standardized_deviation": self.max_standardized_deviation,
-        }
+        return {**self._asdict(),
+                "entries": [entry.json_dict() for entry in self.entries],
+                "extras": dict(self.extras),
+                "max_standardized_deviation": self.max_standardized_deviation}
 
 
 def _entry(label: str, values: np.ndarray, reference: float) -> MomentEntry:

@@ -723,6 +723,24 @@ class TestImportCost:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_star_import_loads_no_numpy(self):
+        # The package namespace is the exact layer: the Monte Carlo names
+        # are imported from chebprob.stochastic, which loads numpy.
+        proc = run_fresh(
+            "import sys\n"
+            "from chebprob import *\n"
+            "loaded = sorted({'numpy', 'chebprob.stochastic'} & set(sys.modules))\n"
+            "assert not loaded, loaded\n"
+            "try:\n"
+            "    from chebprob import mc_klebanov\n"
+            "except ImportError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('mc_klebanov is a package name')\n"
+            "from chebprob.stochastic import RandomStream, mc_klebanov\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_integral_loads_no_numpy(self):
         # The moment quadrature is stdlib floats: it loads neither numpy nor
         # the sampling module, and runs with every numpy import failing.

@@ -3,7 +3,7 @@
 A name left in ``__all__`` after its definition is deleted breaks
 ``from chebprob import *``, which no other test imports.  A name that only
 tests call is surface without a purpose: it is wired into a check, deleted,
-or kept for a reason stated below.
+or kept for a reason stated below.  README's quick tour runs as written.
 """
 
 import ast
@@ -11,8 +11,10 @@ import importlib
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -44,16 +46,6 @@ def test_module_all_resolves(name):
 def test_package_all_resolves():
     missing = [n for n in chebprob.__all__ if not hasattr(chebprob, n)]
     assert missing == []
-
-
-def test_stochastic_names_are_those_of_its_all():
-    # The package names the stochastic exports itself, since reading
-    # stochastic.__all__ at import would load numpy; its constants stay in
-    # the module.
-    stochastic = importlib.import_module("chebprob.stochastic")
-    assert chebprob._STOCHASTIC == tuple(
-        name for name in stochastic.__all__ if not name.isupper()
-    )
 
 
 def test_each_public_name_has_one_module():
@@ -100,17 +92,20 @@ def test_every_export_is_used():
     package = ROOT / "src" / "chebprob"
     code = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     used = _referenced_names(code + sorted((ROOT / "bench").glob("*.py")))
-    unused = sorted(set(chebprob.__all__) - used - set(UNUSED_BY_DESIGN))
+    # The Monte Carlo layer is public too, though the package does not export it.
+    stochastic = importlib.import_module("chebprob.stochastic")
+    exported = set(chebprob.__all__) | set(stochastic.__all__)
+    unused = sorted(exported - used - set(UNUSED_BY_DESIGN))
     assert unused == []
     # An allowed name that gains a caller, or leaves the package, leaves the list.
     assert sorted(set(UNUSED_BY_DESIGN) & used) == []
-    assert sorted(set(UNUSED_BY_DESIGN) - set(chebprob.__all__)) == []
+    assert sorted(set(UNUSED_BY_DESIGN) - exported) == []
 
 
-@pytest.mark.parametrize("name", ["chebyshev", "series"])
+@pytest.mark.parametrize("name", ["chebyshev", "series", "stochastic"])
 def test_oracles_are_not_exported(name):
-    # The test oracles are imported by name (tests/test_cli.py checks that
-    # the package does not load them).
+    # The test oracles and the Monte Carlo layer are imported by module name
+    # (tests/test_cli.py checks that the package does not load them).
     oracle = importlib.import_module(f"chebprob.{name}")
     assert sorted(set(oracle.__all__) & set(chebprob.__all__)) == []
 
@@ -145,3 +140,21 @@ def test_benchmark_tracer_installs():
         [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_quick_tour_runs():
+    # README's one python block runs as written, and each of its bare
+    # expressions whose comment states a value gives that value.
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace, values = {}, {}
+    for statement in ast.parse(block).body:
+        code = ast.unparse(statement)
+        if isinstance(statement, ast.Expr):
+            values[code] = eval(code, namespace)
+        else:
+            exec(code, namespace)
+    assert values["table.values[5]"] == Fraction(3, 16)
+    assert values["probnum_catalan(3, 5)"] == Fraction(3, 16)
+    assert values["gen_euler_recursive(2, 2).coefficients"] == (Fraction(1, 2), -2, 1)
+    assert values["report.ok()"] is True

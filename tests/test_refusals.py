@@ -79,6 +79,13 @@ FLOAT_RANGE_REFUSALS = [
     ("asymptotic_ratio", lambda: identities.asymptotic_ratio(10**400, 0.5)),
 ]
 
+# One index of the trig route holds and sums N root terms: N is capped as a
+# trig table's work is (trig_value(10**8, 3) was killed for memory).
+WORK_REFUSALS = [
+    ("root_angles", lambda: probnum.root_angles(probnum.MAX_LAW_WORK + 1)),
+    ("trig_value", lambda: probnum.trig_value(probnum.MAX_LAW_WORK + 1, 3)),
+]
+
 # The two words of a RandomStream's key, each refused outside [0, 2^64).
 KEY_WORDS = [
     ("seed", lambda v: stochastic.RandomStream(v)),
@@ -195,10 +202,11 @@ RATIONAL_ARGUMENTS = [
 
 @pytest.mark.parametrize(
     "caller, call",
-    RANGE_REFUSALS + FLOAT_RANGE_REFUSALS
+    RANGE_REFUSALS + FLOAT_RANGE_REFUSALS + WORK_REFUSALS
     + [("RandomStream", functools.partial(call, 2**64)) for _, call in KEY_WORDS],
     ids=[row[0] for row in RANGE_REFUSALS]
     + [f"{row[0]}-past-2^53" for row in FLOAT_RANGE_REFUSALS]
+    + [f"{row[0]}-past-MAX_LAW_WORK" for row in WORK_REFUSALS]
     + [f"RandomStream-{name}" for name, _ in KEY_WORDS],
 )
 def test_range_refusal_is_a_domain_error(caller, call):
